@@ -6,7 +6,7 @@
 //! `experiments` **binary** (its crate root installs it with
 //! `#[global_allocator]`); it reports every allocation into
 //! [`ALLOCATIONS`] here, where the experiment code can read it. When the
-//! harness runs without the counting allocator (e.g. criterion benches),
+//! harness runs without the counting allocator (e.g. under `cargo test`),
 //! [`installed`] stays `false` and the experiments print `n/a` instead of
 //! a bogus zero.
 

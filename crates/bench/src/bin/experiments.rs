@@ -1,4 +1,5 @@
-//! Experiment harness — regenerates every experiment table of DESIGN.md §5.
+//! Experiment harness — regenerates every experiment table listed in
+//! [`EXPERIMENTS`] below.
 //!
 //! ```sh
 //! cargo run --release -p dds-bench --bin experiments -- --all

@@ -1,4 +1,5 @@
-//! A1–A5 — ablations of the design choices called out in DESIGN.md §6.
+//! A1–A5 — ablations of the design choices argued in the module docs of
+//! `dds_core::ptile` and `dds_rangetree`.
 
 use super::setup::{clustered_workload, mixed_workload, ptile_queries};
 use super::Scale;

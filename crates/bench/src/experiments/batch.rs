@@ -3,8 +3,8 @@
 //! The read side of a dataset-search service is read-mostly and highly
 //! concurrent; after the `&self` refactor one [`MixedQueryEngine`] serves
 //! any number of reader threads. This experiment measures the
-//! `query_batch` fan-out (`dds_pool::par_map_with`, per-worker scratch,
-//! shared predicate-mask cache) against sequential one-at-a-time
+//! `try_query_batch_opts` fan-out (`dds_pool::par_map_with`, per-worker
+//! scratch, shared predicate-mask cache) against sequential one-at-a-time
 //! execution: a threads × batch-size sweep with a speedup column, plus a
 //! measured before/after allocation count for the scratch-reuse path
 //! (fresh [`QueryScratch`] per query vs one reused scratch).
@@ -64,7 +64,7 @@ fn expression_pool(wl: &super::setup::Workload, margin: f64) -> Vec<LogicalExpr>
 /// anywhere but the `experiments` binary).
 pub fn e12_batch_query_throughput(scale: Scale) -> Table {
     let mut table = Table::new(
-        "E12 — batch query throughput (query_batch over dds-pool; shared mask cache)",
+        "E12 — batch query throughput (try_query_batch_opts over dds-pool; shared mask cache)",
         &[
             "N",
             "batch",
@@ -86,11 +86,12 @@ pub fn e12_batch_query_throughput(scale: Scale) -> Table {
     };
     let wl = mixed_workload(n, 300, 1, 0xB12);
     let repo = Repository::from_point_sets(wl.sets.clone());
-    let engine = MixedQueryEngine::build(
+    let engine = MixedQueryEngine::build_opts(
         &repo,
         &[1],
         bench_params(),
         PrefBuildParams::exact_centralized().with_eps(0.05),
+        &BuildOptions::default(),
     );
     let pool = expression_pool(&wl, engine.ptile_slack() / 2.0);
     let batch_sizes: &[usize] = if scale.smoke {
@@ -104,18 +105,22 @@ pub fn e12_batch_query_throughput(scale: Scale) -> Table {
         let exprs: Vec<LogicalExpr> = (0..batch).map(|i| pool[i % pool.len()].clone()).collect();
         // Sequential baseline: one-at-a-time queries, fresh scratch each —
         // exactly what a naive caller would write.
-        let (sequential, t_seq) =
-            time(|| exprs.iter().map(|e| engine.query(e)).collect::<Vec<_>>());
+        let (sequential, t_seq) = time(|| {
+            exprs
+                .iter()
+                .map(|e| engine.try_query_with(e, &mut QueryScratch::new()))
+                .collect::<Vec<_>>()
+        });
         // Allocation metering (timing excluded from the sweep rows).
         let (_, allocs_fresh) = count_allocations(|| {
             for e in &exprs {
-                let _ = engine.query(e);
+                let _ = engine.try_query_with(e, &mut QueryScratch::new());
             }
         });
         let (_, allocs_reused) = count_allocations(|| {
             let mut scratch = QueryScratch::new();
             for e in &exprs {
-                let _ = engine.query_with(e, &mut scratch);
+                let _ = engine.try_query_with(e, &mut scratch);
             }
         });
         let fmt_allocs = |a: Option<u64>| {
@@ -130,7 +135,7 @@ pub fn e12_batch_query_throughput(scale: Scale) -> Table {
             // column compares thread counts, not cache warmth (in-batch
             // dedup still applies — that is the row's own cache fill).
             engine.mask_cache().invalidate();
-            let (answers, t_batch) = time(|| engine.query_batch_opts(&exprs, &opts));
+            let (answers, t_batch) = time(|| engine.try_query_batch_opts(&exprs, &opts));
             assert_eq!(
                 answers, sequential,
                 "batch answers must be bit-identical to sequential (batch {batch}, threads {threads})"

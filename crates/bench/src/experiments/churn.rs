@@ -25,6 +25,7 @@ use dds_core::framework::{LogicalExpr, Predicate, Repository};
 use dds_core::pool::BuildOptions;
 use dds_core::pref::PrefBuildParams;
 use dds_core::ptile::PtileBuildParams;
+use dds_core::scratch::QueryScratch;
 use dds_core::shard::{GlobalId, RebalanceAction, RebalanceConfig, ShardedEngine};
 use dds_workload::RepoSpec;
 
@@ -98,11 +99,12 @@ pub fn e16_shard_churn(scale: Scale) -> Table {
     };
     let spec = RepoSpec::mixed(n, 300, 1, 0xE16);
     let wl = super::setup::mixed_workload(n, 300, 1, 0xE16);
-    let unsharded_engine = MixedQueryEngine::build(
+    let unsharded_engine = MixedQueryEngine::build_opts(
         &Repository::from_point_sets(wl.sets.clone()),
         &[1],
         bench_params().with_phi_datasets(n),
         pref_params(),
+        &BuildOptions::default(),
     );
     let pool = expression_pool(&wl, unsharded_engine.ptile_slack() / 2.0);
     let exprs: Vec<LogicalExpr> = (0..batch).map(|i| pool[i % pool.len()].clone()).collect();
@@ -111,7 +113,7 @@ pub fn e16_shard_churn(scale: Scale) -> Table {
         .map(|e| {
             e_to_ids(
                 unsharded_engine
-                    .query(e)
+                    .try_query_with(e, &mut QueryScratch::new())
                     .expect("rank 1 is indexed in this workload"),
             )
         })
@@ -123,11 +125,12 @@ pub fn e16_shard_churn(scale: Scale) -> Table {
         // catalog that grew in place looks like before any rebalancing.
         let mut svc = ShardedEngine::new(&[1], bench_params().with_phi_datasets(n), pref_params());
         for shard in spec.shards_skewed(3) {
-            svc.add_shard_opts(
+            svc.try_add_shard_opts(
                 &Repository::from_point_sets(shard.sets),
                 &shard.global_ids,
                 &opts,
-            );
+            )
+            .expect("valid ingest");
         }
         let mut row =
             |svc: &ShardedEngine, phase: &str, transitions: String, total: std::time::Duration| {
@@ -214,7 +217,7 @@ fn run_and_assert(
     baseline: &[Vec<GlobalId>],
     phase: &str,
 ) -> std::time::Duration {
-    let (answers, t) = time(|| svc.query_batch_opts(exprs, opts));
+    let (answers, t) = time(|| svc.try_query_batch_opts(exprs, opts));
     for (i, answer) in answers.iter().enumerate() {
         assert_eq!(
             answer.as_ref().expect("no missing ranks in this workload"),

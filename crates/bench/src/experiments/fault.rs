@@ -24,6 +24,7 @@ use dds_core::framework::Repository;
 use dds_core::pool::BuildOptions;
 use dds_core::pref::PrefBuildParams;
 use dds_core::ptile::PtileBuildParams;
+use dds_core::scratch::QueryScratch;
 use dds_core::shard::{GlobalId, ShardedEngine};
 use dds_server::{
     ChaosProxy, ClientConfig, DdsClient, DdsServer, FaultPlan, RetryPolicy, ServerConfig,
@@ -101,6 +102,7 @@ fn soak_one_seed(seed: u64, n_requests: usize) -> SoakOutcome {
 
     let (ptile, pref) = params();
     let mut mirror = ShardedEngine::new(&[1], ptile, pref);
+    let mut scratch = QueryScratch::new();
     let served = {
         let (ptile, pref) = params();
         ShardedEngine::new(&[1], ptile, pref)
@@ -136,7 +138,9 @@ fn soak_one_seed(seed: u64, n_requests: usize) -> SoakOutcome {
                 Err(e) => assert!(e.is_transient() || is_deadline(&e), "seed {seed:#x}: {e}"),
             }
         };
-        let mirror_idx = mirror.add_shard_opts(&repo, &shard.global_ids, &serial);
+        let mirror_idx = mirror
+            .try_add_shard_opts(&repo, &shard.global_ids, &serial)
+            .expect("valid ingest");
         assert_eq!(served_idx, mirror_idx, "seed {seed:#x}: shard index");
     }
 
@@ -148,7 +152,11 @@ fn soak_one_seed(seed: u64, n_requests: usize) -> SoakOutcome {
         .exprs(&spec);
     for (j, e) in exprs.iter().enumerate() {
         let got = query_until_answered(&mut client, e, seed);
-        assert_eq!(got, mirror.query(e), "seed {seed:#x}: expr {j}");
+        assert_eq!(
+            got,
+            mirror.try_query_with(e, &mut scratch),
+            "seed {seed:#x}: expr {j}"
+        );
     }
 
     // Live churn through the chaos: split shard 0, then merge the new
@@ -168,7 +176,11 @@ fn soak_one_seed(seed: u64, n_requests: usize) -> SoakOutcome {
         .unwrap_or_else(|e| panic!("seed {seed:#x}: mirror merge: {e}"));
     for (j, e) in exprs.iter().enumerate() {
         let got = query_until_answered(&mut client, e, seed);
-        assert_eq!(got, mirror.query(e), "seed {seed:#x}: post-churn expr {j}");
+        assert_eq!(
+            got,
+            mirror.try_query_with(e, &mut scratch),
+            "seed {seed:#x}: post-churn expr {j}"
+        );
     }
     let retries = client.retries();
     drop(client);

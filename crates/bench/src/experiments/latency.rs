@@ -14,6 +14,7 @@
 use super::Scale;
 use crate::table::{fmt_duration, Table};
 use dds_core::framework::Repository;
+use dds_core::pool::BuildOptions;
 use dds_core::pref::PrefBuildParams;
 use dds_core::ptile::PtileBuildParams;
 use dds_core::shard::ShardedEngine;
@@ -43,7 +44,13 @@ pub fn e19_stage_latency(scale: Scale) -> Table {
         PrefBuildParams::exact_centralized(),
     );
     for shard in spec.shards(3) {
-        engine.add_shard(&Repository::from_point_sets(shard.sets), &shard.global_ids);
+        engine
+            .try_add_shard_opts(
+                &Repository::from_point_sets(shard.sets),
+                &shard.global_ids,
+                &BuildOptions::default(),
+            )
+            .expect("valid ingest");
     }
     // Zero threshold so the replay also populates the slow-query ring —
     // the trace row below then reports real records, not an empty log.

@@ -1,4 +1,5 @@
-//! The experiment implementations (DESIGN.md §5).
+//! The experiment implementations (indexed by the `EXPERIMENTS` table of
+//! the `experiments` binary).
 
 pub mod ablations;
 pub mod batch;

@@ -30,7 +30,7 @@ use dds_core::framework::{LogicalExpr, Repository};
 use dds_core::pool::BuildOptions;
 use dds_core::pref::PrefBuildParams;
 use dds_core::ptile::PtileBuildParams;
-use dds_core::shard::ShardedEngine;
+use dds_core::shard::{Routing, ShardedEngine};
 use dds_workload::{RepoSpec, RequestStreamSpec, SelectiveShape};
 
 fn bench_params(n: usize) -> PtileBuildParams {
@@ -40,16 +40,20 @@ fn bench_params(n: usize) -> PtileBuildParams {
 }
 
 /// One engine per routing configuration over the same round-robin layout.
-fn build_engine(spec: &RepoSpec, k: usize, n: usize, route: bool, synopsis: bool) -> ShardedEngine {
+fn build_engine(spec: &RepoSpec, k: usize, n: usize, routing: Routing) -> ShardedEngine {
     let mut svc = ShardedEngine::new(
         &[1],
         bench_params(n),
         PrefBuildParams::exact_centralized().with_eps(0.05),
     )
-    .with_routing(route)
-    .with_synopsis_routing(synopsis);
+    .with_routing(routing);
     for shard in spec.shards(k) {
-        svc.add_shard(&Repository::from_point_sets(shard.sets), &shard.global_ids);
+        svc.try_add_shard_opts(
+            &Repository::from_point_sets(shard.sets),
+            &shard.global_ids,
+            &BuildOptions::default(),
+        )
+        .expect("valid ingest");
     }
     svc
 }
@@ -94,9 +98,9 @@ pub fn e18_selective_routing(scale: Scale) -> Table {
     };
     let shard_counts: &[usize] = &[2, 4, 8];
     for &k in shard_counts {
-        let unrouted = build_engine(&spec, k, n, false, false);
-        let box_only = build_engine(&spec, k, n, true, false);
-        let full = build_engine(&spec, k, n, true, true);
+        let unrouted = build_engine(&spec, k, n, Routing::Off);
+        let box_only = build_engine(&spec, k, n, Routing::BoxOnly);
+        let full = build_engine(&spec, k, n, Routing::Full);
         for &width in widths {
             let exprs: Vec<LogicalExpr> = RequestStreamSpec::selective(batch, 0xE18)
                 .with_selective_shape(SelectiveShape {
@@ -105,19 +109,19 @@ pub fn e18_selective_routing(scale: Scale) -> Table {
                 })
                 .exprs(&spec);
             let opts = BuildOptions::default();
-            let expected = unrouted.query_batch_opts(&exprs, &opts);
+            let expected = unrouted.try_query_batch_opts(&exprs, &opts);
             let box_before = (
                 box_only.shards_routed_past(),
                 box_only.shards_routed_by_synopsis(),
             );
-            let box_answers = box_only.query_batch_opts(&exprs, &opts);
+            let box_answers = box_only.try_query_batch_opts(&exprs, &opts);
             assert_eq!(
                 box_only.shards_routed_by_synopsis(),
                 box_before.1,
                 "the box-only engine must never take a synopsis skip"
             );
             let full_before = (full.shards_routed_past(), full.shards_routed_by_synopsis());
-            let (answers, t) = time(|| full.query_batch_opts(&exprs, &opts));
+            let (answers, t) = time(|| full.try_query_batch_opts(&exprs, &opts));
             let box_skips = full.shards_routed_past() - full_before.0;
             let syn_skips = full.shards_routed_by_synopsis() - full_before.1;
             // Zero false negatives, engine for engine, expression for

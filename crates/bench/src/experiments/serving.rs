@@ -18,6 +18,7 @@ use crate::alloc::count_allocations;
 use crate::table::{fmt_duration, Table};
 use crate::timing::time;
 use dds_core::framework::{LogicalExpr, Predicate, Repository};
+use dds_core::pool::BuildOptions;
 use dds_core::pref::PrefBuildParams;
 use dds_core::ptile::PtileBuildParams;
 use dds_core::shard::ShardedEngine;
@@ -48,7 +49,13 @@ pub fn e15_serving_allocations(scale: Scale) -> Table {
         PrefBuildParams::exact_centralized(),
     );
     for shard in spec.shards(2) {
-        engine.add_shard(&Repository::from_point_sets(shard.sets), &shard.global_ids);
+        engine
+            .try_add_shard_opts(
+                &Repository::from_point_sets(shard.sets),
+                &shard.global_ids,
+                &BuildOptions::default(),
+            )
+            .expect("valid ingest");
     }
     let server =
         DdsServer::serve(engine, "127.0.0.1:0", ServerConfig::default()).expect("bind loopback");

@@ -31,6 +31,7 @@ use dds_core::framework::{LogicalExpr, Predicate, Repository};
 use dds_core::pool::BuildOptions;
 use dds_core::pref::PrefBuildParams;
 use dds_core::ptile::PtileBuildParams;
+use dds_core::scratch::QueryScratch;
 use dds_core::shard::{GlobalId, ShardedEngine};
 use dds_workload::RepoSpec;
 
@@ -99,11 +100,12 @@ pub fn e14_sharded_throughput(scale: Scale) -> Table {
     };
     let spec = RepoSpec::mixed(n, 300, 1, 0xE14);
     let wl = mixed_workload(n, 300, 1, 0xE14);
-    let unsharded_engine = MixedQueryEngine::build(
+    let unsharded_engine = MixedQueryEngine::build_opts(
         &Repository::from_point_sets(wl.sets.clone()),
         &[1],
         bench_params().with_phi_datasets(n),
         pref_params(),
+        &BuildOptions::default(),
     );
     let pool = expression_pool(&wl, unsharded_engine.ptile_slack() / 2.0);
     let exprs: Vec<LogicalExpr> = (0..batch).map(|i| pool[i % pool.len()].clone()).collect();
@@ -115,7 +117,7 @@ pub fn e14_sharded_throughput(scale: Scale) -> Table {
             .map(|e| {
                 e_to_ids(
                     unsharded_engine
-                        .query(e)
+                        .try_query_with(e, &mut QueryScratch::new())
                         .expect("rank 1 is indexed in this workload"),
                 )
             })
@@ -133,7 +135,12 @@ pub fn e14_sharded_throughput(scale: Scale) -> Table {
         // shard's (generation-tagged) cache instead of rebuilding.
         let mut svc = ShardedEngine::new(&[1], bench_params().with_phi_datasets(n), pref_params());
         for shard in spec.shards(k) {
-            svc.add_shard(&Repository::from_point_sets(shard.sets), &shard.global_ids);
+            svc.try_add_shard_opts(
+                &Repository::from_point_sets(shard.sets),
+                &shard.global_ids,
+                &BuildOptions::default(),
+            )
+            .expect("valid ingest");
         }
         for &threads in thread_counts {
             for s in 0..svc.n_shards() {
@@ -141,9 +148,9 @@ pub fn e14_sharded_throughput(scale: Scale) -> Table {
             }
             let (h0, m0) = svc.cache_stats();
             let opts = BuildOptions::with_threads(threads);
-            let (answers, t_cold) = time(|| svc.query_batch_opts(&exprs, &opts));
+            let (answers, t_cold) = time(|| svc.try_query_batch_opts(&exprs, &opts));
             let (h1, m1) = svc.cache_stats();
-            let (warm_answers, _) = time(|| svc.query_batch_opts(&exprs, &opts));
+            let (warm_answers, _) = time(|| svc.try_query_batch_opts(&exprs, &opts));
             let (h2, m2) = svc.cache_stats();
             let (h_cold, m_cold) = (h1 - h0, m1 - m0);
             let (h_warm, m_warm) = (h2 - h1, m2 - m1);

@@ -3,12 +3,13 @@
 //! The paper is a theory paper — its "evaluation" is the set of theorems in
 //! Sections 3–5 and Appendices C–D. Every experiment here regenerates one
 //! theorem's claim (or one figure's construction) as a measurable table;
-//! DESIGN.md §5 is the index mapping experiment ids to paper claims, and
-//! EXPERIMENTS.md records paper-vs-measured for a full run.
+//! the `EXPERIMENTS` table of the `experiments` binary (printed by its
+//! usage message) maps experiment ids to paper claims.
 //!
 //! Run with `cargo run --release -p dds-bench --bin experiments -- --all`
-//! (or `--eN` / `--aN` selections, `--quick` for smaller sweeps). Criterion
-//! micro-benchmarks covering the same query paths live in `benches/`.
+//! (or `--eN` / `--aN` selections, `--quick` for smaller sweeps). Served,
+//! end-to-end numbers are the job of the repository's benchmark
+//! (`BENCHMARK.json`, `benchmark/README.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,7 +2,7 @@
 //!
 //! Dataset-search deployments are read-mostly catalogs: the same popular
 //! filters recur across requests, so a predicate's hit mask computed for
-//! one `query_batch` call is very likely useful to the next. PR 3's cache
+//! one batch call is very likely useful to the next. PR 3's cache
 //! lived for a single batch; [`MaskCache`] lifts it to a service-lifetime
 //! object the [`MixedQueryEngine`](crate::engine::MixedQueryEngine) owns
 //! and every batch call shares:
@@ -62,7 +62,7 @@ struct MaskEntry {
 }
 
 /// A bounded, generation-tagged predicate-mask cache shared across
-/// [`MixedQueryEngine::query_batch`](crate::engine::MixedQueryEngine::query_batch)
+/// [`MixedQueryEngine::try_query_batch_opts`](crate::engine::MixedQueryEngine::try_query_batch_opts)
 /// calls (and across every query of a `dds_core::shard` shard).
 ///
 /// Keys are the engine's bit-exact predicate encodings; values are the

@@ -22,8 +22,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Bit-exact hash key for a predicate, so identical predicates appearing in
-/// several DNF clauses share one index query per [`MixedQueryEngine::query`]
-/// call. Encodes the measure discriminant, then every float as its IEEE-754
+/// several DNF clauses share one index query per
+/// [`MixedQueryEngine::try_query_with`] call. Encodes the measure discriminant, then every float as its IEEE-754
 /// bit pattern (`f64::to_bits`), so `-0.0 != 0.0` keys differ — a false
 /// negative only costs a redundant query, never a wrong answer.
 fn predicate_key(pred: &Predicate) -> Vec<u64> {
@@ -110,8 +110,9 @@ pub(crate) fn expr_dim_mismatch(expr: &LogicalExpr, dim: usize) -> Option<(usize
 /// top-k preference predicates over one repository.
 ///
 /// All query paths take `&self`: one engine can serve concurrent readers
-/// (e.g. behind an `Arc`), and [`query_batch`](Self::query_batch) fans a
-/// slice of expressions out over the worker pool. Batch calls share the
+/// (e.g. behind an `Arc`), and
+/// [`try_query_batch_opts`](Self::try_query_batch_opts) fans a slice of
+/// expressions out over the worker pool. Batch calls share the
 /// engine's **cross-call** [`MaskCache`]: a predicate repeated across
 /// batches (the read-mostly catalog workload) queries its underlying index
 /// only until cached, bounded by the cache capacity and invalidated via
@@ -134,28 +135,9 @@ pub struct MixedQueryEngine {
 
 impl MixedQueryEngine {
     /// Builds the engine over a centralized repository, with Pref support
-    /// for each rank in `ks`, using the default worker pool
-    /// ([`BuildOptions::default`]: all available cores, `DDS_THREADS`
-    /// override). The thread count never affects results.
-    ///
-    /// # Panics
-    /// Panics if the repository is empty or `ks` is empty.
-    pub fn build(
-        repo: &Repository,
-        ks: &[usize],
-        ptile_params: PtileBuildParams,
-        pref_params: PrefBuildParams,
-    ) -> Self {
-        Self::build_opts(
-            repo,
-            ks,
-            ptile_params,
-            pref_params,
-            &BuildOptions::default(),
-        )
-    }
-
-    /// [`build`](Self::build) with an explicit worker-pool configuration.
+    /// for each rank in `ks`, on the `opts` worker pool (pass
+    /// `&BuildOptions::default()` for all available cores with the
+    /// `DDS_THREADS` override). The thread count never affects results.
     ///
     /// # Panics
     /// Panics if the repository is empty or `ks` is empty.
@@ -187,23 +169,12 @@ impl MixedQueryEngine {
         }
     }
 
-    /// Bounds the engine's cross-call mask cache at `capacity` entries
-    /// (builder-style) instead of
-    /// [`DEFAULT_MASK_CACHE_CAPACITY`](crate::cache::DEFAULT_MASK_CACHE_CAPACITY).
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0`.
-    pub fn with_mask_cache_capacity(mut self, capacity: usize) -> Self {
-        self.mask_cache = Arc::new(MaskCache::new(capacity));
-        self
-    }
-
     /// Replaces the engine's cross-call mask cache (builder-style).
     /// Crate-internal on purpose: cache keys encode only the predicate,
     /// not the repository, so attaching one cache to engines over
     /// different data would silently serve the wrong masks. The only
     /// legitimate use is the shard-rebuild carry-over
-    /// (`ShardedEngine::rebuild_shard`), which invalidates the cache's
+    /// (`ShardedEngine::try_rebuild_shard_opts`), which invalidates the cache's
     /// generation as it hands it to the replacement engine.
     pub(crate) fn with_mask_cache(mut self, cache: Arc<MaskCache>) -> Self {
         self.mask_cache = cache;
@@ -212,7 +183,7 @@ impl MixedQueryEngine {
 
     /// The engine's cross-call predicate-mask cache (hit/miss counters,
     /// capacity bound, generation tag). Shared by every
-    /// [`query_batch`](Self::query_batch) call.
+    /// [`try_query_batch_opts`](Self::try_query_batch_opts) call.
     pub fn mask_cache(&self) -> &Arc<MaskCache> {
         &self.mask_cache
     }
@@ -286,39 +257,15 @@ impl MixedQueryEngine {
 
     /// Answers a logical expression over percentile and preference
     /// predicates: a superset of `q_Π(P)`, every reported dataset within
-    /// each touched predicate's band.
+    /// each touched predicate's band. Schema-checks the expression first
+    /// ([`EngineError::DimensionMismatch`] on a wrong-dimension predicate
+    /// instead of a panic deep inside the underlying indexes).
     ///
     /// Read-only: the engine can be shared (`&self`, e.g. behind an `Arc`)
-    /// across query threads. Allocates a fresh [`QueryScratch`] per call;
-    /// query loops should prefer [`query_with`](Self::query_with).
-    ///
-    /// Equivalent to [`try_query`](Self::try_query): the historical
-    /// dimension *asserts* in the underlying indexes are wrapped by the
-    /// typed [`EngineError::DimensionMismatch`] check, so a mismatched
-    /// expression errs instead of panicking.
-    pub fn query(&self, expr: &LogicalExpr) -> Result<Vec<usize>, EngineError> {
-        self.try_query(expr)
-    }
-
-    /// [`query`](Self::query) with caller-provided scratch: identical
-    /// answers; the reported flags, DNF accumulators, predicate-mask memo
-    /// table and the lifted orthant buffers are all reused across calls.
-    pub fn query_with(
-        &self,
-        expr: &LogicalExpr,
-        scratch: &mut QueryScratch,
-    ) -> Result<Vec<usize>, EngineError> {
-        self.try_query_with(expr, scratch)
-    }
-
-    /// The fallible single-expression path: schema-checks the expression
-    /// ([`EngineError::DimensionMismatch`] on a wrong-dimension predicate),
-    /// then answers it.
-    pub fn try_query(&self, expr: &LogicalExpr) -> Result<Vec<usize>, EngineError> {
-        self.try_query_with(expr, &mut QueryScratch::new())
-    }
-
-    /// [`try_query`](Self::try_query) with caller-provided scratch.
+    /// across query threads. The caller-provided scratch — the reported
+    /// flags, DNF accumulators, predicate-mask memo table and the lifted
+    /// orthant buffers — is reused across calls; it never affects answers.
+    /// This path does not consult the cross-call [`MaskCache`].
     pub fn try_query_with(
         &self,
         expr: &LogicalExpr,
@@ -328,41 +275,19 @@ impl MixedQueryEngine {
         self.query_inner(&expr.to_dnf(), scratch, None)
     }
 
-    /// Answers a slice of expressions with the default worker pool
-    /// ([`BuildOptions::default`]: all available cores, `DDS_THREADS`
-    /// override): per-worker reusable scratch, plus the engine's
-    /// **cross-call** [`MaskCache`] so predicates repeated across the batch
-    /// — or across *earlier batches* — query their underlying index once
-    /// per cache residency.
+    /// Answers a slice of expressions on the `opts` worker pool: per-worker
+    /// reusable scratch, plus the engine's **cross-call** [`MaskCache`] so
+    /// predicates repeated across the batch — or across *earlier batches*
+    /// — query their underlying index once per cache residency.
     ///
     /// Results come back in input order and are **bit-identical** to calling
-    /// [`query`](Self::query) on each expression sequentially, for every
-    /// thread count (pinned by `tests/batch_equivalence.rs`): cached masks
-    /// are exactly the masks the indexes would recompute.
-    pub fn query_batch(&self, exprs: &[LogicalExpr]) -> Vec<Result<Vec<usize>, EngineError>> {
-        self.try_query_batch(exprs)
-    }
-
-    /// [`query_batch`](Self::query_batch) with an explicit worker-pool
-    /// configuration.
-    pub fn query_batch_opts(
-        &self,
-        exprs: &[LogicalExpr],
-        opts: &BuildOptions,
-    ) -> Vec<Result<Vec<usize>, EngineError>> {
-        self.try_query_batch_opts(exprs, opts)
-    }
-
-    /// The fallible batch path: each expression is schema-checked
+    /// [`try_query_with`](Self::try_query_with) on each expression
+    /// sequentially, for every thread count (pinned by
+    /// `tests/batch_equivalence.rs`): cached masks are exactly the masks
+    /// the indexes would recompute. Each expression is schema-checked
     /// independently, so a wrong-dimension expression yields
     /// `Err(DimensionMismatch)` *in its slot* while the rest of the batch
-    /// is still answered (input-ordered, like every batch path).
-    pub fn try_query_batch(&self, exprs: &[LogicalExpr]) -> Vec<Result<Vec<usize>, EngineError>> {
-        self.try_query_batch_opts(exprs, &BuildOptions::default())
-    }
-
-    /// [`try_query_batch`](Self::try_query_batch) with an explicit
-    /// worker-pool configuration.
+    /// is still answered.
     pub fn try_query_batch_opts(
         &self,
         exprs: &[LogicalExpr],
@@ -377,7 +302,7 @@ impl MixedQueryEngine {
         })
     }
 
-    /// [`query_with`](Self::query_with) on a pre-expanded DNF, through the
+    /// [`try_query_with`](Self::try_query_with) on a pre-expanded DNF, through the
     /// cross-call [`MaskCache`] — the per-shard query path of
     /// [`ShardedEngine`](crate::shard::ShardedEngine), where every call is
     /// service traffic sharing the shard's cache and the *caller* owns the
@@ -530,12 +455,17 @@ mod tests {
     }
 
     fn engine() -> MixedQueryEngine {
-        MixedQueryEngine::build(
+        MixedQueryEngine::build_opts(
             &repo(),
             &[1],
             PtileBuildParams::exact_centralized(),
             PrefBuildParams::exact_centralized().with_eps(0.02),
+            &BuildOptions::default(),
         )
+    }
+
+    fn query(e: &MixedQueryEngine, expr: &LogicalExpr) -> Result<Vec<usize>, EngineError> {
+        e.try_query_with(expr, &mut QueryScratch::new())
     }
 
     #[test]
@@ -547,7 +477,7 @@ mod tests {
             LogicalExpr::Pred(Predicate::percentile_at_least(region_a(), 0.5)),
             LogicalExpr::Pred(Predicate::topk_at_least(vec![1.0, 0.0], 1, 0.5)),
         ]);
-        let hits = e.query(&expr).unwrap();
+        let hits = query(&e, &expr).unwrap();
         let truth = ground_truth(&repo(), &expr);
         assert_eq!(truth, vec![0]);
         // Superset of ground truth; the exact answer is contained.
@@ -567,7 +497,7 @@ mod tests {
             LogicalExpr::Pred(Predicate::percentile_at_least(region_b(), 0.9)),
             LogicalExpr::Pred(Predicate::topk_at_least(vec![1.0, 0.0], 1, 0.8)),
         ]);
-        let mut hits = e.query(&expr).unwrap();
+        let mut hits = query(&e, &expr).unwrap();
         hits.sort_unstable();
         for i in ground_truth(&repo(), &expr) {
             assert!(hits.contains(&i));
@@ -579,7 +509,7 @@ mod tests {
     fn missing_rank_is_reported() {
         let e = engine();
         let expr = LogicalExpr::Pred(Predicate::topk_at_least(vec![1.0, 0.0], 7, 0.1));
-        assert_eq!(e.query(&expr), Err(EngineError::MissingRank(7)));
+        assert_eq!(query(&e, &expr), Err(EngineError::MissingRank(7)));
     }
 
     #[test]
@@ -598,7 +528,7 @@ mod tests {
                 LogicalExpr::Pred(score.clone()),
             ]),
         ]);
-        let mut hits = e.query(&expr).unwrap();
+        let mut hits = query(&e, &expr).unwrap();
         hits.sort_unstable();
         assert_eq!(
             e.index_queries(),
@@ -610,7 +540,7 @@ mod tests {
         }
         // A second identical call re-queries (memo is per-call) and keeps
         // counting.
-        let again = e.query(&expr).unwrap();
+        let again = query(&e, &expr).unwrap();
         assert_eq!(e.index_queries(), 6);
         let mut again = again;
         again.sort_unstable();
@@ -631,8 +561,7 @@ mod tests {
             expected: 2,
             got: 1,
         };
-        assert_eq!(e.try_query(&bad), Err(want.clone()));
-        assert_eq!(e.query(&bad), Err(want.clone()));
+        assert_eq!(query(&e, &bad), Err(want.clone()));
         assert_eq!(
             e.schema_check(std::slice::from_ref(&bad)),
             Err(want.clone())
@@ -643,7 +572,7 @@ mod tests {
             LogicalExpr::Pred(Predicate::topk_at_least(vec![1.0, 0.0, 0.0], 1, 0.5)),
         ]);
         assert_eq!(
-            e.try_query(&nested),
+            query(&e, &nested),
             Err(EngineError::DimensionMismatch {
                 expected: 2,
                 got: 3,
@@ -659,7 +588,7 @@ mod tests {
             Rect::from_bounds(&[0.0], &[1.0]),
             0.5,
         ));
-        let res = e.try_query_batch(&[good.clone(), bad, good]);
+        let res = e.try_query_batch_opts(&[good.clone(), bad, good], &BuildOptions::default());
         assert_eq!(res.len(), 3);
         assert!(res[0].is_ok());
         assert_eq!(
@@ -677,7 +606,7 @@ mod tests {
         let e = engine();
         let p = Predicate::percentile_at_least(region_a(), 0.5);
         let expr = LogicalExpr::Or(vec![LogicalExpr::Pred(p.clone()), LogicalExpr::Pred(p)]);
-        let hits = e.query(&expr).unwrap();
+        let hits = query(&e, &expr).unwrap();
         let mut dedup = hits.clone();
         dedup.sort_unstable();
         dedup.dedup();

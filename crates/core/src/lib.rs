@@ -29,7 +29,7 @@
 //! [`pool::BuildOptions`] whose thread count never changes results),
 //! [`bitset`] (packed `u64` hit masks for the DNF query loops), [`scratch`]
 //! (reusable per-query state behind the `&self` query paths and the
-//! `query_batch` APIs), [`cache`] (the bounded, generation-tagged
+//! batch APIs), [`cache`] (the bounded, generation-tagged
 //! cross-call predicate-mask cache), [`shard`] (the scatter/gather service
 //! layer: one engine per repository shard, stable global dataset ids),
 //! [`telemetry`] (lock-free log₂ latency histograms, stage-timing sets,

@@ -6,7 +6,7 @@
 //! per-direction score table (the same information) and materialize `T_V`
 //! lazily on first use, memoized behind a lock — identical answers, and the
 //! all-subsets preprocessing cost is only paid for direction tuples that
-//! queries actually touch (documented in DESIGN.md §3). Disjunctions are
+//! queries actually touch. Disjunctions are
 //! handled by unioning conjunction answers, as in Appendix C.4.
 
 use super::PrefBuildParams;

@@ -25,7 +25,7 @@
 //! For any query `R`, the maximal grid rectangle `ρ ⊆ R` misses at most the
 //! two boundary gaps per dimension, so `|w(ρ) − M_R(P_i)| ≤ ε_i`; all the
 //! index guarantees go through with the per-dataset budget `ε_i + δ_i`
-//! exactly as in the paper (DESIGN.md §3).
+//! exactly as in the paper.
 
 use super::PtileBuildParams;
 use dds_geom::{CoordGrid, Point, Rect};

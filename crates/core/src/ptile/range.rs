@@ -8,7 +8,7 @@
 //! canonical rectangle strictly between them, and Algorithm 4 searches for
 //! pairs with `ρ ⊆ R ⊂⊂ ρ̂` — which forces `ρ` to be maximal (Lemma 4.5).
 //!
-//! Implementation notes (argued in DESIGN.md §3):
+//! Implementation notes:
 //!
 //! * Only pairs where `ρ̂` strictly contains `ρ` on every facet are ever
 //!   matchable, and for grid rectangles the unique such canonical partner is

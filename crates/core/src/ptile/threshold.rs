@@ -17,9 +17,10 @@
 //! `a_θ − ε_i − δ_i`. Datasets whose combined budget reaches `a_θ` are
 //! reported unconditionally (their sample may legitimately be empty inside
 //! `R`). Distinct dataset indexes are enumerated output-sensitively with a
-//! single filtered traversal and a reported-dataset mask (DESIGN.md
-//! refinement R3 / ablation A3); the eager Algorithm-2 deletion loop is
-//! kept as [`PtileThresholdIndex::query_eager`].
+//! single filtered traversal and a reported-dataset mask; the eager
+//! Algorithm-2 deletion loop is kept as
+//! [`PtileThresholdIndex::query_eager`] (`experiments --a3` compares the
+//! two).
 
 use super::coreset::{build_coreset, rect_weights};
 use super::PtileBuildParams;

@@ -27,21 +27,33 @@
 //! band.
 //!
 //! Each shard keeps its own cross-call [`MaskCache`];
-//! [`rebuild_shard`](ShardedEngine::rebuild_shard) carries the cache over
-//! to the replacement engine and bumps its generation, so a rebuild
-//! invalidates **only that shard's entries** while every other shard keeps
-//! serving cached masks.
+//! [`try_rebuild_shard_opts`](ShardedEngine::try_rebuild_shard_opts)
+//! carries the cache over to the replacement engine and bumps its
+//! generation, so a rebuild invalidates **only that shard's entries** while
+//! every other shard keeps serving cached masks.
+//!
+//! # One spelling per operation
+//!
+//! Ingest and lifecycle operations are `try_*_opts`: a typed
+//! [`IngestError`] and an explicit [`BuildOptions`]
+//! (`&BuildOptions::default()` is all cores with the `DDS_THREADS`
+//! override). Queries are [`try_query_with`](ShardedEngine::try_query_with)
+//! (caller-provided [`QueryScratch`]) and
+//! [`try_query_batch_opts`](ShardedEngine::try_query_batch_opts). The
+//! thread count never changes an answer.
 //!
 //! # Shard lifecycle
 //!
 //! A production catalog lives under churn: hot shards divide, cold shards
 //! coalesce. Each shard retains its ingested datasets, so the lifecycle
 //! operations are self-contained —
-//! [`split_shard`](ShardedEngine::split_shard) divides one shard in two
-//! (the datasets whose ids are in the assignment move to a new shard),
-//! [`merge_shards`](ShardedEngine::merge_shards) coalesces two into one,
-//! and [`rebalance_plan`](ShardedEngine::rebalance_plan) proposes a list
-//! of such transitions from per-shard size and query-load counters. All
+//! [`try_split_shard_opts`](ShardedEngine::try_split_shard_opts) divides
+//! one shard in two (the datasets whose ids are in the assignment move to
+//! a new shard),
+//! [`try_merge_shards_opts`](ShardedEngine::try_merge_shards_opts)
+//! coalesces two into one, and
+//! [`rebalance_plan_with`](ShardedEngine::rebalance_plan_with) proposes a
+//! list of such transitions from per-shard size and query-load counters. All
 //! three follow the validate→build→commit discipline of ingest: a failing
 //! transition leaves the service untouched, and because global ids are
 //! stable and sampling is seeded by global id, **no transition can change
@@ -100,10 +112,10 @@
 //! be reported even if every shard is otherwise skippable). A `NaN`
 //! coordinate disables both summaries for its shard (scatter-everywhere,
 //! answers unaffected). [`with_routing`](ShardedEngine::with_routing)
-//! disables routing entirely;
-//! [`with_synopsis_routing`](ShardedEngine::with_synopsis_routing) keeps
-//! the box test but disables the mass bound (the A/B lever of the E18
-//! experiment). The summaries thread through the whole lifecycle for
+//! selects the tiers: [`Routing::Off`] disables routing entirely,
+//! [`Routing::BoxOnly`] keeps the box test but disables the mass bound
+//! (the A/B lever of the E18 experiment), [`Routing::Full`] (the default)
+//! runs both. The summaries thread through the whole lifecycle for
 //! free: add/rebuild/split/merge each rebuild the shard's engine, and
 //! the engine's Ptile build carries its synopsis with it.
 
@@ -124,11 +136,14 @@ use std::sync::Arc;
 /// when shards are added or rebuilt (unlike a shard-local index).
 pub type GlobalId = u64;
 
-/// Why a shard ingest ([`ShardedEngine::try_add_shard`] /
-/// [`ShardedEngine::try_rebuild_shard`]) was rejected. Every rejection
-/// leaves the service exactly as it was; the panicking ingest methods
-/// surface these as panic messages, services (e.g. `dds-server`) serialize
-/// them via [`Display`](fmt::Display).
+/// Why a shard ingest or lifecycle transition
+/// ([`ShardedEngine::try_add_shard_opts`],
+/// [`try_rebuild_shard_opts`](ShardedEngine::try_rebuild_shard_opts),
+/// [`try_split_shard_opts`](ShardedEngine::try_split_shard_opts),
+/// [`try_merge_shards_opts`](ShardedEngine::try_merge_shards_opts)) was
+/// rejected. Every rejection leaves the service exactly as it was;
+/// services (e.g. `dds-server`) serialize these via
+/// [`Display`](fmt::Display).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum IngestError {
     /// `global_ids.len() != repo.len()`.
@@ -268,7 +283,7 @@ pub struct ShardedStats {
 }
 
 /// One shard's size and query load — the per-shard counters behind
-/// [`ShardedEngine::rebalance_plan`].
+/// [`ShardedEngine::rebalance_plan_with`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardLoad {
     /// The shard's index.
@@ -351,10 +366,26 @@ struct Shard {
     /// re-supplying data.
     datasets: Vec<Dataset>,
     /// (expression, shard) scatter units this shard evaluated — the load
-    /// signal behind `rebalance_plan`. Carried across rebuilds (the shard
-    /// keeps its identity), reset by split/merge (a transitioned shard
-    /// re-measures).
+    /// signal behind `rebalance_plan_with`. Carried across rebuilds (the
+    /// shard keeps its identity), reset by split/merge (a transitioned
+    /// shard re-measures).
     queries: AtomicU64,
+}
+
+/// Which tiers of the routing fast path run (see the module docs).
+/// Routing never changes answers — the weaker settings exist for A/B
+/// measurement (E18) and as the reference paths of the
+/// full ≡ box-only ≡ unrouted equivalence tests.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Routing {
+    /// No routing: every expression scatters to every shard.
+    Off,
+    /// The bounding-box tier only — the configuration the pre-synopsis
+    /// engine shipped.
+    BoxOnly,
+    /// The box tier, then the synopsis mass bound.
+    #[default]
+    Full,
 }
 
 /// How the routing fast path disposed of one (expression, shard) unit.
@@ -387,14 +418,25 @@ enum PlanClause {
     Lits(Vec<RoutingLit>),
 }
 
+/// One expression ready to scatter: its DNF (expanded once, shared by the
+/// routing check and every shard's evaluation) and the routing verdicts —
+/// `skip[s]` says how shard `s` was proven silent, `None` scatters
+/// everywhere.
+struct QueryPlan {
+    dnf: Vec<Vec<Predicate>>,
+    skip: Option<Vec<Skip>>,
+}
+
 /// A sharded mixed-query service: one [`MixedQueryEngine`] per repository
 /// shard, scatter/gather query paths, stable [`GlobalId`] answers and
 /// per-shard cross-call [`MaskCache`]s.
 ///
 /// ```
 /// use dds_core::framework::{Dataset, LogicalExpr, Predicate, Repository};
+/// use dds_core::pool::BuildOptions;
 /// use dds_core::pref::PrefBuildParams;
 /// use dds_core::ptile::PtileBuildParams;
+/// use dds_core::scratch::QueryScratch;
 /// use dds_core::shard::ShardedEngine;
 /// use dds_geom::Rect;
 ///
@@ -404,20 +446,24 @@ enum PlanClause {
 ///     PrefBuildParams::exact_centralized(),
 /// );
 /// // Two ingest batches become two shards; ids are caller-assigned.
-/// svc.add_shard(
+/// let opts = BuildOptions::default();
+/// svc.try_add_shard_opts(
 ///     &Repository::new(vec![Dataset::from_rows("a", vec![vec![1.0], vec![2.0]])]),
 ///     &[10],
-/// );
-/// svc.add_shard(
+///     &opts,
+/// )?;
+/// svc.try_add_shard_opts(
 ///     &Repository::new(vec![Dataset::from_rows("b", vec![vec![1.5], vec![50.0]])]),
 ///     &[20],
-/// );
+///     &opts,
+/// )?;
 /// let expr = LogicalExpr::Pred(Predicate::percentile_at_least(
 ///     Rect::interval(0.0, 3.0),
 ///     0.9,
 /// ));
 /// // Both of dataset 10's points are in [0, 3]; only half of 20's.
-/// assert_eq!(svc.query(&expr), Ok(vec![10]));
+/// assert_eq!(svc.try_query_with(&expr, &mut QueryScratch::new())?, vec![10]);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
 pub struct ShardedEngine {
@@ -431,13 +477,9 @@ pub struct ShardedEngine {
     pref_params: PrefBuildParams,
     /// Per-shard mask-cache bound (entries, not bytes).
     cache_capacity: usize,
-    /// Routing fast path (see the module docs). On by default;
-    /// [`with_routing`](Self::with_routing) disables it.
-    route: bool,
-    /// Synopsis mass-bound tier of the routing fast path. On by default;
-    /// [`with_synopsis_routing`](Self::with_synopsis_routing) disables
-    /// just this tier, leaving the box tier in place.
-    synopsis_route: bool,
+    /// Routing fast-path tiers (see the module docs); set by
+    /// [`with_routing`](Self::with_routing).
+    routing: Routing,
     /// (expression, shard) scatter units skipped by the box tier. Data-
     /// dependent, not timing-dependent, so the count is deterministic for
     /// a given workload.
@@ -457,7 +499,8 @@ pub struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// An empty service; shards arrive via [`add_shard`](Self::add_shard).
+    /// An empty service; shards arrive via
+    /// [`try_add_shard_opts`](Self::try_add_shard_opts).
     /// Every shard engine is built with these parameters and Pref ranks,
     /// and a default-capacity [`MaskCache`]. Any `seed_ids` on
     /// `ptile_params` are replaced per shard with the shard's global ids
@@ -476,8 +519,7 @@ impl ShardedEngine {
             ptile_params,
             pref_params,
             cache_capacity: crate::cache::DEFAULT_MASK_CACHE_CAPACITY,
-            route: true,
-            synopsis_route: true,
+            routing: Routing::default(),
             routed_past: AtomicU64::new(0),
             routed_by_synopsis: AtomicU64::new(0),
             splits: 0,
@@ -497,63 +539,20 @@ impl ShardedEngine {
         self
     }
 
-    /// Enables or disables the routing fast path — both tiers at once
-    /// (builder-style; default enabled). Routing never changes answers —
-    /// disabling it only exists for A/B measurement and for the
-    /// routed ≡ unrouted equivalence tests.
-    pub fn with_routing(mut self, enabled: bool) -> Self {
-        self.route = enabled;
+    /// Selects the routing fast-path tiers (builder-style; default
+    /// [`Routing::Full`]). Never changes answers.
+    pub fn with_routing(mut self, routing: Routing) -> Self {
+        self.routing = routing;
         self
     }
 
-    /// Enables or disables just the synopsis mass-bound tier of routing
-    /// (builder-style; default enabled). With it off the box tier still
-    /// runs — the configuration the pre-synopsis engine shipped, kept as
-    /// the A/B lever for measuring how much the mass bound adds (E18).
-    /// Never changes answers.
-    pub fn with_synopsis_routing(mut self, enabled: bool) -> Self {
-        self.synopsis_route = enabled;
-        self
-    }
-
-    /// Ingests one shard with the default worker pool: builds its engine
-    /// and records `global_ids[i]` as the stable id of `repo`'s `i`-th
-    /// dataset. Returns the shard's index (for
-    /// [`rebuild_shard`](Self::rebuild_shard)).
-    ///
-    /// # Panics
-    /// Panics on any [`IngestError`] (`global_ids.len() != repo.len()`, an
-    /// id already served by this engine, a schema mismatch, …); see
-    /// [`try_add_shard`](Self::try_add_shard) for the non-panicking
-    /// variant.
-    pub fn add_shard(&mut self, repo: &Repository, global_ids: &[GlobalId]) -> usize {
-        self.add_shard_opts(repo, global_ids, &BuildOptions::default())
-    }
-
-    /// [`add_shard`](Self::add_shard) with an explicit worker-pool
-    /// configuration for the build.
-    pub fn add_shard_opts(
-        &mut self,
-        repo: &Repository,
-        global_ids: &[GlobalId],
-        opts: &BuildOptions,
-    ) -> usize {
-        self.try_add_shard_opts(repo, global_ids, opts)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Non-panicking [`add_shard`](Self::add_shard): a rejected ingest
-    /// returns the typed [`IngestError`] and leaves the service untouched.
-    pub fn try_add_shard(
-        &mut self,
-        repo: &Repository,
-        global_ids: &[GlobalId],
-    ) -> Result<usize, IngestError> {
-        self.try_add_shard_opts(repo, global_ids, &BuildOptions::default())
-    }
-
-    /// [`try_add_shard`](Self::try_add_shard) with an explicit worker-pool
-    /// configuration for the build.
+    /// Ingests one shard: builds its engine on the `opts` worker pool and
+    /// records `global_ids[i]` as the stable id of `repo`'s `i`-th dataset.
+    /// Returns the shard's index (for
+    /// [`try_rebuild_shard_opts`](Self::try_rebuild_shard_opts)). A
+    /// rejected ingest (`global_ids.len() != repo.len()`, an id already
+    /// served by this engine, a schema mismatch, …) returns the typed
+    /// [`IngestError`] and leaves the service untouched.
     pub fn try_add_shard_opts(
         &mut self,
         repo: &Repository,
@@ -564,19 +563,9 @@ impl ShardedEngine {
         // parameters), then commit — a failing ingest leaves the service
         // state untouched.
         self.validate_ids(repo, global_ids, None)?;
-        let cache = Arc::new(MaskCache::new(self.cache_capacity));
-        let engine = self
-            .build_engine(repo, global_ids, opts)
-            .with_mask_cache(cache);
+        let shard = self.build_shard(repo.clone(), global_ids.to_vec(), None, 0, opts);
         self.ids_in_use.extend(global_ids.iter().copied());
-        self.shards.push(Shard {
-            engine,
-            global_ids: global_ids.to_vec(),
-            dim: repo.dim(),
-            bounds: shard_bounds(repo),
-            datasets: repo.datasets().to_vec(),
-            queries: AtomicU64::new(0),
-        });
+        self.shards.push(shard);
         Ok(self.shards.len() - 1)
     }
 
@@ -584,45 +573,12 @@ impl ShardedEngine {
     /// refresh re-lands the shard). The replacement engine **inherits the
     /// shard's mask cache with its generation bumped**: the shard's stale
     /// masks are invalidated (and its hit/miss accounting continues),
-    /// while every other shard's cache is untouched.
-    ///
-    /// # Panics
-    /// Panics on any [`IngestError`] (`shard` out of range,
-    /// `global_ids.len() != repo.len()`, an id already served by a
-    /// *different* shard — re-using the replaced shard's ids is the normal
-    /// case); see [`try_rebuild_shard`](Self::try_rebuild_shard) for the
-    /// non-panicking variant.
-    pub fn rebuild_shard(&mut self, shard: usize, repo: &Repository, global_ids: &[GlobalId]) {
-        self.rebuild_shard_opts(shard, repo, global_ids, &BuildOptions::default());
-    }
-
-    /// [`rebuild_shard`](Self::rebuild_shard) with an explicit worker-pool
-    /// configuration for the build.
-    pub fn rebuild_shard_opts(
-        &mut self,
-        shard: usize,
-        repo: &Repository,
-        global_ids: &[GlobalId],
-        opts: &BuildOptions,
-    ) {
-        self.try_rebuild_shard_opts(shard, repo, global_ids, opts)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Non-panicking [`rebuild_shard`](Self::rebuild_shard): a rejected
-    /// rebuild returns the typed [`IngestError`] and leaves the service —
-    /// including the shard being replaced — untouched.
-    pub fn try_rebuild_shard(
-        &mut self,
-        shard: usize,
-        repo: &Repository,
-        global_ids: &[GlobalId],
-    ) -> Result<(), IngestError> {
-        self.try_rebuild_shard_opts(shard, repo, global_ids, &BuildOptions::default())
-    }
-
-    /// [`try_rebuild_shard`](Self::try_rebuild_shard) with an explicit
-    /// worker-pool configuration for the build.
+    /// while every other shard's cache is untouched. A rejected rebuild
+    /// (`shard` out of range, `global_ids.len() != repo.len()`, an id
+    /// already served by a *different* shard — re-using the replaced
+    /// shard's ids is the normal case) returns the typed [`IngestError`]
+    /// and leaves the service — including the shard being replaced —
+    /// untouched.
     pub fn try_rebuild_shard_opts(
         &mut self,
         shard: usize,
@@ -630,93 +586,46 @@ impl ShardedEngine {
         global_ids: &[GlobalId],
         opts: &BuildOptions,
     ) -> Result<(), IngestError> {
-        if shard >= self.shards.len() {
-            return Err(IngestError::NoSuchShard {
-                shard,
-                n_shards: self.shards.len(),
-            });
-        }
+        self.check_shard(shard)?;
         // Validate against every *other* shard, then build — until the
         // commit below the old shard keeps serving with intact uniqueness
         // bookkeeping.
         self.validate_ids(repo, global_ids, Some(shard))?;
-        let cache = Arc::clone(self.shards[shard].engine.mask_cache());
-        let engine = self
-            .build_engine(repo, global_ids, opts)
-            .with_mask_cache(cache);
+        let old = &self.shards[shard];
+        let replacement = self.build_shard(
+            repo.clone(),
+            global_ids.to_vec(),
+            Some(Arc::clone(old.engine.mask_cache())),
+            old.queries.load(Ordering::Relaxed),
+            opts,
+        );
         // Commit: swap ids, invalidate the carried-over cache, install.
         for id in &self.shards[shard].global_ids {
             self.ids_in_use.remove(id);
         }
         self.ids_in_use.extend(global_ids.iter().copied());
         self.shards[shard].engine.mask_cache().invalidate();
-        let queries = self.shards[shard].queries.load(Ordering::Relaxed);
-        self.shards[shard] = Shard {
-            engine,
-            global_ids: global_ids.to_vec(),
-            dim: repo.dim(),
-            bounds: shard_bounds(repo),
-            datasets: repo.datasets().to_vec(),
-            queries: AtomicU64::new(queries),
-        };
+        self.shards[shard] = replacement;
         Ok(())
     }
 
-    /// Divides shard `shard` in two with the default worker pool: the
-    /// datasets whose global ids are in `move_ids` (the *assignment*)
-    /// move to a new shard whose index is returned; the rest stay where
-    /// they are. Ids and per-dataset sampling seeds are untouched, so no
-    /// answer changes — pinned by `tests/shard_equivalence.rs`. The
-    /// staying side inherits the shard's [`MaskCache`] with its
-    /// generation bumped; the new shard starts with a fresh cache; every
-    /// other shard's cache is untouched.
-    ///
-    /// # Panics
-    /// Panics on any [`IngestError`] (`shard` out of range, an id not
-    /// held by the shard, an assignment leaving a side empty); see
-    /// [`try_split_shard`](Self::try_split_shard) for the non-panicking
-    /// variant.
-    pub fn split_shard(&mut self, shard: usize, move_ids: &[GlobalId]) -> usize {
-        self.split_shard_opts(shard, move_ids, &BuildOptions::default())
-    }
-
-    /// [`split_shard`](Self::split_shard) with an explicit worker-pool
-    /// configuration for the two rebuilds.
-    pub fn split_shard_opts(
-        &mut self,
-        shard: usize,
-        move_ids: &[GlobalId],
-        opts: &BuildOptions,
-    ) -> usize {
-        self.try_split_shard_opts(shard, move_ids, opts)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Non-panicking [`split_shard`](Self::split_shard): a rejected split
-    /// returns the typed [`IngestError`] and leaves the service —
-    /// including the shard it named — untouched.
-    pub fn try_split_shard(
-        &mut self,
-        shard: usize,
-        move_ids: &[GlobalId],
-    ) -> Result<usize, IngestError> {
-        self.try_split_shard_opts(shard, move_ids, &BuildOptions::default())
-    }
-
-    /// [`try_split_shard`](Self::try_split_shard) with an explicit
-    /// worker-pool configuration.
+    /// Divides shard `shard` in two: the datasets whose global ids are in
+    /// `move_ids` (the *assignment*) move to a new shard whose index is
+    /// returned; the rest stay where they are. Ids and per-dataset
+    /// sampling seeds are untouched, so no answer changes — pinned by
+    /// `tests/shard_equivalence.rs`. The staying side inherits the shard's
+    /// [`MaskCache`] with its generation bumped; the new shard starts with
+    /// a fresh cache; every other shard's cache is untouched. A rejected
+    /// split (`shard` out of range, an id not held by the shard, an
+    /// assignment leaving a side empty) returns the typed [`IngestError`]
+    /// and leaves the service — including the shard it named — untouched.
     pub fn try_split_shard_opts(
         &mut self,
         shard: usize,
         move_ids: &[GlobalId],
         opts: &BuildOptions,
     ) -> Result<usize, IngestError> {
-        if shard >= self.shards.len() {
-            return Err(IngestError::NoSuchShard {
-                shard,
-                n_shards: self.shards.len(),
-            });
-        }
+        self.check_shard(shard)?;
         // Validate the assignment: distinct ids, every one held by the
         // split shard, neither side empty.
         let src = &self.shards[shard];
@@ -753,89 +662,43 @@ impl ShardedEngine {
                 stay_ids.push(id);
             }
         }
-        let stay_repo = Repository::new(stay_sets);
-        let move_repo = Repository::new(move_sets);
-        // Build both replacement engines before touching any state (a
+        // Build both replacement shards before touching any state (a
         // build panic leaves the old shard serving).
-        let stay_cache = Arc::clone(src.engine.mask_cache());
-        let dim = src.dim;
-        let stay_engine = self
-            .build_engine(&stay_repo, &stay_ids, opts)
-            .with_mask_cache(stay_cache);
-        let move_engine = self
-            .build_engine(&move_repo, &moved_ids, opts)
-            .with_mask_cache(Arc::new(MaskCache::new(self.cache_capacity)));
+        let staying = self.build_shard(
+            Repository::new(stay_sets),
+            stay_ids,
+            Some(Arc::clone(src.engine.mask_cache())),
+            0,
+            opts,
+        );
+        let moved = self.build_shard(Repository::new(move_sets), moved_ids, None, 0, opts);
         // Commit. The id set is unchanged, so `ids_in_use` needs no edit;
         // the carried-over cache is invalidated (generation bump) while
         // every other shard's cache — the fresh one included — is not.
         self.shards[shard].engine.mask_cache().invalidate();
-        let stay_bounds = shard_bounds(&stay_repo);
-        let move_bounds = shard_bounds(&move_repo);
-        self.shards[shard] = Shard {
-            engine: stay_engine,
-            global_ids: stay_ids,
-            dim,
-            bounds: stay_bounds,
-            datasets: stay_repo.into_datasets(),
-            queries: AtomicU64::new(0),
-        };
-        self.shards.push(Shard {
-            engine: move_engine,
-            global_ids: moved_ids,
-            dim,
-            bounds: move_bounds,
-            datasets: move_repo.into_datasets(),
-            queries: AtomicU64::new(0),
-        });
+        self.shards[shard] = staying;
+        self.shards.push(moved);
         self.splits += 1;
         Ok(self.shards.len() - 1)
     }
 
-    /// Coalesces shards `a` and `b` into one with the default worker
-    /// pool, returning the surviving index `min(a, b)` (shards past
-    /// `max(a, b)` shift down by one; the merged shard holds the
-    /// lower-indexed shard's datasets followed by the higher-indexed
-    /// one's). No id changes, so no answer changes — pinned by
-    /// `tests/shard_equivalence.rs`. The surviving slot inherits the
-    /// lower-indexed shard's [`MaskCache`] with its generation bumped;
-    /// the absorbed shard's cache is dropped.
-    ///
-    /// # Panics
-    /// Panics on any [`IngestError`] (`a` or `b` out of range, `a == b`);
-    /// see [`try_merge_shards`](Self::try_merge_shards) for the
-    /// non-panicking variant.
-    pub fn merge_shards(&mut self, a: usize, b: usize) -> usize {
-        self.merge_shards_opts(a, b, &BuildOptions::default())
-    }
-
-    /// [`merge_shards`](Self::merge_shards) with an explicit worker-pool
-    /// configuration for the rebuild.
-    pub fn merge_shards_opts(&mut self, a: usize, b: usize, opts: &BuildOptions) -> usize {
-        self.try_merge_shards_opts(a, b, opts)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Non-panicking [`merge_shards`](Self::merge_shards): a rejected
-    /// merge returns the typed [`IngestError`] and leaves the service
-    /// untouched.
-    pub fn try_merge_shards(&mut self, a: usize, b: usize) -> Result<usize, IngestError> {
-        self.try_merge_shards_opts(a, b, &BuildOptions::default())
-    }
-
-    /// [`try_merge_shards`](Self::try_merge_shards) with an explicit
-    /// worker-pool configuration.
+    /// Coalesces shards `a` and `b` into one, returning the surviving
+    /// index `min(a, b)` (shards past `max(a, b)` shift down by one; the
+    /// merged shard holds the lower-indexed shard's datasets followed by
+    /// the higher-indexed one's). No id changes, so no answer changes —
+    /// pinned by `tests/shard_equivalence.rs`. The surviving slot inherits
+    /// the lower-indexed shard's [`MaskCache`] with its generation bumped;
+    /// the absorbed shard's cache is dropped. A rejected merge (`a` or `b`
+    /// out of range, `a == b`) returns the typed [`IngestError`] and
+    /// leaves the service untouched.
     pub fn try_merge_shards_opts(
         &mut self,
         a: usize,
         b: usize,
         opts: &BuildOptions,
     ) -> Result<usize, IngestError> {
-        let n_shards = self.shards.len();
-        for &s in &[a, b] {
-            if s >= n_shards {
-                return Err(IngestError::NoSuchShard { shard: s, n_shards });
-            }
-        }
+        self.check_shard(a)?;
+        self.check_shard(b)?;
         if a == b {
             return Err(IngestError::MergeWithSelf { shard: a });
         }
@@ -847,31 +710,19 @@ impl ShardedEngine {
         datasets.extend(self.shards[hi].datasets.iter().cloned());
         let mut global_ids = self.shards[lo].global_ids.clone();
         global_ids.extend_from_slice(&self.shards[hi].global_ids);
-        let repo = Repository::new(datasets);
         let cache = Arc::clone(self.shards[lo].engine.mask_cache());
-        let dim = self.shards[lo].dim;
-        let engine = self
-            .build_engine(&repo, &global_ids, opts)
-            .with_mask_cache(cache);
+        let merged = self.build_shard(Repository::new(datasets), global_ids, Some(cache), 0, opts);
         // Commit: same id set, so `ids_in_use` is untouched; only the
         // surviving slot's (carried) cache generation is bumped.
         self.shards[lo].engine.mask_cache().invalidate();
-        let bounds = shard_bounds(&repo);
-        self.shards[lo] = Shard {
-            engine,
-            global_ids,
-            dim,
-            bounds,
-            datasets: repo.into_datasets(),
-            queries: AtomicU64::new(0),
-        };
+        self.shards[lo] = merged;
         self.shards.remove(hi);
         self.merges += 1;
         Ok(lo)
     }
 
     /// Per-shard size and query-load counters — the measurement side of
-    /// [`rebalance_plan`](Self::rebalance_plan).
+    /// [`rebalance_plan_with`](Self::rebalance_plan_with).
     pub fn shard_loads(&self) -> Vec<ShardLoad> {
         self.shards
             .iter()
@@ -884,18 +735,12 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// [`rebalance_plan_with`](Self::rebalance_plan_with) under the
-    /// default [`RebalanceConfig`].
-    pub fn rebalance_plan(&self) -> Vec<RebalanceAction> {
-        self.rebalance_plan_with(&RebalanceConfig::default())
-    }
-
     /// Proposes lifecycle transitions from the current [`ShardLoad`]
     /// counters: oversized or query-hot shards propose a [`Split`]
     /// (moving the upper half of their ascending ids), and pairs of small
     /// non-splitting shards propose a [`Merge`]. The plan only *proposes*
     /// — the caller applies it (see
-    /// [`apply_rebalance`](Self::apply_rebalance)), typically after
+    /// [`apply_rebalance_opts`](Self::apply_rebalance_opts)), typically after
     /// policy checks of its own. Actions are ordered for sequential
     /// application: splits first (they never disturb existing indices),
     /// then merges in descending index order (removing the highest
@@ -953,16 +798,10 @@ impl ShardedEngine {
         plan
     }
 
-    /// Applies a rebalance plan in order with the default worker pool,
-    /// stopping at (and returning) the first rejection — by construction
-    /// [`rebalance_plan`](Self::rebalance_plan)'s output applies cleanly
-    /// against the state it was computed from.
-    pub fn apply_rebalance(&mut self, plan: &[RebalanceAction]) -> Result<(), IngestError> {
-        self.apply_rebalance_opts(plan, &BuildOptions::default())
-    }
-
-    /// [`apply_rebalance`](Self::apply_rebalance) with an explicit
-    /// worker-pool configuration.
+    /// Applies a rebalance plan in order, stopping at (and returning) the
+    /// first rejection — by construction
+    /// [`rebalance_plan_with`](Self::rebalance_plan_with)'s output applies
+    /// cleanly against the state it was computed from.
     pub fn apply_rebalance_opts(
         &mut self,
         plan: &[RebalanceAction],
@@ -1099,106 +938,39 @@ impl ShardedEngine {
             .fold(0.0, f64::max)
     }
 
-    /// Answers one expression: scatters it over every shard (through each
-    /// shard's cross-call mask cache) and gathers the hits as **ascending
-    /// stable global ids**. A shard error (every shard is built with the
-    /// same ranks, so shards fail alike) is reported once.
-    pub fn query(&self, expr: &LogicalExpr) -> Result<Vec<GlobalId>, EngineError> {
-        self.try_query(expr)
-    }
-
-    /// [`query`](Self::query) with caller-provided scratch (reused across
-    /// the sequential per-shard scatter).
-    pub fn query_with(
-        &self,
-        expr: &LogicalExpr,
-        scratch: &mut QueryScratch,
-    ) -> Result<Vec<GlobalId>, EngineError> {
-        self.try_query_with(expr, scratch)
-    }
-
-    /// The fallible single-expression path: schema-checks the expression
-    /// against the served dimension (typed
-    /// [`EngineError::DimensionMismatch`] instead of a panic deep inside a
-    /// shard's indexes), then scatters it.
-    pub fn try_query(&self, expr: &LogicalExpr) -> Result<Vec<GlobalId>, EngineError> {
-        self.try_query_with(expr, &mut QueryScratch::new())
-    }
-
-    /// [`try_query`](Self::try_query) with caller-provided scratch.
+    /// Answers one expression with caller-provided scratch (reused across
+    /// the sequential per-shard scatter): schema-checks it against the
+    /// served dimension (typed [`EngineError::DimensionMismatch`] instead
+    /// of a panic deep inside a shard's indexes), scatters it over every
+    /// shard (through each shard's cross-call mask cache) and gathers the
+    /// hits as **ascending stable global ids**. A shard error (every shard
+    /// is built with the same ranks, so shards fail alike) is reported
+    /// once.
     pub fn try_query_with(
         &self,
         expr: &LogicalExpr,
         scratch: &mut QueryScratch,
     ) -> Result<Vec<GlobalId>, EngineError> {
-        self.schema_check(std::slice::from_ref(expr))?;
-        // One DNF expansion per expression, shared by the routing check
-        // and every shard's evaluation.
-        let dnf = expr.to_dnf();
-        let routing_started = std::time::Instant::now();
-        let skip = self.routing_skip(expr, &dnf);
-        self.telemetry
-            .routing
-            .record_duration(routing_started.elapsed());
+        let plan = self.plan(expr)?;
         let mut out = Vec::new();
-        for (s, shard) in self.shards.iter().enumerate() {
-            match skip.as_ref().map_or(Skip::No, |sk| sk[s]) {
-                Skip::Box => {
-                    self.routed_past.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                Skip::Synopsis => {
-                    self.routed_by_synopsis.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                Skip::No => {}
-            }
-            shard.queries.fetch_add(1, Ordering::Relaxed);
-            let unit_started = std::time::Instant::now();
-            let hits = shard.engine.query_cached_dnf(&dnf, scratch);
-            self.telemetry
-                .scatter
-                .record_duration(unit_started.elapsed());
-            out.extend(hits?.into_iter().map(|j| shard.global_ids[j]));
+        for s in 0..self.shards.len() {
+            out.append(&mut self.scatter_unit(&plan, s, scratch)?);
         }
         out.sort_unstable();
         Ok(out)
     }
 
-    /// Answers a slice of expressions with the default worker pool: every
+    /// Answers a slice of expressions on the `opts` worker pool: every
     /// `(expression, shard)` pair is one scatter unit over
     /// `dds_pool::par_map_with` (per-worker scratch), gathered back
     /// **input-ordered** — `result[i]` answers `exprs[i]`, as ascending
-    /// global ids, bit-identical to [`query`](Self::query) on each
-    /// expression at every shard count × thread count (pinned by
-    /// `tests/shard_equivalence.rs`).
-    pub fn query_batch(&self, exprs: &[LogicalExpr]) -> Vec<Result<Vec<GlobalId>, EngineError>> {
-        self.try_query_batch(exprs)
-    }
-
-    /// [`query_batch`](Self::query_batch) with an explicit worker-pool
-    /// configuration.
-    pub fn query_batch_opts(
-        &self,
-        exprs: &[LogicalExpr],
-        opts: &BuildOptions,
-    ) -> Vec<Result<Vec<GlobalId>, EngineError>> {
-        self.try_query_batch_opts(exprs, opts)
-    }
-
-    /// The fallible batch path: each expression is schema-checked
+    /// global ids, bit-identical to
+    /// [`try_query_with`](Self::try_query_with) on each expression at
+    /// every shard count × thread count (pinned by
+    /// `tests/shard_equivalence.rs`). Each expression is schema-checked
     /// independently, so a wrong-dimension expression yields
     /// `Err(DimensionMismatch)` *in its slot* while the rest of the batch
     /// is still scattered and answered.
-    pub fn try_query_batch(
-        &self,
-        exprs: &[LogicalExpr],
-    ) -> Vec<Result<Vec<GlobalId>, EngineError>> {
-        self.try_query_batch_opts(exprs, &BuildOptions::default())
-    }
-
-    /// [`try_query_batch`](Self::try_query_batch) with an explicit
-    /// worker-pool configuration.
     pub fn try_query_batch_opts(
         &self,
         exprs: &[LogicalExpr],
@@ -1208,48 +980,10 @@ impl ShardedEngine {
         if n_shards == 0 {
             return exprs.iter().map(|_| Ok(Vec::new())).collect();
         }
-        // Per-expression schema verdicts, taken before DNF expansion or
-        // routing: a mismatched expression must neither expand nor touch
-        // shard bounding boxes built for a different dimension.
-        let dim = self.dim().unwrap_or(0);
-        let schema_errs: Vec<Option<EngineError>> = exprs
-            .iter()
-            .map(|e| {
-                expr_dim_mismatch(e, dim)
-                    .map(|(expected, got)| EngineError::DimensionMismatch { expected, got })
-            })
-            .collect();
-        // One DNF expansion per expression, shared read-only by the
-        // routing plans and every (expression, shard) scatter unit — the
-        // workers never re-expand.
-        let dnfs: Vec<Vec<Vec<Predicate>>> = exprs
-            .iter()
-            .zip(&schema_errs)
-            .map(|(e, err)| {
-                if err.is_some() {
-                    Vec::new()
-                } else {
-                    e.to_dnf()
-                }
-            })
-            .collect();
-        let plans: Vec<Option<Vec<Skip>>> = exprs
-            .iter()
-            .zip(&dnfs)
-            .zip(&schema_errs)
-            .map(|((e, dnf), err)| {
-                if err.is_some() {
-                    None
-                } else {
-                    let routing_started = std::time::Instant::now();
-                    let skip = self.routing_skip(e, dnf);
-                    self.telemetry
-                        .routing
-                        .record_duration(routing_started.elapsed());
-                    skip
-                }
-            })
-            .collect();
+        // Planned once per expression, shared read-only by every
+        // (expression, shard) scatter unit — the workers never re-expand.
+        let plans: Vec<Result<QueryPlan, EngineError>> =
+            exprs.iter().map(|e| self.plan(e)).collect();
         // Scatter: unit (e, s) answers expression e on shard s. Flattening
         // both dimensions keeps the pool busy even when the batch is
         // smaller than the worker count.
@@ -1257,32 +991,8 @@ impl ShardedEngine {
             .flat_map(|e| (0..n_shards).map(move |s| (e, s)))
             .collect();
         let partials = par_map_with(opts, &units, QueryScratch::new, |scratch, _, &(e, s)| {
-            if let Some(err) = &schema_errs[e] {
-                return Err(err.clone());
-            }
-            match plans[e].as_ref().map_or(Skip::No, |sk| sk[s]) {
-                Skip::Box => {
-                    self.routed_past.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Vec::new());
-                }
-                Skip::Synopsis => {
-                    self.routed_by_synopsis.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Vec::new());
-                }
-                Skip::No => {}
-            }
-            let shard = &self.shards[s];
-            shard.queries.fetch_add(1, Ordering::Relaxed);
-            let unit_started = std::time::Instant::now();
-            let hits = shard.engine.query_cached_dnf(&dnfs[e], scratch);
-            self.telemetry
-                .scatter
-                .record_duration(unit_started.elapsed());
-            hits.map(|hits| {
-                hits.into_iter()
-                    .map(|j| shard.global_ids[j])
-                    .collect::<Vec<GlobalId>>()
-            })
+            let plan = plans[e].as_ref().map_err(EngineError::clone)?;
+            self.scatter_unit(plan, s, scratch)
         });
         // Gather: merge each expression's per-shard partials in shard
         // order (errors are identical across shards — first one wins),
@@ -1307,6 +1017,55 @@ impl ShardedEngine {
         results
     }
 
+    /// The per-expression front half of both query paths: the schema
+    /// verdict (taken before DNF expansion or routing — a mismatched
+    /// expression must neither expand nor touch shard bounding boxes built
+    /// for a different dimension), one DNF expansion, and the routing
+    /// verdicts under the routing timer.
+    fn plan(&self, expr: &LogicalExpr) -> Result<QueryPlan, EngineError> {
+        self.schema_check(std::slice::from_ref(expr))?;
+        let dnf = expr.to_dnf();
+        let routing_started = std::time::Instant::now();
+        let skip = self.routing_skip(expr, &dnf);
+        self.telemetry
+            .routing
+            .record_duration(routing_started.elapsed());
+        Ok(QueryPlan { dnf, skip })
+    }
+
+    /// One `(expression, shard)` scatter unit, shared by the sequential
+    /// and the batch path: a unit the plan's routing verdicts prove silent
+    /// only bumps its tier's counter; otherwise the shard records the load,
+    /// evaluates the DNF through its mask cache under the scatter timer,
+    /// and its shard-local hits come back translated to global ids
+    /// (shard-local order).
+    fn scatter_unit(
+        &self,
+        plan: &QueryPlan,
+        s: usize,
+        scratch: &mut QueryScratch,
+    ) -> Result<Vec<GlobalId>, EngineError> {
+        match plan.skip.as_ref().map_or(Skip::No, |sk| sk[s]) {
+            Skip::Box => {
+                self.routed_past.fetch_add(1, Ordering::Relaxed);
+                return Ok(Vec::new());
+            }
+            Skip::Synopsis => {
+                self.routed_by_synopsis.fetch_add(1, Ordering::Relaxed);
+                return Ok(Vec::new());
+            }
+            Skip::No => {}
+        }
+        let shard = &self.shards[s];
+        shard.queries.fetch_add(1, Ordering::Relaxed);
+        let unit_started = std::time::Instant::now();
+        let hits = shard.engine.query_cached_dnf(&plan.dnf, scratch);
+        self.telemetry
+            .scatter
+            .record_duration(unit_started.elapsed());
+        Ok(hits?.into_iter().map(|j| shard.global_ids[j]).collect())
+    }
+
     /// The routing verdicts for one expression (whose caller-expanded DNF
     /// is passed in, so the expansion is paid once per query): `skip[s]`
     /// says how shard `s` was proven silent, if it was. `None` means
@@ -1314,14 +1073,14 @@ impl ShardedEngine {
     /// expression may error — error answers must come from the shards,
     /// not be routed away).
     fn routing_skip(&self, expr: &LogicalExpr, dnf: &[Vec<Predicate>]) -> Option<Vec<Skip>> {
-        if !self.route || self.shards.is_empty() || !self.ranks_indexed(expr) {
+        if self.routing == Routing::Off || self.shards.is_empty() || !self.ranks_indexed(expr) {
             return None;
         }
         let plan = self.routing_plan(dnf)?;
         let skip: Vec<Skip> = self
             .shards
             .iter()
-            .map(|s| Self::shard_skip(&plan, s, self.synopsis_route))
+            .map(|s| Self::shard_skip(&plan, s, self.routing == Routing::Full))
             .collect();
         skip.iter().any(|&v| v != Skip::No).then_some(skip)
     }
@@ -1490,23 +1249,48 @@ impl ShardedEngine {
         Ok(())
     }
 
-    /// Builds one shard engine with the service-wide parameters, seeding
-    /// every dataset's sampling RNG by its **global id** (not its
-    /// shard-local position): a dataset draws the same sample wherever it
-    /// lands, so re-sharding cannot perturb sampled builds.
-    fn build_engine(
+    /// `Err(NoSuchShard)` unless `shard` names a served shard.
+    fn check_shard(&self, shard: usize) -> Result<(), IngestError> {
+        let n_shards = self.shards.len();
+        if shard >= n_shards {
+            return Err(IngestError::NoSuchShard { shard, n_shards });
+        }
+        Ok(())
+    }
+
+    /// The one place a [`Shard`] is made. Builds its engine with the
+    /// service-wide parameters, seeding every dataset's sampling RNG by its
+    /// **global id** (not its shard-local position): a dataset draws the
+    /// same sample wherever it lands, so re-sharding cannot perturb sampled
+    /// builds. `carried_cache` is the [`MaskCache`] of the shard this one
+    /// replaces (the caller bumps its generation at commit), `None` a
+    /// fresh one; `queries` the load counter to start from. `repo`'s
+    /// datasets are retained for later lifecycle transitions.
+    fn build_shard(
         &self,
-        repo: &Repository,
-        global_ids: &[GlobalId],
+        repo: Repository,
+        global_ids: Vec<GlobalId>,
+        carried_cache: Option<Arc<MaskCache>>,
+        queries: u64,
         opts: &BuildOptions,
-    ) -> MixedQueryEngine {
-        MixedQueryEngine::build_opts(
-            repo,
+    ) -> Shard {
+        let cache = carried_cache.unwrap_or_else(|| Arc::new(MaskCache::new(self.cache_capacity)));
+        let engine = MixedQueryEngine::build_opts(
+            &repo,
             &self.ks,
-            self.ptile_params.clone().with_seed_ids(global_ids.to_vec()),
+            self.ptile_params.clone().with_seed_ids(global_ids.clone()),
             self.pref_params.clone(),
             opts,
         )
+        .with_mask_cache(cache);
+        Shard {
+            engine,
+            global_ids,
+            dim: repo.dim(),
+            bounds: shard_bounds(&repo),
+            datasets: repo.into_datasets(),
+            queries: AtomicU64::new(queries),
+        }
     }
 }
 
@@ -1541,6 +1325,24 @@ mod tests {
         Dataset::from_rows(name, xs.iter().map(|&x| vec![x]).collect())
     }
 
+    /// Ingests `datasets` as one shard on the default pool; the tests below
+    /// only add valid shards through it.
+    fn add(svc: &mut ShardedEngine, datasets: Vec<Dataset>, ids: &[GlobalId]) -> usize {
+        svc.try_add_shard_opts(&Repository::new(datasets), ids, &BuildOptions::default())
+            .expect("valid ingest")
+    }
+
+    fn query(svc: &ShardedEngine, expr: &LogicalExpr) -> Result<Vec<GlobalId>, EngineError> {
+        svc.try_query_with(expr, &mut QueryScratch::new())
+    }
+
+    fn query_batch(
+        svc: &ShardedEngine,
+        exprs: &[LogicalExpr],
+    ) -> Vec<Result<Vec<GlobalId>, EngineError>> {
+        svc.try_query_batch_opts(exprs, &BuildOptions::default())
+    }
+
     fn service() -> ShardedEngine {
         let mut svc = ShardedEngine::new(
             &[1],
@@ -1549,14 +1351,15 @@ mod tests {
         );
         // Global ids deliberately out of shard-local order and
         // non-contiguous: the shard map must do real translation.
-        svc.add_shard(
-            &Repository::new(vec![
+        add(
+            &mut svc,
+            vec![
                 dataset("low", &[1.0, 2.0, 3.0]),
                 dataset("high", &[90.0, 95.0]),
-            ]),
+            ],
             &[7, 3],
         );
-        svc.add_shard(&Repository::new(vec![dataset("mid", &[48.0, 52.0])]), &[5]);
+        add(&mut svc, vec![dataset("mid", &[48.0, 52.0])], &[5]);
         svc
     }
 
@@ -1583,14 +1386,14 @@ mod tests {
         assert_eq!(svc.n_shards(), 2);
         assert_eq!(svc.n_datasets(), 3);
         assert_eq!(svc.dim(), Some(1));
-        assert_eq!(svc.query(&low_expr()), Ok(vec![7]));
+        assert_eq!(query(&svc, &low_expr()), Ok(vec![7]));
         // A predicate matching all three datasets gathers across shards in
         // ascending id order, not ingest order.
         let all = LogicalExpr::Pred(Predicate::percentile_at_least(
             Rect::interval(0.0, 100.0),
             0.9,
         ));
-        assert_eq!(svc.query(&all), Ok(vec![3, 5, 7]));
+        assert_eq!(query(&svc, &all), Ok(vec![3, 5, 7]));
     }
 
     #[test]
@@ -1603,11 +1406,11 @@ mod tests {
                 0.9,
             )),
         ];
-        let singles: Vec<_> = exprs.iter().map(|e| svc.query(e)).collect();
+        let singles: Vec<_> = exprs.iter().map(|e| query(&svc, e)).collect();
         assert_eq!(singles, vec![Ok(vec![7]), Ok(vec![5])]);
         for threads in [1, 2, 8] {
             assert_eq!(
-                svc.query_batch_opts(&exprs, &BuildOptions::with_threads(threads)),
+                svc.try_query_batch_opts(&exprs, &BuildOptions::with_threads(threads)),
                 singles,
                 "threads = {threads}"
             );
@@ -1618,8 +1421,8 @@ mod tests {
     fn missing_rank_errors_gather_once() {
         let svc = service();
         let bad = LogicalExpr::Pred(Predicate::topk_at_least(vec![1.0], 9, 0.0));
-        assert_eq!(svc.query(&bad), Err(EngineError::MissingRank(9)));
-        let batch = svc.query_batch(&[low_expr(), bad]);
+        assert_eq!(query(&svc, &bad), Err(EngineError::MissingRank(9)));
+        let batch = query_batch(&svc, &[low_expr(), bad]);
         assert_eq!(batch[0], Ok(vec![7]));
         assert_eq!(batch[1], Err(EngineError::MissingRank(9)));
     }
@@ -1632,8 +1435,8 @@ mod tests {
             PrefBuildParams::exact_centralized(),
         );
         assert_eq!(svc.dim(), None);
-        assert_eq!(svc.query(&low_expr()), Ok(vec![]));
-        assert_eq!(svc.query_batch(&[low_expr()]), vec![Ok(vec![])]);
+        assert_eq!(query(&svc, &low_expr()), Ok(vec![]));
+        assert_eq!(query_batch(&svc, &[low_expr()]), vec![Ok(vec![])]);
         // No shards → no schema to violate: a 3-d expression passes.
         let wide = LogicalExpr::Pred(Predicate::percentile_at_least(
             Rect::from_bounds(&[0.0; 3], &[1.0; 3]),
@@ -1657,8 +1460,7 @@ mod tests {
             svc.schema_check(std::slice::from_ref(&bad)),
             Err(want.clone())
         );
-        assert_eq!(svc.try_query(&bad), Err(want.clone()));
-        assert_eq!(svc.query(&bad), Err(want.clone()));
+        assert_eq!(query(&svc, &bad), Err(want.clone()));
         // Batch: the bad slot errs, the good slots still answer — at
         // every thread count.
         for threads in [1, 2, 8] {
@@ -1671,31 +1473,42 @@ mod tests {
             assert_eq!(batch[2], Ok(vec![5, 7]), "threads = {threads}");
         }
         // The service keeps serving afterwards.
-        assert_eq!(svc.query(&low_expr()), Ok(vec![7]));
+        assert_eq!(query(&svc, &low_expr()), Ok(vec![7]));
     }
 
     #[test]
-    #[should_panic(expected = "already served")]
     fn duplicate_global_ids_are_rejected() {
         let mut svc = service();
-        svc.add_shard(&Repository::new(vec![dataset("dup", &[1.0, 2.0])]), &[5]);
+        let err = svc
+            .try_add_shard_opts(
+                &Repository::new(vec![dataset("dup", &[1.0, 2.0])]),
+                &[5],
+                &BuildOptions::default(),
+            )
+            .expect_err("id 5 is taken");
+        // `dds-server` sends this text over the wire.
+        assert!(err.to_string().contains("already served"), "{err}");
     }
 
     #[test]
     fn try_ingest_reports_typed_errors_and_leaves_state_intact() {
+        let opts = BuildOptions::default();
         let mut svc = service();
         let repo = Repository::new(vec![dataset("dup", &[1.0, 2.0])]);
-        assert_eq!(svc.try_add_shard(&repo, &[5]), Err(IngestError::IdInUse(5)));
         assert_eq!(
-            svc.try_add_shard(&repo, &[9, 9]),
+            svc.try_add_shard_opts(&repo, &[5], &opts),
+            Err(IngestError::IdInUse(5))
+        );
+        assert_eq!(
+            svc.try_add_shard_opts(&repo, &[9, 9], &opts),
             Err(IngestError::ArityMismatch {
                 datasets: 1,
                 ids: 2
             })
         );
-        assert_eq!(svc.try_add_shard(&repo, &[9]), Ok(2));
+        assert_eq!(svc.try_add_shard_opts(&repo, &[9], &opts), Ok(2));
         assert_eq!(
-            svc.try_rebuild_shard(9, &repo, &[9]),
+            svc.try_rebuild_shard_opts(9, &repo, &[9], &opts),
             Err(IngestError::NoSuchShard {
                 shard: 9,
                 n_shards: 3
@@ -1703,14 +1516,14 @@ mod tests {
         );
         let two_d = Repository::new(vec![Dataset::from_rows("flat", vec![vec![1.0, 2.0]])]);
         assert_eq!(
-            svc.try_add_shard(&two_d, &[40]),
+            svc.try_add_shard_opts(&two_d, &[40], &opts),
             Err(IngestError::SchemaMismatch {
                 expected: 1,
                 got: 2
             })
         );
         assert_eq!(
-            svc.try_rebuild_shard(0, &two_d, &[40, 41]),
+            svc.try_rebuild_shard_opts(0, &two_d, &[40, 41], &opts),
             Err(IngestError::ArityMismatch {
                 datasets: 1,
                 ids: 2
@@ -1719,9 +1532,10 @@ mod tests {
         // A duplicate within the shard is distinguished from a clash with
         // another shard.
         assert_eq!(
-            svc.try_add_shard(
+            svc.try_add_shard_opts(
                 &Repository::new(vec![dataset("a", &[1.0]), dataset("b", &[2.0])]),
-                &[77, 77]
+                &[77, 77],
+                &opts
             ),
             Err(IngestError::DuplicateId(77))
         );
@@ -1729,7 +1543,7 @@ mod tests {
         // add landed (its dataset "dup" spans [1, 2], so it answers the
         // low-band query under id 9).
         assert_eq!((svc.n_shards(), svc.n_datasets()), (3, 4));
-        assert_eq!(svc.query(&low_expr()), Ok(vec![7, 9]));
+        assert_eq!(query(&svc, &low_expr()), Ok(vec![7, 9]));
     }
 
     #[test]
@@ -1739,12 +1553,17 @@ mod tests {
             PtileBuildParams::default().with_phi_datasets(2),
             PrefBuildParams::exact_centralized(),
         );
-        svc.add_shard(
-            &Repository::new(vec![dataset("a", &[1.0]), dataset("b", &[2.0])]),
+        add(
+            &mut svc,
+            vec![dataset("a", &[1.0]), dataset("b", &[2.0])],
             &[0, 1],
         );
         assert_eq!(
-            svc.try_add_shard(&Repository::new(vec![dataset("c", &[3.0])]), &[2]),
+            svc.try_add_shard_opts(
+                &Repository::new(vec![dataset("c", &[3.0])]),
+                &[2],
+                &BuildOptions::default()
+            ),
             Err(IngestError::PhiAnchorExceeded {
                 anchor: 2,
                 prospective: 3
@@ -1772,12 +1591,14 @@ mod tests {
         let mut svc = service();
         // Shard 1's dataset moves from the middle to the low band; its id
         // may be reused because the rebuild releases it first.
-        svc.rebuild_shard(
+        svc.try_rebuild_shard_opts(
             1,
             &Repository::new(vec![dataset("mid2", &[4.0, 6.0])]),
             &[5],
-        );
-        assert_eq!(svc.query(&low_expr()), Ok(vec![5, 7]));
+            &BuildOptions::default(),
+        )
+        .expect("valid rebuild");
+        assert_eq!(query(&svc, &low_expr()), Ok(vec![5, 7]));
     }
 
     #[test]
@@ -1787,18 +1608,20 @@ mod tests {
         // routing fast path scatters it everywhere and the counters below
         // measure pure cache behaviour.
         let exprs = vec![wide_expr()];
-        let _ = svc.query_batch_opts(&exprs, &BuildOptions::serial());
+        let _ = svc.try_query_batch_opts(&exprs, &BuildOptions::serial());
         let (_, misses_cold) = svc.cache_stats();
         assert_eq!(misses_cold, 2, "one mask per shard, both cold");
-        let _ = svc.query_batch_opts(&exprs, &BuildOptions::serial());
+        let _ = svc.try_query_batch_opts(&exprs, &BuildOptions::serial());
         let (hits_warm, misses_warm) = svc.cache_stats();
         assert_eq!((hits_warm, misses_warm), (2, 2), "second batch all cached");
-        svc.rebuild_shard(
+        svc.try_rebuild_shard_opts(
             1,
             &Repository::new(vec![dataset("mid2", &[47.0, 53.0])]),
             &[5],
-        );
-        let _ = svc.query_batch_opts(&exprs, &BuildOptions::serial());
+            &BuildOptions::default(),
+        )
+        .expect("valid rebuild");
+        let _ = svc.try_query_batch_opts(&exprs, &BuildOptions::serial());
         let (hits_after, misses_after) = svc.cache_stats();
         assert_eq!(
             (hits_after, misses_after),
@@ -1814,11 +1637,11 @@ mod tests {
         // low_expr's rectangle [0, 10] is disjoint from shard 1's value
         // box [48, 52] and the threshold 0.9 clears the (exact) margin 0,
         // so shard 1 is provably uninvolved.
-        assert_eq!(svc.query(&low_expr()), Ok(vec![7]));
+        assert_eq!(query(&svc, &low_expr()), Ok(vec![7]));
         assert_eq!(svc.shards_routed_past(), 1);
         // Batch path skips too — and the skipped shard's cache is never
         // touched (only shard 0 records a lookup).
-        let _ = svc.query_batch_opts(&[low_expr()], &BuildOptions::serial());
+        let _ = svc.try_query_batch_opts(&[low_expr()], &BuildOptions::serial());
         assert_eq!(svc.shards_routed_past(), 2);
         let (h, m) = svc.cache_stats();
         assert_eq!(m, 1, "only shard 0 computed a mask");
@@ -1828,7 +1651,7 @@ mod tests {
             Rect::interval(200.0, 300.0),
             0.5,
         ));
-        assert_eq!(svc.query(&far), Ok(vec![]));
+        assert_eq!(query(&svc, &far), Ok(vec![]));
         assert_eq!(svc.shards_routed_past(), 4);
     }
 
@@ -1841,15 +1664,16 @@ mod tests {
                 PtileBuildParams::exact_centralized(),
                 PrefBuildParams::exact_centralized(),
             )
-            .with_routing(false);
-            svc.add_shard(
-                &Repository::new(vec![
+            .with_routing(Routing::Off);
+            add(
+                &mut svc,
+                vec![
                     dataset("low", &[1.0, 2.0, 3.0]),
                     dataset("high", &[90.0, 95.0]),
-                ]),
+                ],
                 &[7, 3],
             );
-            svc.add_shard(&Repository::new(vec![dataset("mid", &[48.0, 52.0])]), &[5]);
+            add(&mut svc, vec![dataset("mid", &[48.0, 52.0])], &[5]);
             svc
         };
         let exprs: Vec<LogicalExpr> = (0..12)
@@ -1860,7 +1684,7 @@ mod tests {
                 ))
             })
             .collect();
-        assert_eq!(routed.query_batch(&exprs), unrouted.query_batch(&exprs));
+        assert_eq!(query_batch(&routed, &exprs), query_batch(&unrouted, &exprs));
         assert_eq!(unrouted.shards_routed_past(), 0, "routing really was off");
         assert!(routed.shards_routed_past() > 0, "routing really engaged");
     }
@@ -1878,10 +1702,10 @@ mod tests {
             )),
             LogicalExpr::Pred(Predicate::topk_at_least(vec![1.0], 9, 0.0)),
         ]);
-        assert_eq!(svc.query(&expr), Err(EngineError::MissingRank(9)));
+        assert_eq!(query(&svc, &expr), Err(EngineError::MissingRank(9)));
         assert_eq!(svc.shards_routed_past(), 0);
         assert_eq!(
-            svc.query_batch(&[expr]),
+            query_batch(&svc, &[expr]),
             vec![Err(EngineError::MissingRank(9))]
         );
     }
@@ -1902,8 +1726,9 @@ mod tests {
             PrefBuildParams::exact_centralized(),
         );
         for (i, xs) in sets.iter().enumerate() {
-            svc.add_shard(
-                &Repository::new(vec![dataset(&format!("d{i}"), xs)]),
+            add(
+                &mut svc,
+                vec![dataset(&format!("d{i}"), xs)],
                 &[i as GlobalId],
             );
         }
@@ -1921,14 +1746,14 @@ mod tests {
             Rect::interval(500.0, 600.0),
             min_margin / 2.0,
         ));
-        let _ = svc.query(&below);
+        let _ = query(&svc, &below);
         assert_eq!(svc.shards_routed_past(), 0);
         // Threshold above every shard's margin: both shards skipped.
         let above = LogicalExpr::Pred(Predicate::percentile_at_least(
             Rect::interval(500.0, 600.0),
             (max_margin + 0.01).min(1.0),
         ));
-        assert_eq!(svc.query(&above), Ok(vec![]));
+        assert_eq!(query(&svc, &above), Ok(vec![]));
         assert_eq!(svc.shards_routed_past(), 2);
     }
 
@@ -1961,17 +1786,15 @@ mod tests {
                 PtileBuildParams::exact_centralized(),
                 PrefBuildParams::exact_centralized(),
             );
-            svc.add_shard(
-                &Repository::new(vec![
+            add(
+                &mut svc,
+                vec![
                     dataset("lo", &[0.0, 1.0, 2.0, 3.0]),
                     dataset("hi", &[97.0, 98.0, 99.0, 100.0]),
-                ]),
+                ],
                 &[1, 2],
             );
-            svc.add_shard(
-                &Repository::new(vec![dataset("mid", &[49.0, 50.0, 51.0])]),
-                &[3],
-            );
+            add(&mut svc, vec![dataset("mid", &[49.0, 50.0, 51.0])], &[3]);
             svc
         };
         let interior = LogicalExpr::Pred(Predicate::percentile_at_least(
@@ -1979,19 +1802,19 @@ mod tests {
             0.6,
         ));
         let svc = build();
-        assert_eq!(svc.query(&interior), Ok(vec![3]));
+        assert_eq!(query(&svc, &interior), Ok(vec![3]));
         assert_eq!(svc.shards_routed_past(), 0, "the box overlaps [40, 60]");
         assert_eq!(svc.shards_routed_by_synopsis(), 1);
         // The batch path classifies identically, and the skipped shard's
         // cache is never touched.
-        let _ = svc.query_batch_opts(std::slice::from_ref(&interior), &BuildOptions::serial());
+        let _ = svc.try_query_batch_opts(std::slice::from_ref(&interior), &BuildOptions::serial());
         assert_eq!(svc.shards_routed_by_synopsis(), 2);
         let (_, m) = svc.cache_stats();
         assert_eq!(m, 1, "only shard 1 ever computed a mask");
         // The box-only configuration still answers identically — the
         // synopsis tier is pure pruning.
-        let box_only = build().with_synopsis_routing(false);
-        assert_eq!(box_only.query(&interior), Ok(vec![3]));
+        let box_only = build().with_routing(Routing::BoxOnly);
+        assert_eq!(query(&box_only, &interior), Ok(vec![3]));
         assert_eq!(box_only.shards_routed_by_synopsis(), 0);
         assert_eq!(box_only.shards_routed_past(), 0);
         assert_eq!(
@@ -2004,7 +1827,7 @@ mod tests {
     #[test]
     fn stats_snapshot_aggregates_counters() {
         let svc = service();
-        let _ = svc.query(&low_expr());
+        let _ = query(&svc, &low_expr());
         let snap = svc.stats_snapshot();
         assert_eq!(snap.n_shards, 2);
         assert_eq!(snap.n_datasets, 3);
@@ -2020,52 +1843,59 @@ mod tests {
 
     #[test]
     fn split_then_merge_preserves_answers() {
+        let opts = BuildOptions::default();
         let mut svc = service();
         let all = LogicalExpr::Pred(Predicate::percentile_at_least(
             Rect::interval(0.0, 100.0),
             0.9,
         ));
-        let before = svc.query(&all);
+        let before = query(&svc, &all);
         assert_eq!(before, Ok(vec![3, 5, 7]));
         // Shard 0 holds ids {7, 3}; move 3 out into its own shard.
-        let new = svc.split_shard(0, &[3]);
+        let new = svc
+            .try_split_shard_opts(0, &[3], &opts)
+            .expect("valid split");
         assert_eq!(new, 2);
         assert_eq!(svc.n_shards(), 3);
         assert_eq!(svc.global_ids(0), &[7]);
         assert_eq!(svc.global_ids(2), &[3]);
         assert_eq!(svc.n_datasets(), 3, "splits conserve the catalog");
-        assert_eq!(svc.query(&all), before);
-        assert_eq!(svc.query(&low_expr()), Ok(vec![7]));
+        assert_eq!(query(&svc, &all), before);
+        assert_eq!(query(&svc, &low_expr()), Ok(vec![7]));
         // Merge it back; the surviving slot is min(0, 2) = 0 and the
         // merged shard appends the absorbed shard's datasets.
-        assert_eq!(svc.merge_shards(2, 0), 0);
+        assert_eq!(
+            svc.try_merge_shards_opts(2, 0, &opts).expect("valid merge"),
+            0
+        );
         assert_eq!(svc.n_shards(), 2);
         assert_eq!(svc.global_ids(0), &[7, 3]);
-        assert_eq!(svc.query(&all), before);
+        assert_eq!(query(&svc, &all), before);
         let snap = svc.stats_snapshot();
         assert_eq!((snap.splits, snap.merges), (1, 1));
     }
 
     #[test]
     fn split_rejections_are_typed_and_leave_state_intact() {
+        let opts = BuildOptions::default();
         let mut svc = service();
         assert_eq!(
-            svc.try_split_shard(9, &[7]),
+            svc.try_split_shard_opts(9, &[7], &opts),
             Err(IngestError::NoSuchShard {
                 shard: 9,
                 n_shards: 2
             })
         );
         assert_eq!(
-            svc.try_split_shard(0, &[5]),
+            svc.try_split_shard_opts(0, &[5], &opts),
             Err(IngestError::IdNotInShard { id: 5, shard: 0 })
         );
         assert_eq!(
-            svc.try_split_shard(0, &[7, 7]),
+            svc.try_split_shard_opts(0, &[7, 7], &opts),
             Err(IngestError::DuplicateId(7))
         );
         assert_eq!(
-            svc.try_split_shard(0, &[]),
+            svc.try_split_shard_opts(0, &[], &opts),
             Err(IngestError::EmptySplitSide {
                 shard: 0,
                 moving: 0,
@@ -2073,7 +1903,7 @@ mod tests {
             })
         );
         assert_eq!(
-            svc.try_split_shard(0, &[7, 3]),
+            svc.try_split_shard_opts(0, &[7, 3], &opts),
             Err(IngestError::EmptySplitSide {
                 shard: 0,
                 moving: 2,
@@ -2082,7 +1912,7 @@ mod tests {
         );
         // A one-dataset shard can never split.
         assert_eq!(
-            svc.try_split_shard(1, &[5]),
+            svc.try_split_shard_opts(1, &[5], &opts),
             Err(IngestError::EmptySplitSide {
                 shard: 1,
                 moving: 1,
@@ -2090,56 +1920,66 @@ mod tests {
             })
         );
         assert_eq!((svc.n_shards(), svc.n_datasets()), (2, 3));
-        assert_eq!(svc.query(&low_expr()), Ok(vec![7]));
+        assert_eq!(query(&svc, &low_expr()), Ok(vec![7]));
     }
 
     #[test]
     fn merge_rejections_are_typed_and_leave_state_intact() {
+        let opts = BuildOptions::default();
         let mut svc = service();
         assert_eq!(
-            svc.try_merge_shards(0, 9),
+            svc.try_merge_shards_opts(0, 9, &opts),
             Err(IngestError::NoSuchShard {
                 shard: 9,
                 n_shards: 2
             })
         );
         assert_eq!(
-            svc.try_merge_shards(1, 1),
+            svc.try_merge_shards_opts(1, 1, &opts),
             Err(IngestError::MergeWithSelf { shard: 1 })
         );
         assert_eq!((svc.n_shards(), svc.n_datasets()), (2, 3));
-        assert_eq!(svc.query(&low_expr()), Ok(vec![7]));
+        assert_eq!(query(&svc, &low_expr()), Ok(vec![7]));
     }
 
     #[test]
-    #[should_panic(expected = "no such shard")]
-    fn split_panicking_wrapper_preserves_messages() {
+    fn split_rejection_displays_the_wire_message() {
         let mut svc = service();
-        svc.split_shard(9, &[7]);
+        let err = svc
+            .try_split_shard_opts(9, &[7], &BuildOptions::default())
+            .expect_err("shard 9 does not exist");
+        assert!(err.to_string().contains("no such shard"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "cannot merge shard 0 with itself")]
-    fn merge_panicking_wrapper_preserves_messages() {
+    fn merge_rejection_displays_the_wire_message() {
         let mut svc = service();
-        svc.merge_shards(0, 0);
+        let err = svc
+            .try_merge_shards_opts(0, 0, &BuildOptions::default())
+            .expect_err("a shard cannot merge with itself");
+        assert!(
+            err.to_string().contains("cannot merge shard 0 with itself"),
+            "{err}"
+        );
     }
 
     #[test]
     fn transitions_scope_cache_invalidation_to_the_touched_shards() {
+        let opts = BuildOptions::default();
         let mut svc = service();
-        let _ = svc.query_batch_opts(&[wide_expr()], &BuildOptions::serial());
+        let _ = svc.try_query_batch_opts(&[wide_expr()], &BuildOptions::serial());
         let gen0 = svc.shard_engine(0).mask_cache().generation();
         let gen1 = svc.shard_engine(1).mask_cache().generation();
         // Split shard 0: its carried cache bumps, shard 1's does not, and
         // the new shard starts on a fresh cache object.
-        svc.split_shard(0, &[3]);
+        svc.try_split_shard_opts(0, &[3], &opts)
+            .expect("valid split");
         assert_eq!(svc.shard_engine(0).mask_cache().generation(), gen0 + 1);
         assert_eq!(svc.shard_engine(1).mask_cache().generation(), gen1);
         assert_eq!(svc.shard_engine(2).mask_cache().len(), 0);
         // Merge shards 1 and 2: the surviving slot (1) carries shard 1's
         // cache bumped again; shard 0 is untouched.
-        let merged = svc.merge_shards(1, 2);
+        let merged = svc.try_merge_shards_opts(1, 2, &opts).expect("valid merge");
         assert_eq!(merged, 1);
         assert_eq!(svc.shard_engine(0).mask_cache().generation(), gen0 + 1);
         assert_eq!(svc.shard_engine(1).mask_cache().generation(), gen1 + 1);
@@ -2147,26 +1987,30 @@ mod tests {
 
     #[test]
     fn shard_loads_count_evaluated_units_and_reset_on_transition() {
+        let opts = BuildOptions::default();
         let mut svc = service();
         // low_expr routes past shard 1, so only shard 0 records load.
-        let _ = svc.query(&low_expr());
-        let _ = svc.query_batch_opts(&[low_expr()], &BuildOptions::serial());
+        let _ = query(&svc, &low_expr());
+        let _ = svc.try_query_batch_opts(&[low_expr()], &BuildOptions::serial());
         let loads = svc.shard_loads();
         assert_eq!(loads[0].queries, 2);
         assert_eq!(loads[1].queries, 0);
         assert_eq!(loads[0].datasets, 2);
         // A rebuild keeps the counter (the shard keeps its identity)...
-        svc.rebuild_shard(
+        svc.try_rebuild_shard_opts(
             0,
             &Repository::new(vec![
                 dataset("low", &[1.0, 2.0, 3.0]),
                 dataset("high", &[90.0, 95.0]),
             ]),
             &[7, 3],
-        );
+            &opts,
+        )
+        .expect("valid rebuild");
         assert_eq!(svc.shard_loads()[0].queries, 2);
         // ...while a split resets both sides.
-        svc.split_shard(0, &[3]);
+        svc.try_split_shard_opts(0, &[3], &opts)
+            .expect("valid split");
         assert_eq!(svc.shard_loads()[0].queries, 0);
         assert_eq!(svc.shard_loads()[2].queries, 0);
     }
@@ -2178,20 +2022,21 @@ mod tests {
             PtileBuildParams::exact_centralized(),
             PrefBuildParams::exact_centralized(),
         )
-        .with_routing(false);
+        .with_routing(Routing::Off);
         // Shard 0: 4 datasets (oversized for the config below); shards
         // 1 and 2: one tiny dataset each (merge candidates).
-        svc.add_shard(
-            &Repository::new(vec![
+        add(
+            &mut svc,
+            vec![
                 dataset("a", &[1.0]),
                 dataset("b", &[2.0]),
                 dataset("c", &[3.0]),
                 dataset("d", &[4.0]),
-            ]),
+            ],
             &[10, 11, 12, 13],
         );
-        svc.add_shard(&Repository::new(vec![dataset("e", &[5.0])]), &[20]);
-        svc.add_shard(&Repository::new(vec![dataset("f", &[6.0])]), &[21]);
+        add(&mut svc, vec![dataset("e", &[5.0])], &[20]);
+        add(&mut svc, vec![dataset("f", &[6.0])], &[21]);
         let cfg = RebalanceConfig {
             max_datasets: 3,
             merge_under: 2,
@@ -2212,11 +2057,12 @@ mod tests {
             Rect::interval(0.0, 100.0),
             0.9,
         ));
-        let before = svc.query(&all);
-        svc.apply_rebalance(&plan).expect("plan applies cleanly");
+        let before = query(&svc, &all);
+        svc.apply_rebalance_opts(&plan, &BuildOptions::default())
+            .expect("plan applies cleanly");
         assert_eq!(svc.n_shards(), 3, "0 split into {{0, 3}}, 2 merged into 1");
         assert_eq!(svc.n_datasets(), 6, "transitions conserve the catalog");
-        assert_eq!(svc.query(&all), before);
+        assert_eq!(query(&svc, &all), before);
         // With balanced shards and no query skew, the next plan is empty.
         assert_eq!(svc.rebalance_plan_with(&cfg), vec![]);
     }
@@ -2230,19 +2076,18 @@ mod tests {
         );
         // Two same-sized shards with value-separated data, so routing
         // concentrates load on shard 0.
-        svc.add_shard(
-            &Repository::new(vec![dataset("a", &[1.0, 2.0]), dataset("b", &[3.0, 4.0])]),
+        add(
+            &mut svc,
+            vec![dataset("a", &[1.0, 2.0]), dataset("b", &[3.0, 4.0])],
             &[0, 1],
         );
-        svc.add_shard(
-            &Repository::new(vec![
-                dataset("c", &[90.0, 91.0]),
-                dataset("d", &[92.0, 93.0]),
-            ]),
+        add(
+            &mut svc,
+            vec![dataset("c", &[90.0, 91.0]), dataset("d", &[92.0, 93.0])],
             &[2, 3],
         );
         for _ in 0..20 {
-            let _ = svc.query(&low_expr());
+            let _ = query(&svc, &low_expr());
         }
         let loads = svc.shard_loads();
         assert_eq!((loads[0].queries, loads[1].queries), (20, 0));

@@ -366,7 +366,7 @@ impl OrthoIndex for KdTree {
     /// returns `false`. Visits every tree node at most once per call, so a
     /// whole query session costs one traversal — the enumeration loops of
     /// Algorithms 2 and 4 use this with a reported-dataset mask instead of
-    /// physical deletions (same answers; see DESIGN.md ablation A3).
+    /// physical deletions (same answers; `experiments --a3` compares the two).
     fn report_while(&self, region: &Region, f: &mut dyn FnMut(usize) -> bool) {
         assert_eq!(region.dim(), self.dim, "region dimension mismatch");
         if self.nodes.is_empty() {

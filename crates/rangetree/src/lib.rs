@@ -10,10 +10,10 @@
 //!   It supports `report`, `report_first`, `count`, and O(depth) tombstone
 //!   `delete`/`restore`, which is exactly the enumeration pattern of
 //!   Algorithms 2 and 4 (find one point, delete the reported dataset's
-//!   points, continue, re-insert at the end). This is the default backend;
-//!   DESIGN.md §3 documents the substitution for the literal multi-level
-//!   dynamic range tree (`log^{4md} N` associated-structure blowup is not
-//!   laptop-viable in the lifted dimensions).
+//!   points, continue, re-insert at the end). This is the default backend,
+//!   substituting for the literal multi-level dynamic range tree
+//!   (`log^{4md} N` associated-structure blowup is not laptop-viable in the
+//!   lifted dimensions; `experiments --a2` compares the backends).
 //! * [`RangeTree`] — a faithful static multi-level range tree (De Berg et
 //!   al., as cited by the paper) used for low-dimensional exact structures
 //!   and as an ablation backend.

@@ -5,7 +5,7 @@
 //! typed [`ClientError`] while passing the *engine's* answers — including
 //! `EngineError`s — through untouched, so a served
 //! [`query`](DdsClient::query) returns exactly the in-process
-//! `ShardedEngine::query` result (pinned byte-identical by the loopback
+//! `ShardedEngine::try_query_with` result (pinned byte-identical by the loopback
 //! tests).
 //!
 //! The connection reuses one scratch buffer per direction across calls
@@ -588,7 +588,7 @@ impl DdsClient {
         })
     }
 
-    /// Answers one expression — the served `ShardedEngine::query`.
+    /// Answers one expression — the served `ShardedEngine::try_query_with`.
     pub fn query(&mut self, expr: &LogicalExpr) -> Result<EngineResult, ClientError> {
         match self.call(&Request::Query(expr.clone()))? {
             Response::Hits(res) => Ok(res),
@@ -596,7 +596,7 @@ impl DdsClient {
         }
     }
 
-    /// Answers a batch — the served `ShardedEngine::query_batch`,
+    /// Answers a batch — the served `ShardedEngine::try_query_batch_opts`,
     /// input-ordered.
     pub fn query_batch(&mut self, exprs: &[LogicalExpr]) -> Result<Vec<EngineResult>, ClientError> {
         match self.call(&Request::QueryBatch(exprs.to_vec()))? {

@@ -225,9 +225,10 @@ impl Request {
 #[derive(Clone, Debug, PartialEq)]
 pub enum Response {
     /// Single-query answer — exactly the in-process
-    /// `ShardedEngine::query` result, errors included.
+    /// `ShardedEngine::try_query_with` result, errors included.
     Hits(Result<Vec<GlobalId>, EngineError>),
-    /// Batch answer — exactly `ShardedEngine::query_batch`, input-ordered.
+    /// Batch answer — exactly `ShardedEngine::try_query_batch_opts`,
+    /// input-ordered.
     BatchHits(Vec<Result<Vec<GlobalId>, EngineError>>),
     /// Shard ingested at this index.
     ShardAdded {

@@ -22,8 +22,8 @@
 //! * a fixed pool of **executors** drains the queue and runs jobs against
 //!   the shared [`ShardedEngine`] — queries under a read lock (the
 //!   engine's `&self` paths fan out over `dds_pool` internally via
-//!   `query_batch`), ingests under a write lock through the non-panicking
-//!   `try_*` paths. Results travel back to the owning I/O thread through
+//!   `try_query_batch_opts`), ingests under a write lock through the typed
+//!   `try_*_opts` paths. Results travel back to the owning I/O thread through
 //!   its completion queue plus a waker.
 //!
 //! Optionally each session carries a token-bucket **rate limit**
@@ -94,7 +94,7 @@ pub struct ServerConfig {
     /// connection count — two threads serve thousands of idle sessions.
     pub io_threads: usize,
     /// Worker threads each executed query fans out over
-    /// (`ShardedEngine::query_batch_opts`); `None` uses the engine
+    /// (`ShardedEngine::try_query_batch_opts`); `None` uses the engine
     /// default (`DDS_THREADS` / all cores). Builds triggered by ingest use
     /// the same setting.
     pub query_threads: Option<usize>,
@@ -1425,7 +1425,7 @@ fn execute(shared: &Shared, req: Request) -> Response {
                 ));
             }
             let mut results =
-                engine.query_batch_opts(std::slice::from_ref(&expr), &shared.build_opts());
+                engine.try_query_batch_opts(std::slice::from_ref(&expr), &shared.build_opts());
             Response::Hits(results.pop().expect("one result per expression"))
         }
         Request::QueryBatch(exprs) => {
@@ -1444,7 +1444,7 @@ fn execute(shared: &Shared, req: Request) -> Response {
                     e.to_string(),
                 ));
             }
-            Response::BatchHits(engine.query_batch_opts(&exprs, &shared.build_opts()))
+            Response::BatchHits(engine.try_query_batch_opts(&exprs, &shared.build_opts()))
         }
         Request::AddShard {
             request_id: _,

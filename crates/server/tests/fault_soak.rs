@@ -13,6 +13,7 @@ use dds_core::framework::{LogicalExpr, Predicate, Repository};
 use dds_core::pool::BuildOptions;
 use dds_core::pref::PrefBuildParams;
 use dds_core::ptile::PtileBuildParams;
+use dds_core::scratch::QueryScratch;
 use dds_core::shard::{GlobalId, ShardedEngine};
 use dds_geom::Rect;
 use dds_server::wire::{read_frame, write_frame, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION};
@@ -99,6 +100,7 @@ fn soak_one_seed(seed: u64) {
     let plan = FaultPlan::seeded(schedule.seed).with_fault_per_mille(schedule.fault_per_mille);
 
     let mut mirror = empty_engine();
+    let mut scratch = QueryScratch::new();
     let server = DdsServer::serve(empty_engine(), "127.0.0.1:0", ServerConfig::default())
         .unwrap_or_else(|e| panic!("seed {seed:#x}: bind: {e}"));
     let proxy = ChaosProxy::spawn(server.local_addr(), plan)
@@ -124,7 +126,9 @@ fn soak_one_seed(seed: u64) {
                 ),
             }
         };
-        let mirror_idx = mirror.add_shard_opts(&repo, &shard.global_ids, &serial);
+        let mirror_idx = mirror
+            .try_add_shard_opts(&repo, &shard.global_ids, &serial)
+            .expect("valid ingest");
         assert_eq!(served_idx, mirror_idx, "seed {seed:#x}: shard index {i}");
     }
 
@@ -136,7 +140,11 @@ fn soak_one_seed(seed: u64) {
         .exprs(&spec);
     for (j, e) in exprs.iter().enumerate() {
         let got = query_until_answered(&mut client, e, seed);
-        assert_eq!(got, mirror.query(e), "seed {seed:#x}: expr {j}");
+        assert_eq!(
+            got,
+            mirror.try_query_with(e, &mut scratch),
+            "seed {seed:#x}: expr {j}"
+        );
     }
 
     // Live churn through the chaos. Lifecycle ops carry no payload; a
@@ -174,7 +182,11 @@ fn soak_one_seed(seed: u64) {
         .unwrap_or_else(|e| panic!("seed {seed:#x}: mirror merge: {e}"));
     for (j, e) in exprs.iter().enumerate() {
         let got = query_until_answered(&mut client, e, seed);
-        assert_eq!(got, mirror.query(e), "seed {seed:#x}: post-churn expr {j}");
+        assert_eq!(
+            got,
+            mirror.try_query_with(e, &mut scratch),
+            "seed {seed:#x}: post-churn expr {j}"
+        );
     }
     drop(client);
     proxy.shutdown();
@@ -283,11 +295,16 @@ fn clean_server_close_is_a_typed_connection_closed() {
 fn client_side_faults_heal_transparently_with_retries_counted() {
     let spec = RepoSpec::mixed(6, 30, 1, 0xFA17);
     let mut mirror = empty_engine();
+    let mut scratch = QueryScratch::new();
     let mut served = empty_engine();
     for shard in spec.shards(2) {
         let repo = Repository::from_point_sets(shard.sets);
-        mirror.add_shard_opts(&repo, &shard.global_ids, &BuildOptions::serial());
-        served.add_shard_opts(&repo, &shard.global_ids, &BuildOptions::serial());
+        mirror
+            .try_add_shard_opts(&repo, &shard.global_ids, &BuildOptions::serial())
+            .expect("valid ingest");
+        served
+            .try_add_shard_opts(&repo, &shard.global_ids, &BuildOptions::serial())
+            .expect("valid ingest");
     }
     let server = DdsServer::serve(served, "127.0.0.1:0", ServerConfig::default()).expect("bind");
     // EVERY connection this client dials suffers a fault plan; the retry
@@ -304,7 +321,7 @@ fn client_side_faults_heal_transparently_with_retries_counted() {
     let exprs = RequestStreamSpec::new(12, 0xFA17).exprs(&spec);
     for (j, e) in exprs.iter().enumerate() {
         let got = query_until_answered(&mut client, e, 0xFA17);
-        assert_eq!(got, mirror.query(e), "expr {j}");
+        assert_eq!(got, mirror.try_query_with(e, &mut scratch), "expr {j}");
     }
     assert!(
         client.retries() >= 1,

@@ -10,6 +10,7 @@ use dds_core::framework::{LogicalExpr, Predicate, Repository};
 use dds_core::pool::BuildOptions;
 use dds_core::pref::PrefBuildParams;
 use dds_core::ptile::PtileBuildParams;
+use dds_core::scratch::QueryScratch;
 use dds_core::shard::ShardedEngine;
 use dds_geom::Rect;
 use dds_server::protocol::{Request, Response, ServerErrorKind};
@@ -34,11 +35,12 @@ fn engine_pair(spec: &RepoSpec, shards: usize) -> (ShardedEngine, ShardedEngine)
         let (ptile, pref) = params();
         let mut svc = ShardedEngine::new(&[1], ptile, pref);
         for shard in spec.shards(shards) {
-            svc.add_shard_opts(
+            svc.try_add_shard_opts(
                 &Repository::from_point_sets(shard.sets),
                 &shard.global_ids,
                 &BuildOptions::serial(),
-            );
+            )
+            .expect("valid ingest");
         }
         svc
     };
@@ -100,14 +102,17 @@ fn served_answers_are_identical_to_in_process_under_concurrent_clients() {
         .with_shapes(5)
         .with_missing_rank_every(5, 9)
         .exprs(&spec);
-    let expected: Vec<_> = exprs.iter().map(|e| local.query(e)).collect();
+    let expected: Vec<_> = exprs
+        .iter()
+        .map(|e| local.try_query_with(e, &mut QueryScratch::new()))
+        .collect();
     assert!(
         expected
             .iter()
             .any(|r| r == &Err(EngineError::MissingRank(9))),
         "the stream must contain error answers for this test to bite"
     );
-    let expected_batch = local.query_batch_opts(&exprs, &BuildOptions::serial());
+    let expected_batch = local.try_query_batch_opts(&exprs, &BuildOptions::serial());
     assert_eq!(expected, expected_batch, "sanity: batch ≡ singles locally");
 
     let server =
@@ -168,16 +173,21 @@ fn ingest_query_rebuild_stats_shutdown_round_trip() {
     for shard in spec.shards(3) {
         let repo = Repository::from_point_sets(shard.sets);
         let served_idx = client.add_shard(&repo, &shard.global_ids).expect("add");
-        let local_idx = local.add_shard_opts(&repo, &shard.global_ids, &BuildOptions::serial());
+        let local_idx = local
+            .try_add_shard_opts(&repo, &shard.global_ids, &BuildOptions::serial())
+            .expect("valid ingest");
         assert_eq!(served_idx, local_idx, "shard indexes agree");
     }
     let compare = |client: &mut DdsClient, local: &ShardedEngine| {
         for e in &exprs {
-            assert_eq!(client.query(e).expect("transport"), local.query(e));
+            assert_eq!(
+                client.query(e).expect("transport"),
+                local.try_query_with(e, &mut QueryScratch::new())
+            );
         }
         assert_eq!(
             client.query_batch(&exprs).expect("transport"),
-            local.query_batch_opts(&exprs, &BuildOptions::serial())
+            local.try_query_batch_opts(&exprs, &BuildOptions::serial())
         );
     };
     compare(&mut client, &local);
@@ -199,7 +209,9 @@ fn ingest_query_rebuild_stats_shutdown_round_trip() {
     client
         .rebuild_shard(1, &repo, &refreshed.global_ids)
         .expect("rebuild");
-    local.rebuild_shard_opts(1, &repo, &refreshed.global_ids, &BuildOptions::serial());
+    local
+        .try_rebuild_shard_opts(1, &repo, &refreshed.global_ids, &BuildOptions::serial())
+        .expect("valid rebuild");
     compare(&mut client, &local);
 
     // A rebuild of a shard that does not exist is typed too.
@@ -240,7 +252,10 @@ fn live_split_and_merge_keep_concurrent_answers_byte_identical() {
         .with_shapes(5)
         .with_missing_rank_every(5, 9)
         .exprs(&spec);
-    let expected: Vec<_> = exprs.iter().map(|e| local.query(e)).collect();
+    let expected: Vec<_> = exprs
+        .iter()
+        .map(|e| local.try_query_with(e, &mut QueryScratch::new()))
+        .collect();
     let move_ids: Vec<u64> = {
         // Shard 0 serves the even ids (round-robin over 2 shards); the
         // split moves the upper half of them to a new shard.
@@ -361,11 +376,14 @@ fn full_admission_queue_answers_busy_with_bounded_memory() {
     // Backpressure is not loss: everything admitted completes and
     // answers, and the bounced client just retries successfully.
     assert_eq!(read_resp(&mut sleeper), Response::Done);
-    let expected = Response::Hits(local.query(&wide_query()));
+    let expected = Response::Hits(local.try_query_with(&wide_query(), &mut QueryScratch::new()));
     assert_eq!(read_resp(&mut q1), expected);
     assert_eq!(read_resp(&mut q2), expected);
     let retried = overflow.query(&wide_query()).expect("retry after drain");
-    assert_eq!(retried, local.query(&wide_query()));
+    assert_eq!(
+        retried,
+        local.try_query_with(&wide_query(), &mut QueryScratch::new())
+    );
     server.shutdown();
 }
 
@@ -417,7 +435,7 @@ fn graceful_shutdown_drains_admitted_work_and_gates_new_work() {
     assert_eq!(read_resp(&mut sleeper), Response::Done);
     assert_eq!(
         read_resp(&mut queued),
-        Response::Hits(local.query(&wide_query()))
+        Response::Hits(local.try_query_with(&wide_query(), &mut QueryScratch::new()))
     );
 }
 
@@ -449,7 +467,7 @@ fn sixty_four_idle_connections_are_served_by_two_io_threads() {
     assert_eq!(stats.sessions_opened, N as u64);
     // Work still round-trips through the executor pool for every one of
     // them — parked sessions come back for their completions.
-    let expected = local.query(&wide_query());
+    let expected = local.try_query_with(&wide_query(), &mut QueryScratch::new());
     for (i, c) in clients.iter_mut().enumerate() {
         let got = c
             .query(&wide_query())
@@ -537,7 +555,7 @@ fn exhausted_rate_limits_answer_typed_throttled_errors() {
     let addr = server.local_addr();
 
     let mut client = DdsClient::connect(addr).expect("connect");
-    let expected = local.query(&wide_query());
+    let expected = local.try_query_with(&wide_query(), &mut QueryScratch::new());
     for i in 0..3 {
         let got = client
             .query(&wide_query())
@@ -579,7 +597,7 @@ fn rate_limit_tokens_refill_over_time() {
     };
     let server = DdsServer::serve(served, "127.0.0.1:0", cfg).expect("bind");
     let mut client = DdsClient::connect(server.local_addr()).expect("connect");
-    let expected = local.query(&wide_query());
+    let expected = local.try_query_with(&wide_query(), &mut QueryScratch::new());
     assert_eq!(client.query(&wide_query()).expect("first"), expected);
     match client.query(&wide_query()) {
         Err(ClientError::Server(e)) => assert_eq!(e.kind, ServerErrorKind::Throttled),
@@ -595,7 +613,10 @@ fn metrics_report_per_stage_latencies_without_touching_answers() {
     let spec = RepoSpec::mixed(12, 40, 1, 0x713);
     let (local, served) = engine_pair(&spec, 2);
     let exprs = RequestStreamSpec::new(20, 7).with_shapes(4).exprs(&spec);
-    let expected: Vec<_> = exprs.iter().map(|e| local.query(e)).collect();
+    let expected: Vec<_> = exprs
+        .iter()
+        .map(|e| local.try_query_with(e, &mut QueryScratch::new()))
+        .collect();
 
     // A zero threshold turns every request into a slow-query trace, so
     // the ring is demonstrably populated; answers must be unchanged.

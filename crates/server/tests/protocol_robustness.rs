@@ -345,14 +345,16 @@ fn tiny_server_with(cfg: ServerConfig) -> DdsServer {
         PrefBuildParams::exact_centralized(),
     );
     let mut engine = ShardedEngine::new(&[1], ptile, pref);
-    engine.add_shard_opts(
-        &Repository::new(vec![Dataset::from_rows(
-            "d",
-            vec![vec![1.0], vec![2.0], vec![3.0]],
-        )]),
-        &[0],
-        &BuildOptions::serial(),
-    );
+    engine
+        .try_add_shard_opts(
+            &Repository::new(vec![Dataset::from_rows(
+                "d",
+                vec![vec![1.0], vec![2.0], vec![3.0]],
+            )]),
+            &[0],
+            &BuildOptions::serial(),
+        )
+        .expect("valid ingest");
     DdsServer::serve(engine, "127.0.0.1:0", cfg).expect("bind")
 }
 
@@ -527,14 +529,16 @@ fn executor_panics_are_isolated_and_answered_typed() {
         PrefBuildParams::exact_centralized(),
     );
     let mut engine = ShardedEngine::new(&[1], ptile, pref);
-    engine.add_shard_opts(
-        &Repository::new(vec![Dataset::from_rows(
-            "d",
-            vec![vec![1.0], vec![2.0], vec![3.0]],
-        )]),
-        &[0],
-        &BuildOptions::serial(),
-    );
+    engine
+        .try_add_shard_opts(
+            &Repository::new(vec![Dataset::from_rows(
+                "d",
+                vec![vec![1.0], vec![2.0], vec![3.0]],
+            )]),
+            &[0],
+            &BuildOptions::serial(),
+        )
+        .expect("valid ingest");
     let cfg = ServerConfig {
         executors: 2,
         allow_sleep: true, // the panic drill rides the Sleep opt-in
@@ -579,7 +583,9 @@ fn oversized_responses_get_a_typed_error_not_a_dead_connection() {
         .map(|i| Dataset::from_rows(format!("d{i}"), vec![vec![i as f64]]))
         .collect();
     let ids: Vec<u64> = (0..40).collect();
-    engine.add_shard_opts(&Repository::new(datasets), &ids, &BuildOptions::serial());
+    engine
+        .try_add_shard_opts(&Repository::new(datasets), &ids, &BuildOptions::serial())
+        .expect("valid ingest");
     let cfg = ServerConfig {
         max_frame_len: 128,
         ..ServerConfig::default()

@@ -147,11 +147,13 @@ fn sessions_active_is_a_gauge_that_returns_to_zero() {
         PtileBuildParams::exact_centralized(),
         PrefBuildParams::exact_centralized(),
     );
-    engine.add_shard_opts(
-        &Repository::new(vec![Dataset::from_rows("d", vec![vec![1.0]])]),
-        &[0],
-        &BuildOptions::serial(),
-    );
+    engine
+        .try_add_shard_opts(
+            &Repository::new(vec![Dataset::from_rows("d", vec![vec![1.0]])]),
+            &[0],
+            &BuildOptions::serial(),
+        )
+        .expect("valid ingest");
     let server = DdsServer::serve(engine, "127.0.0.1:0", ServerConfig::default()).expect("bind");
 
     let mut clients: Vec<DdsClient> = (0..3)

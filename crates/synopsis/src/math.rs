@@ -1,6 +1,7 @@
 //! Small numeric kernel: error function, normal CDF/quantile, Box–Muller
-//! sampling. Implemented locally because the workspace intentionally avoids
-//! pulling a stats dependency (DESIGN.md §4).
+//! sampling. Implemented locally because the workspace builds offline from
+//! vendored shims only (README, "Build, test, bench") and so pulls no stats
+//! dependency.
 
 use rand::{Rng, RngCore};
 

@@ -2,9 +2,9 @@
 //! experiments.
 //!
 //! The paper's evaluation substrate (open-data-style repositories, Example
-//! 1.1) is substituted by controllable synthetic workloads — see DESIGN.md
-//! §3. Everything here is deterministic given a seed, so tests, examples and
-//! benchmarks reproduce exactly.
+//! 1.1) is substituted by controllable synthetic workloads. Everything here
+//! is deterministic given a seed, so tests, examples and benchmarks
+//! reproduce exactly.
 //!
 //! * [`datasets`] — point-cloud generators (uniform, Gaussian clusters,
 //!   Zipf-skewed, correlated, unit-ball) used as repository datasets.

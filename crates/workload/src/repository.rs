@@ -23,7 +23,7 @@ pub enum RepoFlavor {
 /// One shard of a partitioned repository: the datasets assigned to it plus
 /// their **stable global ids** (the dataset's index in the unsharded
 /// [`RepoSpec::build`] order), ready to feed a sharded engine's
-/// `add_shard(repo, global_ids)` ingest path.
+/// `try_add_shard_opts(repo, global_ids, opts)` ingest path.
 #[derive(Clone, Debug)]
 pub struct RepoShard {
     /// `global_ids[i]` is the unsharded index of `sets[i]`.

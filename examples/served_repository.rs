@@ -33,6 +33,8 @@ fn main() {
 
     // The same ingest applied to a local mirror pins served ≡ in-process.
     let mut mirror = engine_shell();
+    let opts = BuildOptions::default();
+    let mut scratch = QueryScratch::new();
 
     // Ingest: 180 mixed-flavour datasets in 3 shard-sized batches.
     let spec = RepoSpec::mixed(180, 220, 1, 0x5E4);
@@ -40,7 +42,9 @@ fn main() {
     for shard in spec.shards(3) {
         let repo = Repository::from_point_sets(shard.sets);
         let idx = client.add_shard(&repo, &shard.global_ids).expect("ingest");
-        let local_idx = mirror.add_shard(&repo, &shard.global_ids);
+        let local_idx = mirror
+            .try_add_shard_opts(&repo, &shard.global_ids, &opts)
+            .expect("the mirror accepts what the server accepted");
         assert_eq!(idx, local_idx);
     }
     println!(
@@ -60,7 +64,11 @@ fn main() {
     let mut errors = 0usize;
     for (i, e) in exprs.iter().enumerate() {
         let served = client.query(e).expect("transport");
-        assert_eq!(served, mirror.query(e), "request {i} diverged");
+        assert_eq!(
+            served,
+            mirror.try_query_with(e, &mut scratch),
+            "request {i} diverged"
+        );
         errors += usize::from(served.is_err());
     }
     println!(
@@ -73,7 +81,7 @@ fn main() {
     // The same stream as one batch — input-ordered and warm-cache served.
     let t2 = Instant::now();
     let served_batch = client.query_batch(&exprs).expect("transport");
-    assert_eq!(served_batch, mirror.query_batch(&exprs));
+    assert_eq!(served_batch, mirror.try_query_batch_opts(&exprs, &opts));
     let stats = client.stats().expect("stats");
     println!(
         "warm batch: {} exprs in {:.1?}; cache {}h/{}m, {} scatter units routed past shards",
@@ -91,9 +99,11 @@ fn main() {
     client
         .rebuild_shard(1, &repo, &refreshed.global_ids)
         .expect("rebuild");
-    mirror.rebuild_shard(1, &repo, &refreshed.global_ids);
+    mirror
+        .try_rebuild_shard_opts(1, &repo, &refreshed.global_ids, &opts)
+        .expect("the mirror accepts what the server accepted");
     let post = client.query_batch(&exprs).expect("transport");
-    assert_eq!(post, mirror.query_batch(&exprs));
+    assert_eq!(post, mirror.try_query_batch_opts(&exprs, &opts));
     println!(
         "rebuilt shard 1 over the wire in {:.1?}; post-rebuild answers still ≡ in-process",
         t3.elapsed()

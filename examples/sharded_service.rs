@@ -23,9 +23,17 @@ fn main() {
         PrefBuildParams::exact_centralized().with_eps(0.05),
     )
     .with_cache_capacity(256);
+    // Builds and batch queries fan out over this worker pool (all cores,
+    // or `DDS_THREADS`); the thread count never changes an answer.
+    let opts = BuildOptions::default();
     let t0 = Instant::now();
     for shard in spec.shards(4) {
-        svc.add_shard(&Repository::from_point_sets(shard.sets), &shard.global_ids);
+        svc.try_add_shard_opts(
+            &Repository::from_point_sets(shard.sets),
+            &shard.global_ids,
+            &opts,
+        )
+        .expect("fresh ids, one schema");
     }
     println!(
         "ingested {} datasets into {} shards in {:.1?}",
@@ -57,7 +65,7 @@ fn main() {
     let batch: Vec<LogicalExpr> = (0..96).map(|i| shapes[i % shapes.len()].clone()).collect();
 
     let t1 = Instant::now();
-    let answers = svc.query_batch(&batch);
+    let answers = svc.try_query_batch_opts(&batch, &opts);
     let (hits, misses) = svc.cache_stats();
     println!(
         "cold batch: {} queries in {:.1?}, cache {}h/{}m",
@@ -76,7 +84,7 @@ fn main() {
     // Steady state: the same filters again — served from the cross-call
     // caches (and still bit-identical).
     let t2 = Instant::now();
-    let warm = svc.query_batch(&batch);
+    let warm = svc.try_query_batch_opts(&batch, &opts);
     let (h2, m2) = svc.cache_stats();
     assert_eq!(warm, answers, "cache warmth never changes answers");
     println!(
@@ -92,7 +100,8 @@ fn main() {
     let refreshed = RepoSpec::mixed(240, 250, 1, 0x5EB).shards(4).swap_remove(2);
     let ids = refreshed.global_ids.clone();
     let t3 = Instant::now();
-    svc.rebuild_shard(2, &Repository::from_point_sets(refreshed.sets), &ids);
+    svc.try_rebuild_shard_opts(2, &Repository::from_point_sets(refreshed.sets), &ids, &opts)
+        .expect("the shard exists and keeps its ids");
     println!(
         "rebuilt shard 2 ({} datasets) in {:.1?}; ids {}..{} unchanged",
         ids.len(),
@@ -102,7 +111,7 @@ fn main() {
     );
 
     let t4 = Instant::now();
-    let after = svc.query_batch(&batch);
+    let after = svc.try_query_batch_opts(&batch, &opts);
     let (h4, m4) = svc.cache_stats();
     println!(
         "post-rebuild batch: {:.1?}, cache {}h/{}m (shard 2 recomputed, shards 0/1/3 stayed warm)",

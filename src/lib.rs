@@ -47,7 +47,8 @@
 //! Index construction runs on a scoped std-thread worker pool. Every index
 //! offers a `*_opts` constructor taking a [`prelude::BuildOptions`] (thread
 //! count; the default resolves `DDS_THREADS` and falls back to all available
-//! cores), and `MixedQueryEngine::build` uses the default pool implicitly.
+//! cores); the two engines have only that form — pass
+//! `&BuildOptions::default()` for the default pool.
 //! The thread count **never** changes results: parallel builds are
 //! bit-identical to serial ones for every index family.
 //!
@@ -62,9 +63,12 @@
 //! `PtileBuildParams::with_phi_datasets` — see `dds_core::shard`). Each
 //! shard keeps a bounded, generation-tagged cross-call predicate-mask
 //! cache ([`prelude::MaskCache`]); rebuilding a shard invalidates only its
-//! own cache entries. Per-shard value bounding boxes let queries route
-//! past shards that provably cannot match — answer-invisible, on by
-//! default.
+//! own cache entries. Per-shard value bounding boxes and mass-bound
+//! synopses let queries route past shards that provably cannot match —
+//! answer-invisible, on by default ([`prelude::Routing`]). Each engine
+//! operation has one spelling: ingest and lifecycle calls are
+//! `try_*_opts` (typed [`prelude::IngestError`], explicit pool), queries
+//! are `try_query_with` (caller scratch) and `try_query_batch_opts`.
 //!
 //! ## Serving
 //!
@@ -86,8 +90,8 @@
 //!
 //! Fallibility is typed at the core boundary: `dds_core::error` gathers
 //! [`prelude::EngineError`] (query-time: unindexed ranks, schema
-//! dimension mismatches — also available through the panic-free
-//! `try_query*` variants on both engines) and [`prelude::IngestError`]
+//! dimension mismatches — returned, never panicked, by the `try_query*`
+//! paths of both engines) and [`prelude::IngestError`]
 //! (ingest-time: duplicate or malformed shard content) in one module.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -115,7 +119,7 @@ pub mod prelude {
     };
     pub use dds_core::scratch::QueryScratch;
     pub use dds_core::shard::{
-        GlobalId, RebalanceAction, RebalanceConfig, ShardLoad, ShardedEngine, ShardedStats,
+        GlobalId, RebalanceAction, RebalanceConfig, Routing, ShardLoad, ShardedEngine, ShardedStats,
     };
     pub use dds_core::telemetry::{HistogramSnapshot, LatencyHistogram, QueryTrace, SlowQueryLog};
     pub use dds_geom::{Point, Rect};

@@ -107,13 +107,13 @@ proptest! {
             .iter()
             .map(|&(lo, w, a, bw)| mixed_expr(lo, w, a, bw))
             .collect();
-        let sequential: Vec<_> = exprs.iter().map(|e| engine.query(e)).collect();
+        let sequential: Vec<_> = exprs.iter().map(|e| engine.try_query_with(e, &mut QueryScratch::new())).collect();
         // Scratch reuse across a query loop changes nothing.
         let mut scratch = QueryScratch::new();
-        let reused: Vec<_> = exprs.iter().map(|e| engine.query_with(e, &mut scratch)).collect();
+        let reused: Vec<_> = exprs.iter().map(|e| engine.try_query_with(e, &mut scratch)).collect();
         prop_assert_eq!(&reused, &sequential);
         for t in THREADS {
-            let batch = engine.query_batch_opts(&exprs, &BuildOptions::with_threads(t));
+            let batch = engine.try_query_batch_opts(&exprs, &BuildOptions::with_threads(t));
             prop_assert_eq!(&batch, &sequential, "threads = {}", t);
         }
     }
@@ -190,8 +190,11 @@ fn empty_clauses_are_benign_in_sequential_and_batch() {
         PrefBuildParams::exact_centralized(),
         &BuildOptions::serial(),
     );
-    assert_eq!(engine.query(&empty_and), Ok(vec![]));
-    let batch = engine.query_batch_opts(
+    assert_eq!(
+        engine.try_query_with(&empty_and, &mut QueryScratch::new()),
+        Ok(vec![])
+    );
+    let batch = engine.try_query_batch_opts(
         &[empty_and, mixed_expr(0.0, 8.0, 0.2, 0.5), empty_or],
         &BuildOptions::with_threads(3),
     );
@@ -219,7 +222,7 @@ fn batch_counts_each_distinct_predicate_once() {
         .collect();
     for (round, t) in THREADS.into_iter().enumerate() {
         let before = engine.index_queries();
-        let _ = engine.query_batch_opts(&exprs, &BuildOptions::with_threads(t));
+        let _ = engine.try_query_batch_opts(&exprs, &BuildOptions::with_threads(t));
         let expected = if round == 0 { 9 } else { 0 };
         assert_eq!(
             engine.index_queries() - before,
@@ -235,7 +238,7 @@ fn batch_counts_each_distinct_predicate_once() {
     // Invalidation restores the cold-start behaviour without rebuilding.
     engine.mask_cache().invalidate();
     let before = engine.index_queries();
-    let _ = engine.query_batch_opts(&exprs, &BuildOptions::serial());
+    let _ = engine.try_query_batch_opts(&exprs, &BuildOptions::serial());
     assert_eq!(
         engine.index_queries() - before,
         9,
@@ -261,11 +264,14 @@ fn engine_batch_preserves_per_expression_errors() {
     ));
     let bad = LogicalExpr::Pred(Predicate::topk_at_least(vec![1.0], 9, 0.0));
     let exprs = vec![good.clone(), bad.clone(), good, bad];
-    let sequential: Vec<_> = exprs.iter().map(|e| engine.query(e)).collect();
+    let sequential: Vec<_> = exprs
+        .iter()
+        .map(|e| engine.try_query_with(e, &mut QueryScratch::new()))
+        .collect();
     assert!(sequential[1].is_err() && sequential[3].is_err());
     for t in THREADS {
         assert_eq!(
-            engine.query_batch_opts(&exprs, &BuildOptions::with_threads(t)),
+            engine.try_query_batch_opts(&exprs, &BuildOptions::with_threads(t)),
             sequential,
             "threads = {t}"
         );
@@ -288,7 +294,10 @@ fn engine_is_shareable_across_plain_threads() {
     let exprs: Vec<LogicalExpr> = (0..12)
         .map(|i| mixed_expr(-10.0 + 2.0 * i as f64, 15.0, 0.05 * i as f64, 0.3))
         .collect();
-    let expected: Vec<_> = exprs.iter().map(|e| engine.query(e)).collect();
+    let expected: Vec<_> = exprs
+        .iter()
+        .map(|e| engine.try_query_with(e, &mut QueryScratch::new()))
+        .collect();
     let mut joined: Vec<(usize, Vec<Result<Vec<usize>, _>>)> = std::thread::scope(|s| {
         (0..4)
             .map(|worker| {
@@ -298,7 +307,7 @@ fn engine_is_shareable_across_plain_threads() {
                     let mut scratch = QueryScratch::new();
                     let answers = exprs
                         .iter()
-                        .map(|e| engine.query_with(e, &mut scratch))
+                        .map(|e| engine.try_query_with(e, &mut scratch))
                         .collect();
                     (worker, answers)
                 })

@@ -43,7 +43,7 @@ fn word_boundary_universes_answer_exactly() {
             below(n - 1),
             LogicalExpr::Pred(Predicate::topk_at_least(vec![1.0, 0.0], 1, 0.5)),
         ]);
-        let mut hits = e.query(&expr).unwrap();
+        let mut hits = e.try_query_with(&expr, &mut QueryScratch::new()).unwrap();
         hits.sort_unstable();
         let slack_pad = (e.pref_slack(1).unwrap() / (1.0 / n as f64)).ceil() as usize + 1;
         // Exact answer: quality j/n >= 0.5 and j <= n-2.
@@ -69,7 +69,7 @@ fn word_boundary_universes_answer_exactly() {
             )),
             below(1),
         ]);
-        let mut hits = e.query(&expr).unwrap();
+        let mut hits = e.try_query_with(&expr, &mut QueryScratch::new()).unwrap();
         hits.sort_unstable();
         assert_eq!(hits, vec![0, last], "n={n}");
     }
@@ -132,7 +132,7 @@ fn dnf_dedup_still_issues_one_query_per_distinct_predicate() {
         ]),
     ]);
     assert_eq!(e.index_queries(), 0);
-    let hits = e.query(&expr).unwrap();
+    let hits = e.try_query_with(&expr, &mut QueryScratch::new()).unwrap();
     assert_eq!(
         e.index_queries(),
         3,
@@ -144,7 +144,7 @@ fn dnf_dedup_still_issues_one_query_per_distinct_predicate() {
     dedup.dedup();
     assert_eq!(dedup.len(), hits.len());
     // Re-querying keeps counting (memo is per call).
-    let _ = e.query(&expr).unwrap();
+    let _ = e.try_query_with(&expr, &mut QueryScratch::new()).unwrap();
     assert_eq!(e.index_queries(), 6);
 }
 

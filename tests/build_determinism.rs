@@ -115,8 +115,14 @@ fn mixed_engine_builds_identically_twice_under_default_pool() {
         .with_rect_budget(200)
         .with_seed(42);
     let pref = PrefBuildParams::exact_centralized().with_eps(0.05);
-    let a = MixedQueryEngine::build(&repo, &[1, 3], ptile.clone(), pref.clone());
-    let b = MixedQueryEngine::build(&repo, &[1, 3], ptile, pref);
+    let a = MixedQueryEngine::build_opts(
+        &repo,
+        &[1, 3],
+        ptile.clone(),
+        pref.clone(),
+        &BuildOptions::default(),
+    );
+    let b = MixedQueryEngine::build_opts(&repo, &[1, 3], ptile, pref, &BuildOptions::default());
     assert_eq!(a.ptile_slack().to_bits(), b.ptile_slack().to_bits());
     assert_eq!(
         a.pref_slack(3).unwrap().to_bits(),
@@ -134,7 +140,10 @@ fn mixed_engine_builds_identically_twice_under_default_pool() {
             ]),
             LogicalExpr::Pred(Predicate::topk_at_least(vec![0.0, 1.0], 3, 0.9)),
         ]);
-        assert_eq!(a.query(&expr).unwrap(), b.query(&expr).unwrap());
+        assert_eq!(
+            a.try_query_with(&expr, &mut QueryScratch::new()).unwrap(),
+            b.try_query_with(&expr, &mut QueryScratch::new()).unwrap()
+        );
     }
     assert_eq!(a.index_queries(), b.index_queries());
 }

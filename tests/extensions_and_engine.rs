@@ -8,8 +8,10 @@ use common::{mixed_repo, point_sets};
 use dds_core::engine::MixedQueryEngine;
 use dds_core::extensions::{DiversityDatasetIndex, NnDatasetIndex};
 use dds_core::framework::{ground_truth, LogicalExpr, Predicate};
+use dds_core::pool::BuildOptions;
 use dds_core::pref::PrefBuildParams;
 use dds_core::ptile::PtileBuildParams;
+use dds_core::scratch::QueryScratch;
 use dds_geom::{Point, Rect};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -77,11 +79,12 @@ fn diversity_search_recall_at_scale() {
 #[test]
 fn mixed_engine_covers_ground_truth_at_scale() {
     let repo = mixed_repo(40, 300, 1, 621);
-    let engine = MixedQueryEngine::build(
+    let engine = MixedQueryEngine::build_opts(
         &repo,
         &[1, 5],
         PtileBuildParams::exact_centralized(),
         PrefBuildParams::exact_centralized().with_eps(0.05),
+        &BuildOptions::default(),
     );
     let mut rng = StdRng::seed_from_u64(622);
     for _ in 0..10 {
@@ -101,7 +104,9 @@ fn mixed_engine_covers_ground_truth_at_scale() {
             ]),
             LogicalExpr::Pred(Predicate::topk_at_least(vec![1.0], 1, 99.0)),
         ]);
-        let hits = engine.query(&expr).expect("all ranks indexed");
+        let hits = engine
+            .try_query_with(&expr, &mut QueryScratch::new())
+            .expect("all ranks indexed");
         for i in ground_truth(&repo, &expr) {
             assert!(hits.contains(&i), "missed ground-truth dataset {i}");
         }

@@ -77,11 +77,12 @@ fn pref_indexes_through_the_facade() {
 #[test]
 fn mixed_engine_and_synopsis_traits_through_the_facade() {
     let repo = repo();
-    let engine = MixedQueryEngine::build(
+    let engine = MixedQueryEngine::build_opts(
         &repo,
         &[1],
         PtileBuildParams::exact_centralized(),
         PrefBuildParams::exact_centralized().with_eps(0.02),
+        &BuildOptions::default(),
     );
     let expr = LogicalExpr::And(vec![
         LogicalExpr::Pred(Predicate::percentile_at_least(
@@ -90,7 +91,9 @@ fn mixed_engine_and_synopsis_traits_through_the_facade() {
         )),
         LogicalExpr::Pred(Predicate::topk_at_least(vec![1.0, 0.0], 1, 0.5)),
     ]);
-    let hits = engine.query(&expr).expect("rank 1 is indexed");
+    let hits = engine
+        .try_query_with(&expr, &mut QueryScratch::new())
+        .expect("rank 1 is indexed");
     assert!(hits.contains(&0), "census_a has the mass and the quality");
 
     // The synopsis traits are re-exported; calling a trait method through
@@ -117,20 +120,28 @@ fn sharded_engine_through_the_facade() {
         PrefBuildParams::exact_centralized(),
     )
     .with_cache_capacity(64);
+    let mut scratch = QueryScratch::new();
     for shard in spec.shards(3) {
-        svc.add_shard(&Repository::from_point_sets(shard.sets), &shard.global_ids);
+        svc.try_add_shard_opts(
+            &Repository::from_point_sets(shard.sets),
+            &shard.global_ids,
+            &BuildOptions::default(),
+        )
+        .expect("valid ingest");
     }
     assert_eq!((svc.n_shards(), svc.n_datasets()), (3, 9));
     let expr = LogicalExpr::Pred(Predicate::percentile_at_least(
         Rect::interval(0.0, 100.0),
         0.5,
     ));
-    let ids: Vec<GlobalId> = svc.query(&expr).expect("rank 1 is indexed");
+    let ids: Vec<GlobalId> = svc
+        .try_query_with(&expr, &mut scratch)
+        .expect("rank 1 is indexed");
     assert_eq!(ids, (0..9).collect::<Vec<GlobalId>>());
     // The per-shard mask caches saw one miss each; a repeat hits.
     let (h0, m0) = svc.cache_stats();
     assert_eq!((h0, m0), (0, 3));
-    assert_eq!(svc.query(&expr).unwrap().len(), 9);
+    assert_eq!(svc.try_query_with(&expr, &mut scratch).unwrap().len(), 9);
     assert_eq!(svc.cache_stats(), (3, 3));
     // A standalone MaskCache is constructible through the prelude too.
     assert_eq!(MaskCache::new(16).capacity(), 16);
@@ -192,17 +203,18 @@ fn typed_errors_through_the_facade() {
     // arrive via the prelude (backed by `dds_core::error`), and the
     // panic-free `try_query*` paths speak it on both engines.
     let repo = repo(); // 2-d datasets
-    let engine = MixedQueryEngine::build(
+    let engine = MixedQueryEngine::build_opts(
         &repo,
         &[1],
         PtileBuildParams::exact_centralized(),
         PrefBuildParams::exact_centralized(),
+        &BuildOptions::default(),
     );
     let wrong_dim = LogicalExpr::Pred(Predicate::percentile_at_least(
         Rect::interval(0.0, 1.0), // 1-d against the 2-d schema
         0.5,
     ));
-    match engine.try_query(&wrong_dim) {
+    match engine.try_query_with(&wrong_dim, &mut QueryScratch::new()) {
         Err(EngineError::DimensionMismatch { expected, got }) => {
             assert_eq!((expected, got), (2, 1));
         }
@@ -213,9 +225,10 @@ fn typed_errors_through_the_facade() {
         PtileBuildParams::exact_centralized(),
         PrefBuildParams::exact_centralized(),
     );
-    svc.add_shard(&repo, &[0, 1, 2]);
+    svc.try_add_shard_opts(&repo, &[0, 1, 2], &BuildOptions::default())
+        .expect("valid ingest");
     assert!(matches!(
-        svc.try_query(&wrong_dim),
+        svc.try_query_with(&wrong_dim, &mut QueryScratch::new()),
         Err(EngineError::DimensionMismatch {
             expected: 2,
             got: 1
@@ -249,4 +262,89 @@ fn quickstart_docs_scenario_through_the_facade() {
     let mut hits = index.query(&Rect::from_bounds(&[3.0], &[8.0]), 0.2);
     hits.sort_unstable();
     assert_eq!(hits, vec![0, 1]);
+}
+
+#[test]
+fn benchmark_adapter_surface() {
+    // `benchmark/` is a package outside the workspace, so tier-1 cannot see
+    // a rename that stops `benchmark/src/sut.rs` compiling. This pins, with
+    // the same argument shapes, every engine/index spelling that file calls.
+    use distribution_aware_search::core::pool::par_map_with;
+    use distribution_aware_search::geom::EpsNet;
+    use distribution_aware_search::rangetree::{KdTree, OrthoIndex, Region, SortedScores};
+
+    let opts = BuildOptions::default();
+    assert_eq!(BuildOptions::serial().threads, 1);
+    assert_eq!(BuildOptions::with_threads(3).threads, 3);
+    let all = LogicalExpr::Pred(Predicate::percentile_at_least(
+        Rect::interval(0.0, 100.0),
+        0.5,
+    ));
+    let mut scratch = QueryScratch::new();
+
+    // ShardedEngine: ingest, both query paths, the three lifecycle ops.
+    let mut engine = ShardedEngine::new(
+        &[1],
+        PtileBuildParams::exact_centralized(),
+        PrefBuildParams::default(),
+    );
+    let shards = RepoSpec::mixed(6, 40, 1, 0xBE7C).shards(2);
+    let repos: Vec<Repository> = shards
+        .iter()
+        .map(|s| Repository::from_point_sets(s.sets.clone()))
+        .collect();
+    for (shard, repo) in shards.iter().zip(&repos) {
+        engine
+            .try_add_shard_opts(repo, &shard.global_ids, &opts)
+            .expect("generated shards ingest cleanly");
+    }
+    let single = engine.try_query_with(&all, &mut scratch);
+    assert_eq!(single, Ok((0..6).collect::<Vec<GlobalId>>()));
+    let batch = engine.try_query_batch_opts(std::slice::from_ref(&all), &BuildOptions::serial());
+    assert_eq!(batch, vec![single.clone()]);
+    let ids0 = &shards[0].global_ids;
+    assert_eq!(
+        engine.try_rebuild_shard_opts(0, &repos[0], ids0, &opts),
+        Ok(())
+    );
+    assert_eq!(engine.try_split_shard_opts(0, &ids0[..1], &opts), Ok(2));
+    assert_eq!(engine.try_merge_shards_opts(0, 2, &opts), Ok(0));
+    assert_eq!(engine.try_query_with(&all, &mut scratch), single);
+    assert_eq!(engine.shard_loads().len(), engine.n_shards());
+    assert!(engine.ptile_slack() >= 0.0);
+    let stats = engine.stats_snapshot();
+    assert_eq!((stats.n_shards, stats.splits, stats.merges), (2, 1, 1));
+    assert!(engine.telemetry().scatter.count() > 0);
+
+    // MixedQueryEngine, reached the way the adapter reaches it.
+    let shard0 = engine.shard_engine(0);
+    assert!(shard0.pref_slack(1).is_some());
+    shard0.mask_cache().invalidate();
+    let local = shard0.try_query_with(&all, &mut scratch);
+    let local_batch = shard0.try_query_batch_opts(std::slice::from_ref(&all), &opts);
+    assert_eq!(local_batch, vec![local]);
+
+    // The bare indexes and the kernels under them.
+    let synopses = repos[0].exact_synopses();
+    let ptile =
+        PtileRangeIndex::build_opts(&synopses, PtileBuildParams::exact_centralized(), &opts);
+    let everything = Rect::interval(0.0, 100.0);
+    let hits = ptile.query_with(&everything, Interval::new(0.5, 1.0), &mut scratch);
+    assert_eq!(hits.len(), repos[0].len());
+    assert!(ptile.lifted_points() > 0 && ptile.memory_bytes() > 0 && ptile.margin() >= 0.0);
+    let pref = PrefIndex::build_opts(&synopses, 1, PrefBuildParams::default(), &opts);
+    assert_eq!(pref.query(&[1.0], f64::NEG_INFINITY).len(), repos[0].len());
+    assert!(pref.directions() > 0 && pref.memory_bytes() > 0);
+    let doubled = par_map_with(&opts, &[1usize, 2, 3], || (), |(), _, &i| 2 * i);
+    assert_eq!(doubled, vec![2, 4, 6]);
+    let tree = KdTree::build_par(1, vec![vec![0.0], vec![1.0], vec![2.0]], opts.threads);
+    let mut region = Region::all(1);
+    region.set_lo(0, 0.5, false);
+    let mut out = Vec::new();
+    tree.report(&region, &mut out);
+    SortedScores::build(&[0.1, 0.9, 0.5]).report_at_least(0.5, &mut out);
+    out.sort_unstable();
+    // Both kernels report ids {1, 2}, appended to the same buffer.
+    assert_eq!(out, vec![1, 1, 2, 2]);
+    assert_eq!(EpsNet::new(2, 0.1).nearest(&[1.0, 0.0]).1.dim(), 2);
 }

@@ -135,7 +135,7 @@ proptest! {
                 0.5,
             )),
         ]);
-        let serial_hits = engine_serial.query(&expr).unwrap();
+        let serial_hits = engine_serial.try_query_with(&expr, &mut QueryScratch::new()).unwrap();
 
         for t in THREADS {
             let opts = BuildOptions::with_threads(t);
@@ -159,7 +159,7 @@ proptest! {
                 pref_params.clone(),
                 &opts,
             );
-            prop_assert_eq!(engine.query(&expr).unwrap(), serial_hits.clone());
+            prop_assert_eq!(engine.try_query_with(&expr, &mut QueryScratch::new()).unwrap(), serial_hits.clone());
             prop_assert_eq!(
                 engine.ptile_slack().to_bits(),
                 engine_serial.ptile_slack().to_bits()

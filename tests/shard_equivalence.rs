@@ -58,23 +58,24 @@ fn unsharded(sets: &[Vec<f64>]) -> MixedQueryEngine {
 /// A sharded engine over the same datasets: round-robin partition into (at
 /// most) `k` shards, global id = unsharded dataset index.
 fn sharded(sets: &[Vec<f64>], k: usize) -> ShardedEngine {
-    sharded_with_routing(sets, k, true)
+    sharded_with_routing(sets, k, Routing::Full)
 }
 
 /// [`sharded`] with the bounding-box routing fast path switched
 /// explicitly (routing defaults to on; the off position only exists for
 /// the routed ≡ unrouted equivalence pins below).
-fn sharded_with_routing(sets: &[Vec<f64>], k: usize, route: bool) -> ShardedEngine {
+fn sharded_with_routing(sets: &[Vec<f64>], k: usize, routing: Routing) -> ShardedEngine {
     let (ptile, pref) = build_params();
-    let mut svc = ShardedEngine::new(&[1], ptile, pref).with_routing(route);
+    let mut svc = ShardedEngine::new(&[1], ptile, pref).with_routing(routing);
     let k = k.min(sets.len()).max(1);
     for s in 0..k {
         let members: Vec<usize> = (s..sets.len()).step_by(k).collect();
-        svc.add_shard_opts(
+        svc.try_add_shard_opts(
             &Repository::new(members.iter().map(|&i| dataset_1d(i, &sets[i])).collect()),
             &members.iter().map(|&i| i as GlobalId).collect::<Vec<_>>(),
             &BuildOptions::serial(),
-        );
+        )
+        .expect("valid ingest");
     }
     svc
 }
@@ -85,11 +86,13 @@ fn reference(
     engine: &MixedQueryEngine,
     expr: &LogicalExpr,
 ) -> Result<Vec<GlobalId>, dds_core::engine::EngineError> {
-    engine.query(expr).map(|hits| {
-        let mut ids: Vec<GlobalId> = hits.into_iter().map(|j| j as GlobalId).collect();
-        ids.sort_unstable();
-        ids
-    })
+    engine
+        .try_query_with(expr, &mut QueryScratch::new())
+        .map(|hits| {
+            let mut ids: Vec<GlobalId> = hits.into_iter().map(|j| j as GlobalId).collect();
+            ids.sort_unstable();
+            ids
+        })
 }
 
 /// Generated case: 1-d datasets plus query-shape scalars (the same grid
@@ -149,15 +152,15 @@ proptest! {
             prop_assert_eq!(svc.n_datasets(), sets.len());
             // Single-query scatter path (caller scratch reused across shards).
             let mut scratch = QueryScratch::new();
-            let singles: Vec<_> = exprs.iter().map(|e| svc.query_with(e, &mut scratch)).collect();
+            let singles: Vec<_> = exprs.iter().map(|e| svc.try_query_with(e, &mut scratch)).collect();
             prop_assert_eq!(&singles, &expected, "single queries, shards = {}", k);
             for t in THREADS {
-                let batch = svc.query_batch_opts(&exprs, &BuildOptions::with_threads(t));
+                let batch = svc.try_query_batch_opts(&exprs, &BuildOptions::with_threads(t));
                 prop_assert_eq!(&batch, &expected, "shards = {}, threads = {}", k, t);
             }
             // The batches above warmed every shard cache; a repeat batch is
             // answered from cache and must still be bit-identical.
-            let warm = svc.query_batch_opts(&exprs, &BuildOptions::with_threads(2));
+            let warm = svc.try_query_batch_opts(&exprs, &BuildOptions::with_threads(2));
             prop_assert_eq!(&warm, &expected, "warm-cache repeat, shards = {}", k);
         }
     }
@@ -177,18 +180,18 @@ proptest! {
             .collect();
         for k in [1usize, 2, 3] {
             let routed = sharded(&sets, k);
-            let unrouted = sharded_with_routing(&sets, k, false);
+            let unrouted = sharded_with_routing(&sets, k, Routing::Off);
             let mut scratch = QueryScratch::new();
             for e in &exprs {
                 prop_assert_eq!(
-                    routed.query_with(e, &mut scratch),
-                    unrouted.query_with(e, &mut scratch),
+                    routed.try_query_with(e, &mut scratch),
+                    unrouted.try_query_with(e, &mut scratch),
                     "single query, shards = {}", k
                 );
             }
             prop_assert_eq!(
-                routed.query_batch_opts(&exprs, &BuildOptions::with_threads(2)),
-                unrouted.query_batch_opts(&exprs, &BuildOptions::with_threads(2)),
+                routed.try_query_batch_opts(&exprs, &BuildOptions::with_threads(2)),
+                unrouted.try_query_batch_opts(&exprs, &BuildOptions::with_threads(2)),
                 "batch, shards = {}", k
             );
             prop_assert_eq!(unrouted.shards_routed_past(), 0);
@@ -219,8 +222,8 @@ proptest! {
             Rect::interval(-1e6, 1e6),
             0.0,
         ));
-        let _ = svc.query_batch_opts(&exprs, &BuildOptions::with_threads(2));
-        let _ = svc.query(&probe);
+        let _ = svc.try_query_batch_opts(&exprs, &BuildOptions::with_threads(2));
+        let _ = svc.try_query_with(&probe, &mut QueryScratch::new());
         let (_, misses_before) = svc.cache_stats();
         // Shard 0 (datasets 0, 2, 4, …) re-lands with every value shifted.
         let members: Vec<usize> = (0..sets.len()).step_by(k).collect();
@@ -229,22 +232,22 @@ proptest! {
                 *x += shift;
             }
         }
-        svc.rebuild_shard_opts(
+        svc.try_rebuild_shard_opts(
             0,
             &Repository::new(members.iter().map(|&i| dataset_1d(i, &sets[i])).collect()),
             &members.iter().map(|&i| i as GlobalId).collect::<Vec<_>>(),
             &BuildOptions::serial(),
-        );
+        ).expect("valid rebuild");
         let updated_reference = unsharded(&sets);
         let expected: Vec<_> = exprs.iter().map(|e| reference(&updated_reference, e)).collect();
         for t in THREADS {
-            let requeried = svc.query_batch_opts(&exprs, &BuildOptions::with_threads(t));
+            let requeried = svc.try_query_batch_opts(&exprs, &BuildOptions::with_threads(t));
             prop_assert_eq!(&requeried, &expected, "threads = {}", t);
         }
         // The probe could not have been served from its warm pre-rebuild
         // mask: the rebuilt shard's cache was invalidated, so it
         // recomputes (misses advance) while shard 1 keeps hitting.
-        let _ = svc.query(&probe);
+        let _ = svc.try_query_with(&probe, &mut QueryScratch::new());
         let (_, misses_after) = svc.cache_stats();
         prop_assert!(misses_after > misses_before, "rebuild must invalidate");
     }
@@ -306,16 +309,17 @@ fn sampled_builds_match_unsharded_across_shard_counts() {
         let mut svc = ShardedEngine::new(&[1], ptile.clone(), pref.clone());
         for s in 0..k.min(n) {
             let members: Vec<usize> = (s..n).step_by(k.min(n)).collect();
-            svc.add_shard_opts(
+            svc.try_add_shard_opts(
                 &Repository::new(members.iter().map(|&i| dataset_1d(i, &sets[i])).collect()),
                 &members.iter().map(|&i| i as GlobalId).collect::<Vec<_>>(),
                 &BuildOptions::serial(),
-            );
+            )
+            .expect("valid ingest");
         }
         assert!(svc.ptile_slack() > 0.0, "shards sample too (k = {k})");
         for t in THREADS {
             assert_eq!(
-                svc.query_batch_opts(&exprs, &BuildOptions::with_threads(t)),
+                svc.try_query_batch_opts(&exprs, &BuildOptions::with_threads(t)),
                 expected,
                 "sampled equivalence, shards = {k}, threads = {t}"
             );
@@ -332,16 +336,18 @@ fn routing_skips_value_separated_shards_and_spares_their_caches() {
     // Shard s holds datasets living in [100s, 100s + 20]: disjoint boxes.
     let (ptile, pref) = build_params();
     let mut svc = ShardedEngine::new(&[1], ptile, pref);
+    let mut scratch = QueryScratch::new();
     for s in 0..3usize {
         let base = 100.0 * s as f64;
-        svc.add_shard_opts(
+        svc.try_add_shard_opts(
             &Repository::new(vec![
                 dataset_1d(2 * s, &[base, base + 10.0]),
                 dataset_1d(2 * s + 1, &[base + 15.0, base + 20.0]),
             ]),
             &[2 * s as GlobalId, 2 * s as GlobalId + 1],
             &BuildOptions::serial(),
-        );
+        )
+        .expect("valid ingest");
     }
     // One narrow query per shard band: each consults exactly one shard.
     for s in 0..3usize {
@@ -351,7 +357,7 @@ fn routing_skips_value_separated_shards_and_spares_their_caches() {
             0.9,
         ));
         assert_eq!(
-            svc.query(&expr),
+            svc.try_query_with(&expr, &mut scratch),
             Ok(vec![2 * s as GlobalId, 2 * s as GlobalId + 1]),
             "band {s}"
         );
@@ -368,7 +374,7 @@ fn routing_skips_value_separated_shards_and_spares_their_caches() {
         Rect::interval(900.0, 950.0),
         0.5,
     ));
-    assert_eq!(svc.query(&far), Ok(vec![]));
+    assert_eq!(svc.try_query_with(&far, &mut scratch), Ok(vec![]));
     assert_eq!(svc.shards_routed_past(), 9);
 }
 
@@ -383,7 +389,7 @@ fn engine_with_layout(
 ) -> ShardedEngine {
     let mut svc = ShardedEngine::new(&[1], ptile.clone(), pref.clone());
     for ids in layout {
-        svc.add_shard_opts(
+        svc.try_add_shard_opts(
             &Repository::new(
                 ids.iter()
                     .map(|&i| dataset_1d(i as usize, &sets[i as usize]))
@@ -391,7 +397,8 @@ fn engine_with_layout(
             ),
             ids,
             &BuildOptions::serial(),
-        );
+        )
+        .expect("valid ingest");
     }
     svc
 }
@@ -423,13 +430,13 @@ proptest! {
                 let mut ids = svc.global_ids(s).to_vec();
                 ids.sort_unstable();
                 let move_ids = ids.split_off(ids.len() / 2);
-                let born = svc.split_shard_opts(s, &move_ids, &BuildOptions::serial());
+                let born = svc.try_split_shard_opts(s, &move_ids, &BuildOptions::serial()).expect("valid split");
                 prop_assert_eq!(born, svc.n_shards() - 1, "the new shard lands last");
             }
             // Merge the outermost pair, naming the higher index first —
             // the merged result must not depend on argument order.
             if svc.n_shards() >= 2 {
-                let survivor = svc.merge_shards_opts(svc.n_shards() - 1, 0, &BuildOptions::serial());
+                let survivor = svc.try_merge_shards_opts(svc.n_shards() - 1, 0, &BuildOptions::serial()).expect("valid merge");
                 prop_assert_eq!(survivor, 0, "the merged shard lands at min(a, b)");
             }
             prop_assert_eq!(svc.n_datasets(), sets.len(), "transitions conserve the catalog");
@@ -439,13 +446,13 @@ proptest! {
             let fresh = engine_with_layout(&sets, &layout, &ptile, &pref);
             for t in [1usize, 4] {
                 let opts = BuildOptions::with_threads(t);
-                let churned = svc.query_batch_opts(&exprs, &opts);
+                let churned = svc.try_query_batch_opts(&exprs, &opts);
                 prop_assert_eq!(
                     &churned, &expected,
                     "transitioned vs unsharded, shards = {}, threads = {}", k, t
                 );
                 prop_assert_eq!(
-                    &churned, &fresh.query_batch_opts(&exprs, &opts),
+                    &churned, &fresh.try_query_batch_opts(&exprs, &opts),
                     "transitioned vs rebuilt-from-scratch, shards = {}, threads = {}", k, t
                 );
             }
@@ -511,23 +518,23 @@ proptest! {
                 let mut ids = svc.global_ids(s).to_vec();
                 ids.sort_unstable();
                 let move_ids = ids.split_off(ids.len() / 2);
-                svc.split_shard_opts(s, &move_ids, &BuildOptions::serial());
+                svc.try_split_shard_opts(s, &move_ids, &BuildOptions::serial()).expect("valid split");
             }
             if svc.n_shards() >= 2 {
-                svc.merge_shards_opts(svc.n_shards() - 1, 0, &BuildOptions::serial());
+                svc.try_merge_shards_opts(svc.n_shards() - 1, 0, &BuildOptions::serial()).expect("valid merge");
             }
             let layout: Vec<Vec<GlobalId>> =
                 (0..svc.n_shards()).map(|s| svc.global_ids(s).to_vec()).collect();
             let fresh = engine_with_layout(&sets, &layout, &ptile, &pref);
             for t in [1usize, 4] {
                 let opts = BuildOptions::with_threads(t);
-                let churned = svc.query_batch_opts(&exprs, &opts);
+                let churned = svc.try_query_batch_opts(&exprs, &opts);
                 prop_assert_eq!(
                     &churned, &expected,
                     "sampled transition vs unsharded, shards = {}, threads = {}", k, t
                 );
                 prop_assert_eq!(
-                    &churned, &fresh.query_batch_opts(&exprs, &opts),
+                    &churned, &fresh.try_query_batch_opts(&exprs, &opts),
                     "sampled transition vs rebuilt, shards = {}, threads = {}", k, t
                 );
             }
@@ -584,7 +591,8 @@ fn churn_soak_stays_byte_identical_to_unsharded_reference() {
                     let j = rng.gen_range(i..ids.len());
                     ids.swap(i, j);
                 }
-                svc.split_shard_opts(s, &ids[..m], &BuildOptions::serial());
+                svc.try_split_shard_opts(s, &ids[..m], &BuildOptions::serial())
+                    .expect("valid split");
                 let after = generations(&svc);
                 // Only the split shard's (carried) cache was invalidated;
                 // the new shard starts with an empty cache.
@@ -607,7 +615,9 @@ fn churn_soak_stays_byte_identical_to_unsharded_reference() {
             let a = rng.gen_range(0..svc.n_shards());
             let b = (a + 1 + rng.gen_range(0..svc.n_shards() - 1)) % svc.n_shards();
             let (lo, hi) = (a.min(b), a.max(b));
-            let survivor = svc.merge_shards_opts(a, b, &BuildOptions::serial());
+            let survivor = svc
+                .try_merge_shards_opts(a, b, &BuildOptions::serial())
+                .expect("valid merge");
             assert_eq!(survivor, lo, "step {step}: survivor is min(a, b)");
             let after = generations(&svc);
             // Survivor bumped; every other shard's cache untouched
@@ -631,7 +641,7 @@ fn churn_soak_stays_byte_identical_to_unsharded_reference() {
                     *x += 1.0;
                 }
             }
-            svc.rebuild_shard_opts(
+            svc.try_rebuild_shard_opts(
                 s,
                 &Repository::new(
                     ids.iter()
@@ -640,7 +650,8 @@ fn churn_soak_stays_byte_identical_to_unsharded_reference() {
                 ),
                 &ids,
                 &BuildOptions::serial(),
-            );
+            )
+            .expect("valid rebuild");
             reference_engine = unsharded(&sets);
             let after = generations(&svc);
             for i in 0..before.len() {
@@ -661,10 +672,10 @@ fn churn_soak_stays_byte_identical_to_unsharded_reference() {
                 .iter()
                 .map(|e| reference(&reference_engine, e))
                 .collect();
-            let got = svc.query_batch_opts(&exprs, &opts);
+            let got = svc.try_query_batch_opts(&exprs, &opts);
             assert_eq!(got, expected, "step {step}: churned ≡ unsharded");
             let warm_index_queries = svc.index_queries();
-            let repeat = svc.query_batch_opts(&exprs, &opts);
+            let repeat = svc.try_query_batch_opts(&exprs, &opts);
             assert_eq!(repeat, expected, "step {step}: warm repeat identical");
             assert_eq!(
                 svc.index_queries(),
@@ -704,7 +715,7 @@ fn churn_soak_stays_byte_identical_to_unsharded_reference() {
         0.9,
     ));
     assert_eq!(
-        svc.query(&narrow),
+        svc.try_query_with(&narrow, &mut QueryScratch::new()),
         reference(&reference_engine, &narrow),
         "post-churn selective query must match the unsharded reference"
     );
@@ -717,18 +728,17 @@ fn sharded_from_spec(
     spec: &dds_workload::RepoSpec,
     k: usize,
     ptile: &PtileBuildParams,
-    route: bool,
-    synopsis: bool,
+    routing: Routing,
 ) -> ShardedEngine {
     let mut svc = ShardedEngine::new(&[1], ptile.clone(), PrefBuildParams::exact_centralized())
-        .with_routing(route)
-        .with_synopsis_routing(synopsis);
+        .with_routing(routing);
     for shard in spec.shards(k) {
-        svc.add_shard_opts(
+        svc.try_add_shard_opts(
             &Repository::from_point_sets(shard.sets),
             &shard.global_ids,
             &BuildOptions::serial(),
-        );
+        )
+        .expect("valid ingest");
     }
     svc
 }
@@ -752,30 +762,30 @@ proptest! {
         ];
         for (p, ptile) in params.iter().enumerate() {
             for k in [2usize, 3, 8] {
-                let full = sharded_from_spec(&spec, k, ptile, true, true);
-                let box_only = sharded_from_spec(&spec, k, ptile, true, false);
-                let unrouted = sharded_from_spec(&spec, k, ptile, false, false);
+                let full = sharded_from_spec(&spec, k, ptile, Routing::Full);
+                let box_only = sharded_from_spec(&spec, k, ptile, Routing::BoxOnly);
+                let unrouted = sharded_from_spec(&spec, k, ptile, Routing::Off);
                 let mut scratch = QueryScratch::new();
                 for (i, e) in exprs.iter().enumerate() {
-                    let want = unrouted.query_with(e, &mut scratch);
+                    let want = unrouted.try_query_with(e, &mut scratch);
                     prop_assert_eq!(
-                        full.query_with(e, &mut scratch), want.clone(),
+                        full.try_query_with(e, &mut scratch), want.clone(),
                         "full vs unrouted, params {}, shards {}, expr {}", p, k, i
                     );
                     prop_assert_eq!(
-                        box_only.query_with(e, &mut scratch), want,
+                        box_only.try_query_with(e, &mut scratch), want,
                         "box-only vs unrouted, params {}, shards {}, expr {}", p, k, i
                     );
                 }
                 for t in [1usize, 4] {
                     let opts = BuildOptions::with_threads(t);
-                    let want = unrouted.query_batch_opts(&exprs, &opts);
+                    let want = unrouted.try_query_batch_opts(&exprs, &opts);
                     prop_assert_eq!(
-                        full.query_batch_opts(&exprs, &opts), want.clone(),
+                        full.try_query_batch_opts(&exprs, &opts), want.clone(),
                         "full batch, params {}, shards {}, threads {}", p, k, t
                     );
                     prop_assert_eq!(
-                        box_only.query_batch_opts(&exprs, &opts), want,
+                        box_only.try_query_batch_opts(&exprs, &opts), want,
                         "box-only batch, params {}, shards {}, threads {}", p, k, t
                     );
                 }
@@ -798,8 +808,8 @@ fn selective_streams_engage_the_synopsis_tier() {
     let spec = dds_workload::RepoSpec::mixed(n, 60, 1, 0xE18);
     let exprs = dds_workload::RequestStreamSpec::selective(18, 0xE18).exprs(&spec);
     let ptile = PtileBuildParams::exact_centralized();
-    let svc = sharded_from_spec(&spec, 8, &ptile, true, true);
-    let _ = svc.query_batch_opts(&exprs, &BuildOptions::serial());
+    let svc = sharded_from_spec(&spec, 8, &ptile, Routing::Full);
+    let _ = svc.try_query_batch_opts(&exprs, &BuildOptions::serial());
     assert!(
         svc.shards_routed_by_synopsis() > 0,
         "narrow interior windows must trip the mass bound"
@@ -825,13 +835,15 @@ fn mask_cache_stays_within_capacity_bound() {
     // against the capacity bound, so no scatter unit may be skipped.
     let mut svc = ShardedEngine::new(&[1], ptile, pref)
         .with_cache_capacity(4)
-        .with_routing(false);
+        .with_routing(Routing::Off);
     for s in 0..2 {
         let members: Vec<usize> = (s..sets.len()).step_by(2).collect();
-        svc.add_shard(
+        svc.try_add_shard_opts(
             &Repository::new(members.iter().map(|&i| dataset_1d(i, &sets[i])).collect()),
             &members.iter().map(|&i| i as GlobalId).collect::<Vec<_>>(),
-        );
+            &BuildOptions::default(),
+        )
+        .expect("valid ingest");
     }
     let reference_engine = unsharded(&sets);
     // 30 distinct percentile predicates stream through a 4-slot cache.
@@ -844,7 +856,7 @@ fn mask_cache_stays_within_capacity_bound() {
         })
         .collect();
     for round in 0..3 {
-        let got = svc.query_batch_opts(&exprs, &BuildOptions::with_threads(2));
+        let got = svc.try_query_batch_opts(&exprs, &BuildOptions::with_threads(2));
         let expected: Vec<_> = exprs
             .iter()
             .map(|e| reference(&reference_engine, e))
