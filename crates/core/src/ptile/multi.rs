@@ -28,7 +28,8 @@ use rand::SeedableRng;
 
 /// Per-dataset build output: the lifted `m`-tuples and the achieved budget.
 struct TuplePart {
-    lifted: Vec<Vec<f64>>,
+    /// Lifted tuples, row-major (`4md + 2m` coordinates each).
+    lifted: Vec<f64>,
     eps_i: f64,
     c_i: f64,
 }
@@ -73,9 +74,9 @@ pub struct PtileMultiIndex {
     delta: f64,
     /// `max_i (ε_i + δ_i)` over the tuple structure's coresets.
     max_combined: f64,
-    /// Lifted tuples in `R^{4md+2m}` (per-slot weights `w±`).
+    /// Lifted tuples in `R^{4md+2m}` (per-slot weights `w±`), each labelled
+    /// with its dataset.
     tree: KdTree,
-    owner: Vec<u32>,
     /// Single-predicate fallback for degenerate bands.
     fallback: PtileRangeIndex,
 }
@@ -181,18 +182,16 @@ impl PtileMultiIndex {
             })
             .collect();
         // Odometer over m slots.
-        let mut lifted = Vec::with_capacity(blocks.len().pow(m as u32));
+        let mut lifted = Vec::with_capacity(blocks.len().pow(m as u32) * (4 * m * dim + 2 * m));
         let mut idx = vec![0usize; m];
         loop {
-            let mut coords = Vec::with_capacity(4 * m * dim + 2 * m);
             for &s in &idx {
-                coords.extend_from_slice(&blocks[s].0);
+                lifted.extend_from_slice(&blocks[s].0);
             }
             for &s in &idx {
-                coords.push(blocks[s].1 + c_i);
-                coords.push(blocks[s].1 - c_i);
+                lifted.push(blocks[s].1 + c_i);
+                lifted.push(blocks[s].1 - c_i);
             }
-            lifted.push(coords);
             let mut slot = 0;
             loop {
                 if slot == m {
@@ -222,17 +221,21 @@ impl PtileMultiIndex {
         threads: usize,
     ) -> Self {
         let n = parts.len();
-        let mut lifted: Vec<Vec<f64>> = Vec::new();
+        let lifted_dim = 4 * m * dim + 2 * m;
+        let mut lifted: Vec<f64> = Vec::new();
         let mut owner: Vec<u32> = Vec::new();
         let mut eps_max: f64 = 0.0;
         let mut max_combined: f64 = 0.0;
         for (i, mut part) in parts.into_iter().enumerate() {
             eps_max = eps_max.max(part.eps_i);
             max_combined = max_combined.max(part.c_i);
-            owner.extend(std::iter::repeat_n(i as u32, part.lifted.len()));
+            owner.extend(std::iter::repeat_n(
+                i as u32,
+                part.lifted.len() / lifted_dim,
+            ));
             lifted.append(&mut part.lifted);
         }
-        let tree = KdTree::build_par(4 * m * dim + 2 * m, lifted, threads);
+        let tree = KdTree::build_labeled(lifted_dim, lifted, owner, threads);
         PtileMultiIndex {
             dim,
             m,
@@ -241,7 +244,6 @@ impl PtileMultiIndex {
             delta,
             max_combined,
             tree,
-            owner,
             fallback,
         }
     }
@@ -280,12 +282,12 @@ impl PtileMultiIndex {
 
     /// Number of lifted tuple points.
     pub fn lifted_points(&self) -> usize {
-        self.owner.len()
+        self.tree.len()
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Heap footprint in bytes: the tuple tree plus the fallback index.
     pub fn memory_bytes(&self) -> usize {
-        self.tree.memory_bytes() + self.owner.len() * 4 + self.fallback.memory_bytes()
+        self.tree.memory_bytes() + self.fallback.memory_bytes()
     }
 
     /// Answers a conjunction of up to `m` percentile range predicates.
@@ -322,9 +324,7 @@ impl PtileMultiIndex {
         } = scratch;
         self.orthant_into(preds, region);
         let mut out = Vec::new();
-        let owner = &self.owner;
-        self.tree.report_while(region, &mut |q| {
-            let j = owner[q] as usize;
+        self.tree.report_while(region, &mut |j| {
             if reported.insert(j) {
                 out.push(j);
             }

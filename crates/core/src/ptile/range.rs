@@ -48,9 +48,10 @@ use rand::SeedableRng;
 /// dataset (own RNG stream), so datasets can build on worker threads in any
 /// order and merge back deterministically.
 struct RangePart {
-    lifted: Vec<Vec<f64>>,
-    /// `slabs[h]` = `(lo, hi, ε_i + δ_i)` triples for dimension `h`.
-    slabs: Vec<Vec<Vec<f64>>>,
+    /// Lifted pairs, row-major (`4d + 2` coordinates each).
+    lifted: Vec<f64>,
+    /// `slabs[h]` = row-major `(lo, hi, ε_i + δ_i)` triples for dimension `h`.
+    slabs: Vec<Vec<f64>>,
     eps_i: f64,
     delta_i: f64,
     /// Per-axis sorted weight-sample coordinates, feeding the build-wide
@@ -88,13 +89,12 @@ pub struct PtileRangeIndex {
     /// Per-dataset combined budget `ε_i + δ_i`.
     combined: Vec<f64>,
     max_combined: f64,
-    /// Lifted pairs in `R^{4d+2}`: `(ρ⁻, ρ̂⁻, ρ⁺, ρ̂⁺, w⁺, w⁻)`.
+    /// Lifted pairs in `R^{4d+2}`: `(ρ⁻, ρ̂⁻, ρ⁺, ρ̂⁺, w⁺, w⁻)`, each
+    /// labelled with its dataset — a hit *is* the dataset index.
     tree: KdTree,
-    groups: Vec<Vec<usize>>,
-    owner: Vec<u32>,
-    /// Per dimension: empty-slab triples `(c_j, c_{j+1}, ε_i + δ_i)`.
+    /// Per dimension: empty-slab triples `(c_j, c_{j+1}, ε_i + δ_i)`,
+    /// labelled likewise.
     aux: Vec<KdTree>,
-    aux_owner: Vec<Vec<u32>>,
     /// Mass-bound synopsis over the weight samples, for the shard routing
     /// fast path; `None` when a sample coordinate was `NaN`.
     routing: Option<RoutingSynopsis>,
@@ -188,22 +188,20 @@ impl PtileRangeIndex {
         let c_i = eps_i + delta_i;
         let rects = cs.grid.enumerate_rects();
         let weights = rect_weights(&cs.sample, &rects);
-        let mut lifted = Vec::with_capacity(rects.len());
+        let mut lifted = Vec::with_capacity(rects.len() * (4 * dim + 2));
         for (rect, w) in rects.iter().zip(weights) {
             let hat = cs.grid.one_step_expansion(rect);
-            let mut coords = Vec::with_capacity(4 * dim + 2);
-            coords.extend_from_slice(rect.lo());
-            coords.extend_from_slice(hat.lo());
-            coords.extend_from_slice(rect.hi());
-            coords.extend_from_slice(hat.hi());
-            coords.push(w + c_i);
-            coords.push(w - c_i);
-            lifted.push(coords);
+            lifted.extend_from_slice(rect.lo());
+            lifted.extend_from_slice(hat.lo());
+            lifted.extend_from_slice(rect.hi());
+            lifted.extend_from_slice(hat.hi());
+            lifted.push(w + c_i);
+            lifted.push(w - c_i);
         }
         let mut slabs = vec![Vec::new(); dim];
         for (h, slabs_h) in slabs.iter_mut().enumerate() {
             for (lo, hi) in cs.grid.empty_slabs(h) {
-                slabs_h.push(vec![lo, hi, c_i]);
+                slabs_h.extend_from_slice(&[lo, hi, c_i]);
             }
         }
         let axes = sorted_sample_axes(dim, &cs.sample);
@@ -217,14 +215,14 @@ impl PtileRangeIndex {
     }
 
     /// Deterministic merge: parts are concatenated in dataset order, so the
-    /// lifted array, owner table and aux structures match the serial build
-    /// exactly regardless of which worker produced which part.
+    /// lifted array, its dataset labels and the aux structures match the
+    /// serial build exactly regardless of which worker produced which part.
     fn from_parts(dim: usize, parts: Vec<RangePart>, threads: usize) -> Self {
         let n = parts.len();
-        let mut lifted: Vec<Vec<f64>> = Vec::new();
+        let lifted_dim = 4 * dim + 2;
+        let mut lifted: Vec<f64> = Vec::new();
         let mut owner: Vec<u32> = Vec::new();
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut aux_points: Vec<Vec<Vec<f64>>> = vec![Vec::new(); dim];
+        let mut aux_points: Vec<Vec<f64>> = vec![Vec::new(); dim];
         let mut aux_owner: Vec<Vec<u32>> = vec![Vec::new(); dim];
         let mut combined: Vec<f64> = Vec::with_capacity(n);
         let mut eps_max: f64 = 0.0;
@@ -235,18 +233,21 @@ impl PtileRangeIndex {
             eps_max = eps_max.max(part.eps_i);
             delta_max = delta_max.max(part.delta_i);
             combined.push(part.eps_i + part.delta_i);
-            groups[i].extend(lifted.len()..lifted.len() + part.lifted.len());
-            owner.extend(std::iter::repeat_n(i as u32, part.lifted.len()));
+            owner.extend(std::iter::repeat_n(
+                i as u32,
+                part.lifted.len() / lifted_dim,
+            ));
             lifted.append(&mut part.lifted);
             for (h, mut slabs_h) in part.slabs.drain(..).enumerate() {
-                aux_owner[h].extend(std::iter::repeat_n(i as u32, slabs_h.len()));
+                aux_owner[h].extend(std::iter::repeat_n(i as u32, slabs_h.len() / 3));
                 aux_points[h].append(&mut slabs_h);
             }
         }
-        let tree = KdTree::build_par(4 * dim + 2, lifted, threads);
+        let tree = KdTree::build_labeled(lifted_dim, lifted, owner, threads);
         let aux = aux_points
             .into_iter()
-            .map(|pts| KdTree::build_par(3, pts, threads))
+            .zip(aux_owner)
+            .map(|(pts, owner)| KdTree::build_labeled(3, pts, owner, threads))
             .collect();
         let max_combined = combined.iter().fold(0.0f64, |a, &b| a.max(b));
         let routing = RoutingSynopsis::from_sorted_samples(dim, &sample_axes);
@@ -258,10 +259,7 @@ impl PtileRangeIndex {
             combined,
             max_combined,
             tree,
-            groups,
-            owner,
             aux,
-            aux_owner,
             routing,
         }
     }
@@ -313,16 +311,16 @@ impl PtileRangeIndex {
 
     /// Number of lifted pair points.
     pub fn lifted_points(&self) -> usize {
-        self.owner.len()
+        self.tree.len()
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Heap footprint in bytes of the search structures: the lifted tree,
+    /// the aux trees (arena, coordinates and labels each) and the
+    /// per-dataset budgets.
     pub fn memory_bytes(&self) -> usize {
         self.tree.memory_bytes()
             + self.aux.iter().map(KdTree::memory_bytes).sum::<usize>()
-            + self.owner.len() * 4
             + self.combined.len() * 8
-            + self.groups.iter().map(|g| g.len() * 8 + 24).sum::<usize>()
     }
 
     /// Answers `Π = Pred_{M_R, θ}` for a general interval θ (Algorithm 4).
@@ -364,9 +362,7 @@ impl PtileRangeIndex {
             ..
         } = scratch;
         self.orthant_into(r, theta, region);
-        let owner = &self.owner;
-        self.tree.report_while(region, &mut |q| {
-            let j = owner[q] as usize;
+        self.tree.report_while(region, &mut |j| {
             if reported.insert(j) {
                 f(j);
             }
@@ -382,8 +378,7 @@ impl PtileRangeIndex {
                 region.set_lo(2, theta.lo, false);
                 hits.clear();
                 self.aux[h].report(region, hits);
-                for &id in hits.iter() {
-                    let j = self.aux_owner[h][id] as usize;
+                for &j in hits.iter() {
                     if reported.insert(j) {
                         f(j);
                     }

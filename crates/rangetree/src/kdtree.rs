@@ -1,15 +1,55 @@
-//! Bounding-box kd-tree with per-subtree alive counts.
+//! Frozen, flat, tree-ordered bounding-box kd-tree.
 //!
 //! This is the default backend behind the paper's `DRangeTreeConstruct` /
-//! `Report` / `ReportFirst` interface (Section 2). Points live in a
-//! reordered contiguous array; every node covers a contiguous range and
-//! stores its bounding box plus the number of *alive* points below it, so
-//! `ReportFirst` can skip exhausted subtrees in `O(1)` and deletions are
-//! `O(depth)` count updates along the leaf-to-root path. The query loops of
-//! Algorithms 2 and 4 use the single-pass `report_while` traversal (each
-//! node visited once per query); the tombstone machinery serves the eager
-//! Algorithm-2 variant, the dynamic wrapper and the ablations.
+//! `Report` / `ReportFirst` interface (Section 2), laid out for the one
+//! thing the served indexes do with it: `report_while` over a structure that
+//! never changes after the build.
+//!
+//! # Layout
+//!
+//! Three flat arrays, nothing else on the read path:
+//!
+//! * **`arena`** — one record per node, nodes in DFS preorder. A record is
+//!   `⌈dim / 6⌉` 64-byte, 64-byte-aligned [`Line`]s; a line holds the node
+//!   header (`start, end, left, right`, in the record's first line) and six
+//!   dimensions of the node's bounding box as `f32`. For the served Ptile
+//!   index (`4d + 2 = 6` lifted dimensions) a node is exactly one cache
+//!   line, so visiting a node is one memory access.
+//! * **`coords`** — the exact `f64` points, row-major, in tree order: every
+//!   node covers the contiguous range `start..end`.
+//! * **`labels`** — one `u32` per point, in tree order. A hit reports
+//!   `labels[pos]`; by default that is the point's input index (the id the
+//!   [`OrthoIndex`] contract promises), and [`KdTree::build_labeled`] lets a
+//!   caller store what it would otherwise look up from that id (the Ptile
+//!   indexes store the owning dataset).
+//!
+//! # Why `f32` boxes are sound
+//!
+//! Node boxes are rounded **outward**: `lo` down, `hi` up, to the nearest
+//! `f32` on that side, so the stored box is a superset of the true one. Each
+//! node is classified once against the query region: *disjoint* (prune),
+//! *contained* (report the whole range unchecked) or *partial* (descend; at
+//! a leaf, test points). If the superset box is disjoint from the region so
+//! is the true box, and if the superset box lies inside the region so does
+//! the true box — a wider box can only prune or accept **less**, never
+//! wrongly. Whatever is neither falls through to partial leaves, which test
+//! the exact `f64` coordinates. Answers and their DFS order are therefore
+//! bit-identical to a tree with exact boxes; what `f32` costs is pruning
+//! power, and only for coordinates that need more than 24 significant bits
+//! *and* a query bound that falls inside the rounding gap (±1e300 rounds to
+//! `f32::MAX` / ∞ and prunes like an unbounded facet).
+//!
+//! # Tombstones
+//!
+//! The eager Algorithm-2 loop, [`crate::LogStructured`] and the ablations
+//! delete and restore points ([`DeletableIndex`]). Their bookkeeping (alive
+//! flags, label → position, leaf of a position, parent links, per-node alive
+//! counts) lives in a side table that is **allocated by the first `delete`**
+//! and kept from then on; a tree that is never deleted from carries no such
+//! arrays and its queries never look for them. Deleting is by label, so it
+//! needs the default labels (or any permutation of `0..len`).
 
+use crate::region::Overlap;
 use crate::{BuildableIndex, DeletableIndex, OrthoIndex, Region};
 
 const LEAF_SIZE: usize = 8;
@@ -17,82 +57,206 @@ const NONE: u32 = u32::MAX;
 /// Subtrees smaller than this are built on the current thread: below a few
 /// thousand points the spawn/join cost exceeds the partitioning work.
 const PAR_BUILD_THRESHOLD: usize = 4096;
+/// Box dimensions stored per arena line.
+const LINE_DIMS: usize = 6;
+/// Traversal stack slots. Median splits halve a range of fewer than 2³²
+/// points down to `LEAF_SIZE` in at most 29 levels, and a DFS holds one
+/// pending sibling per level.
+const STACK_SLOTS: usize = 40;
 
-#[derive(Clone, Debug)]
-struct Node {
-    lo: Box<[f64]>,
-    hi: Box<[f64]>,
+/// One cache line of a node record: the header (meaningful in the record's
+/// first line only) and `LINE_DIMS` dimensions of the outward-rounded box.
+#[repr(C, align(64))]
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Line {
     start: u32,
     end: u32,
     left: u32,
     right: u32,
-    parent: u32,
-    alive: u32,
+    lo: [f32; LINE_DIMS],
+    hi: [f32; LINE_DIMS],
 }
 
-impl Node {
-    #[inline]
-    fn is_leaf(&self) -> bool {
-        self.left == NONE
+const _: () = assert!(std::mem::size_of::<Line>() == 64);
+
+/// Largest `f32` not above `x`.
+fn round_down(x: f64) -> f32 {
+    let f = x as f32;
+    if f64::from(f) > x {
+        f.next_down()
+    } else {
+        f
     }
 }
 
-/// A kd-tree over points in `R^D` with tombstone deletion.
+/// Smallest `f32` not below `x`.
+fn round_up(x: f64) -> f32 {
+    let f = x as f32;
+    if f64::from(f) < x {
+        f.next_up()
+    } else {
+        f
+    }
+}
+
+/// Deletion bookkeeping, built by the first `delete`.
 #[derive(Clone, Debug)]
-pub struct KdTree {
-    dim: usize,
-    /// Row-major coordinates in tree order (`n * dim`).
-    coords: Vec<f64>,
-    /// `ids[pos]` = original input index of the point at `pos`.
-    ids: Vec<u32>,
-    /// Inverse of `ids`.
-    pos_of_id: Vec<u32>,
+struct Tombstones {
     /// Alive flag per position.
     alive: Vec<bool>,
-    /// Leaf node index per position.
+    /// Position of the point labelled `l`.
+    pos_of_label: Vec<u32>,
+    /// Leaf node per position.
     leaf_of_pos: Vec<u32>,
-    nodes: Vec<Node>,
+    /// Parent per node (`NONE` at the root).
+    parent: Vec<u32>,
+    /// Alive points below each node, so exhausted subtrees are skipped in
+    /// `O(1)` and a delete is `O(depth)` count updates.
+    node_alive: Vec<u32>,
     n_alive: usize,
 }
 
-impl KdTree {
-    #[inline]
-    fn point(&self, pos: usize) -> &[f64] {
-        &self.coords[pos * self.dim..(pos + 1) * self.dim]
+impl Tombstones {
+    fn new(arena: &[Line], lines_per_node: usize, labels: &[u32]) -> Self {
+        let n = labels.len();
+        let mut pos_of_label = vec![NONE; n];
+        for (pos, &label) in labels.iter().enumerate() {
+            match pos_of_label.get_mut(label as usize) {
+                Some(slot) if *slot == NONE => *slot = pos as u32,
+                _ => panic!(
+                    "KdTree::delete requires unique labels (a permutation of 0..len, as \
+                     `build` and `build_par` assign); label {label} is repeated or out of range"
+                ),
+            }
+        }
+        let n_nodes = arena.len() / lines_per_node;
+        let mut leaf_of_pos = vec![NONE; n];
+        let mut parent = vec![NONE; n_nodes];
+        let mut node_alive = Vec::with_capacity(n_nodes);
+        for (ni, node) in arena.iter().step_by(lines_per_node).enumerate() {
+            node_alive.push(node.end - node.start);
+            if node.left == NONE {
+                leaf_of_pos[node.start as usize..node.end as usize].fill(ni as u32);
+            } else {
+                parent[node.left as usize] = ni as u32;
+                parent[node.right as usize] = ni as u32;
+            }
+        }
+        Tombstones {
+            alive: vec![true; n],
+            pos_of_label,
+            leaf_of_pos,
+            parent,
+            node_alive,
+            n_alive: n,
+        }
+    }
+
+    /// Flips the point labelled `id` to `alive`, adjusting the counts on its
+    /// leaf-to-root path. Returns `false` if it already was.
+    fn set_alive(&mut self, id: usize, alive: bool) -> bool {
+        let pos = self.pos_of_label[id] as usize;
+        if self.alive[pos] == alive {
+            return false;
+        }
+        self.alive[pos] = alive;
+        let mut ni = self.leaf_of_pos[pos];
+        while ni != NONE {
+            let count = &mut self.node_alive[ni as usize];
+            if alive {
+                *count += 1;
+            } else {
+                *count -= 1;
+            }
+            ni = self.parent[ni as usize];
+        }
+        if alive {
+            self.n_alive += 1;
+        } else {
+            self.n_alive -= 1;
+        }
+        true
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.alive.len()
+            + 4 * (self.pos_of_label.len()
+                + self.leaf_of_pos.len()
+                + self.parent.len()
+                + self.node_alive.len())
+    }
+}
+
+/// Number of nodes the build creates over `n ≥ 1` points.
+fn node_count(n: usize) -> usize {
+    if n <= LEAF_SIZE {
+        1
+    } else {
+        1 + node_count(n / 2) + node_count(n - n / 2)
+    }
+}
+
+/// The read-only inputs of one build.
+#[derive(Clone, Copy)]
+struct Build<'a> {
+    dim: usize,
+    lines_per_node: usize,
+    /// Row-major input points.
+    coords: &'a [f64],
+}
+
+impl Build<'_> {
+    /// Builds the subtree over the input points `perm` (tree positions
+    /// `offset..offset + perm.len()`) into a fresh arena with local node
+    /// indices, root at 0.
+    fn subtree(self, perm: &mut [u32], offset: usize, threads: usize) -> Vec<Line> {
+        let mut arena = Vec::with_capacity(node_count(perm.len()) * self.lines_per_node);
+        let mut bbox = vec![0.0; 2 * self.dim];
+        self.build_rec(&mut arena, &mut bbox, perm, offset, threads);
+        arena
     }
 
     fn build_rec(
-        nodes: &mut Vec<Node>,
-        points: &[Vec<f64>],
+        self,
+        arena: &mut Vec<Line>,
+        bbox: &mut [f64],
         perm: &mut [u32],
         offset: usize,
-        parent: u32,
-        dim: usize,
         threads: usize,
     ) -> u32 {
         debug_assert!(!perm.is_empty());
-        // Bounding box of the subtree.
-        let mut lo = vec![f64::INFINITY; dim];
-        let mut hi = vec![f64::NEG_INFINITY; dim];
+        let dim = self.dim;
+        // Exact bounding box of the subtree; rounded only when stored.
+        let (lo, hi) = bbox.split_at_mut(dim);
+        lo.fill(f64::INFINITY);
+        hi.fill(f64::NEG_INFINITY);
         for &i in perm.iter() {
-            let p = &points[i as usize];
+            let p = &self.coords[i as usize * dim..][..dim];
             for h in 0..dim {
                 lo[h] = lo[h].min(p[h]);
                 hi[h] = hi[h].max(p[h]);
             }
         }
-        let ni = nodes.len() as u32;
+        let head = arena.len();
         let n_points = perm.len();
-        nodes.push(Node {
-            lo: lo.clone().into_boxed_slice(),
-            hi: hi.clone().into_boxed_slice(),
-            start: offset as u32,
-            end: (offset + n_points) as u32,
-            left: NONE,
-            right: NONE,
-            parent,
-            alive: n_points as u32,
-        });
+        for (lo, hi) in lo.chunks(LINE_DIMS).zip(hi.chunks(LINE_DIMS)) {
+            let mut line = Line {
+                start: offset as u32,
+                end: (offset + n_points) as u32,
+                left: NONE,
+                right: NONE,
+                lo: [0.0; LINE_DIMS],
+                hi: [0.0; LINE_DIMS],
+            };
+            for (stored, &x) in line.lo.iter_mut().zip(lo) {
+                *stored = round_down(x);
+            }
+            for (stored, &x) in line.hi.iter_mut().zip(hi) {
+                *stored = round_up(x);
+            }
+            arena.push(line);
+        }
+        let ni = (head / self.lines_per_node) as u32;
         if n_points <= LEAF_SIZE {
             return ni;
         }
@@ -102,224 +266,209 @@ impl KdTree {
             .max_by(|&a, &b| (hi[a] - lo[a]).total_cmp(&(hi[b] - lo[b])))
             .expect("dim >= 1");
         let mid = n_points / 2;
-        perm.select_nth_unstable_by(mid, |&a, &b| {
-            points[a as usize][axis].total_cmp(&points[b as usize][axis])
-        });
+        let key = |i: u32| self.coords[i as usize * dim + axis];
+        perm.select_nth_unstable_by(mid, |&a, &b| key(a).total_cmp(&key(b)));
         let (left_perm, right_perm) = perm.split_at_mut(mid);
-        if threads >= 2 && n_points >= PAR_BUILD_THRESHOLD {
+        let (l, r) = if threads >= 2 && n_points >= PAR_BUILD_THRESHOLD {
             // Build the left subtree on a scoped worker and the right on the
             // current thread, splitting the thread budget. Each subtree is
-            // built into a fresh node arena with local indices and spliced
-            // back in serial DFS-preorder position, so the resulting node
-            // array is bit-identical to the single-threaded build.
+            // built into a fresh arena with local indices and spliced back
+            // in serial DFS-preorder position, so the resulting arena is
+            // bit-identical to the single-threaded build.
             let lt = threads / 2;
             let rt = threads - lt;
-            let (left_nodes, right_nodes) = std::thread::scope(|s| {
-                let handle = s.spawn(move || {
-                    let mut ln = Vec::new();
-                    Self::build_rec(&mut ln, points, left_perm, offset, NONE, dim, lt);
-                    ln
-                });
-                let mut rn = Vec::new();
-                Self::build_rec(&mut rn, points, right_perm, offset + mid, NONE, dim, rt);
-                (handle.join().expect("kd-tree build worker panicked"), rn)
+            let (left, right) = std::thread::scope(|s| {
+                let worker = s.spawn(move || self.subtree(left_perm, offset, lt));
+                let right = self.subtree(right_perm, offset + mid, rt);
+                (worker.join().expect("kd-tree build worker panicked"), right)
             });
-            let l = Self::splice_subtree(nodes, left_nodes, ni);
-            let r = Self::splice_subtree(nodes, right_nodes, ni);
-            nodes[ni as usize].left = l;
-            nodes[ni as usize].right = r;
-            return ni;
-        }
-        let l = Self::build_rec(nodes, points, left_perm, offset, ni, dim, threads);
-        let r = Self::build_rec(nodes, points, right_perm, offset + mid, ni, dim, threads);
-        nodes[ni as usize].left = l;
-        nodes[ni as usize].right = r;
+            (self.splice(arena, left), self.splice(arena, right))
+        } else {
+            (
+                self.build_rec(arena, bbox, left_perm, offset, threads),
+                self.build_rec(arena, bbox, right_perm, offset + mid, threads),
+            )
+        };
+        arena[head].left = l;
+        arena[head].right = r;
         ni
     }
 
-    /// Appends a subtree arena (indices local, root at 0 with parent
-    /// `NONE`) to `nodes`, rebasing node links and attaching the root to
-    /// `parent`. Returns the root's absolute index.
-    fn splice_subtree(nodes: &mut Vec<Node>, subtree: Vec<Node>, parent: u32) -> u32 {
-        let base = nodes.len() as u32;
-        nodes.extend(subtree.into_iter().map(|mut node| {
-            node.parent = if node.parent == NONE {
-                parent
-            } else {
-                node.parent + base
-            };
-            if node.left != NONE {
-                node.left += base;
-                node.right += base;
+    /// Appends a subtree arena (local indices, root at 0) to `arena`,
+    /// rebasing its child links. Returns the root's absolute index.
+    fn splice(self, arena: &mut Vec<Line>, subtree: Vec<Line>) -> u32 {
+        let base = (arena.len() / self.lines_per_node) as u32;
+        arena.extend(subtree.into_iter().enumerate().map(|(k, mut line)| {
+            if k % self.lines_per_node == 0 && line.left != NONE {
+                line.left += base;
+                line.right += base;
             }
-            node
+            line
         }));
         base
     }
+}
 
-    fn report_rec(&self, ni: u32, region: &Region, out: &mut Vec<usize>) {
-        let node = &self.nodes[ni as usize];
-        if node.alive == 0 || !region.intersects_bbox(&node.lo, &node.hi) {
-            return;
+/// A read-only kd-tree over points in `R^D`, with tombstone deletion on
+/// demand (see the module docs for the layout).
+#[derive(Clone, Debug)]
+pub struct KdTree {
+    dim: usize,
+    /// Arena lines per node record: `⌈dim / LINE_DIMS⌉`.
+    lines_per_node: usize,
+    /// Node records in DFS preorder.
+    arena: Vec<Line>,
+    /// Row-major coordinates in tree order (`n * dim`).
+    coords: Vec<f64>,
+    /// `labels[pos]` = what a hit at `pos` reports.
+    labels: Vec<u32>,
+    tombstones: Option<Box<Tombstones>>,
+}
+
+impl KdTree {
+    /// Builds the tree over `labels.len()` points given as one row-major
+    /// buffer (`coords.len() == labels.len() * dim`), with up to `threads`
+    /// scoped worker threads splitting the subtree recursion. A query
+    /// reports `labels[i]` where a default build would report `i`; labels
+    /// may repeat, but [`DeletableIndex::delete`] then panics.
+    ///
+    /// The arena, point order and every query answer are **bit-identical**
+    /// for every `threads` (the parallel path splices subtrees back in
+    /// serial DFS-preorder position).
+    ///
+    /// # Panics
+    /// Panics if `dim == 0`, the buffer lengths disagree, or a coordinate is
+    /// `NaN`.
+    pub fn build_labeled(dim: usize, coords: Vec<f64>, labels: Vec<u32>, threads: usize) -> Self {
+        assert!(dim >= 1, "kd-tree requires dim >= 1");
+        let n = labels.len();
+        assert_eq!(coords.len(), n * dim, "point dimension mismatch");
+        assert!(n < u32::MAX as usize, "too many points for u32 ids");
+        assert!(coords.iter().all(|c| !c.is_nan()), "NaN coordinate");
+        let lines_per_node = dim.div_ceil(LINE_DIMS);
+        let mut perm: Vec<u32> = (0..n as u32).collect();
+        let arena = if n == 0 {
+            Vec::new()
+        } else {
+            let build = Build {
+                dim,
+                lines_per_node,
+                coords: &coords,
+            };
+            build.subtree(&mut perm, 0, threads.max(1))
+        };
+        // Materialize tree order.
+        let mut tree_coords = Vec::with_capacity(n * dim);
+        let mut tree_labels = Vec::with_capacity(n);
+        for &i in &perm {
+            tree_coords.extend_from_slice(&coords[i as usize * dim..][..dim]);
+            tree_labels.push(labels[i as usize]);
         }
-        if region.contains_bbox(&node.lo, &node.hi) {
-            for pos in node.start..node.end {
-                if self.alive[pos as usize] {
-                    out.push(self.ids[pos as usize] as usize);
-                }
-            }
-            return;
+        KdTree {
+            dim,
+            lines_per_node,
+            arena,
+            coords: tree_coords,
+            labels: tree_labels,
+            tombstones: None,
         }
-        if node.is_leaf() {
-            for pos in node.start..node.end {
-                let pos = pos as usize;
-                if self.alive[pos] && region.contains(self.point(pos)) {
-                    out.push(self.ids[pos] as usize);
-                }
-            }
-            return;
-        }
-        self.report_rec(node.left, region, out);
-        self.report_rec(node.right, region, out);
     }
 
-    fn report_first_rec(&self, ni: u32, region: &Region) -> Option<usize> {
-        let node = &self.nodes[ni as usize];
-        if node.alive == 0 || !region.intersects_bbox(&node.lo, &node.hi) {
-            return None;
+    /// [`build_labeled`](Self::build_labeled) over one `Vec` per point, with
+    /// the default labels: point `i` reports id `i`.
+    pub fn build_par(dim: usize, points: Vec<Vec<f64>>, threads: usize) -> Self {
+        let n = points.len();
+        assert!(n < u32::MAX as usize, "too many points for u32 ids");
+        let mut coords = Vec::with_capacity(n * dim);
+        for p in &points {
+            assert_eq!(p.len(), dim, "point dimension mismatch");
+            coords.extend_from_slice(p);
         }
-        if region.contains_bbox(&node.lo, &node.hi) {
-            // alive > 0, so an alive position exists in the range.
-            for pos in node.start..node.end {
-                if self.alive[pos as usize] {
-                    return Some(self.ids[pos as usize] as usize);
-                }
-            }
-            unreachable!("alive count positive but no alive point in range");
-        }
-        if node.is_leaf() {
-            for pos in node.start..node.end {
-                let pos = pos as usize;
-                if self.alive[pos] && region.contains(self.point(pos)) {
-                    return Some(self.ids[pos] as usize);
-                }
-            }
-            return None;
-        }
-        self.report_first_rec(node.left, region)
-            .or_else(|| self.report_first_rec(node.right, region))
+        Self::build_labeled(dim, coords, (0..n as u32).collect(), threads)
     }
 
-    fn count_rec(&self, ni: u32, region: &Region) -> usize {
-        let node = &self.nodes[ni as usize];
-        if node.alive == 0 || !region.intersects_bbox(&node.lo, &node.hi) {
-            return 0;
+    #[inline]
+    fn point(&self, pos: usize) -> &[f64] {
+        &self.coords[pos * self.dim..][..self.dim]
+    }
+
+    /// The traversal behind every query. Classifies each node once against
+    /// `region` and calls `visit(node index, header, contained)` for every
+    /// node whose points must be looked at: subtrees wholly inside the
+    /// region (`contained`) and partially overlapping leaves. Subtrees are
+    /// visited in DFS order; `visit` returning `false` aborts.
+    #[inline]
+    fn walk(&self, region: &Region, mut visit: impl FnMut(usize, &Line, bool) -> bool) {
+        assert_eq!(region.dim(), self.dim, "region dimension mismatch");
+        if self.arena.is_empty() {
+            return;
         }
-        if region.contains_bbox(&node.lo, &node.hi) {
-            return node.alive as usize;
+        let lines_per_node = self.lines_per_node;
+        let dead = self.tombstones.as_deref();
+        let mut stack = [0u32; STACK_SLOTS];
+        let mut top = 1;
+        while top > 0 {
+            top -= 1;
+            let ni = stack[top] as usize;
+            if dead.is_some_and(|t| t.node_alive[ni] == 0) {
+                continue;
+            }
+            let record = &self.arena[ni * lines_per_node..][..lines_per_node];
+            let mut overlap = Overlap::Contained;
+            for (c, line) in record.iter().enumerate() {
+                let at = c * LINE_DIMS;
+                let k = LINE_DIMS.min(self.dim - at);
+                match region.classify_bbox(at, &line.lo[..k], &line.hi[..k]) {
+                    Overlap::Disjoint => {
+                        overlap = Overlap::Disjoint;
+                        break;
+                    }
+                    Overlap::Partial => overlap = Overlap::Partial,
+                    Overlap::Contained => {}
+                }
+            }
+            let node = &record[0];
+            match overlap {
+                Overlap::Disjoint => {}
+                Overlap::Partial if node.left != NONE => {
+                    stack[top] = node.right;
+                    stack[top + 1] = node.left;
+                    top += 2;
+                }
+                _ => {
+                    if !visit(ni, node, overlap == Overlap::Contained) {
+                        return;
+                    }
+                }
+            }
         }
-        if node.is_leaf() {
-            return (node.start..node.end)
-                .filter(|&pos| {
-                    let pos = pos as usize;
-                    self.alive[pos] && region.contains(self.point(pos))
-                })
-                .count();
-        }
-        self.count_rec(node.left, region) + self.count_rec(node.right, region)
     }
 
     /// Marks every point alive again and recomputes all subtree counts in
     /// one `O(n + #nodes)` pass — much cheaper than per-point restores when
     /// a query session tombstoned a large fraction of the structure.
     pub fn restore_all(&mut self) {
-        for a in &mut self.alive {
-            *a = true;
-        }
-        self.n_alive = self.ids.len();
-        // Children are created after their parent, so a reverse scan sees
-        // children before parents.
-        for ni in (0..self.nodes.len()).rev() {
-            let node = &self.nodes[ni];
-            let alive = if node.is_leaf() {
-                node.end - node.start
-            } else {
-                self.nodes[node.left as usize].alive + self.nodes[node.right as usize].alive
-            };
-            self.nodes[ni].alive = alive;
+        let Some(t) = self.tombstones.as_deref_mut() else {
+            return;
+        };
+        t.alive.fill(true);
+        t.n_alive = t.alive.len();
+        let headers = self.arena.iter().step_by(self.lines_per_node);
+        for (count, node) in t.node_alive.iter_mut().zip(headers) {
+            *count = node.end - node.start;
         }
     }
 
-    /// Estimated heap footprint in bytes (used by the space experiments).
+    /// Heap footprint in bytes: arena, coordinates and labels, plus the
+    /// tombstone side table once a `delete` has allocated it.
     pub fn memory_bytes(&self) -> usize {
-        self.coords.len() * 8
-            + self.ids.len() * 4
-            + self.pos_of_id.len() * 4
-            + self.alive.len()
-            + self.leaf_of_pos.len() * 4
-            + self.nodes.len() * (std::mem::size_of::<Node>() + 2 * self.dim * 8)
-    }
-}
-
-impl KdTree {
-    /// Builds the tree with up to `threads` scoped worker threads splitting
-    /// the subtree recursion. The node array, point order and every query
-    /// answer are **bit-identical** to [`BuildableIndex::build`] regardless
-    /// of `threads` (the parallel path splices subtrees back in serial
-    /// DFS-preorder position).
-    pub fn build_par(dim: usize, points: Vec<Vec<f64>>, threads: usize) -> Self {
-        assert!(dim >= 1, "kd-tree requires dim >= 1");
-        let n = points.len();
-        assert!(n < u32::MAX as usize, "too many points for u32 ids");
-        for p in &points {
-            assert_eq!(p.len(), dim, "point dimension mismatch");
-            assert!(p.iter().all(|c| !c.is_nan()), "NaN coordinate");
-        }
-        if n == 0 {
-            return KdTree {
-                dim,
-                coords: vec![],
-                ids: vec![],
-                pos_of_id: vec![],
-                alive: vec![],
-                leaf_of_pos: vec![],
-                nodes: vec![],
-                n_alive: 0,
-            };
-        }
-        let mut perm: Vec<u32> = (0..n as u32).collect();
-        let mut nodes = Vec::with_capacity(2 * n / LEAF_SIZE + 1);
-        Self::build_rec(&mut nodes, &points, &mut perm, 0, NONE, dim, threads.max(1));
-        // Materialize tree order.
-        let mut coords = Vec::with_capacity(n * dim);
-        let mut ids = Vec::with_capacity(n);
-        for &i in &perm {
-            coords.extend_from_slice(&points[i as usize]);
-            ids.push(i);
-        }
-        let mut pos_of_id = vec![0u32; n];
-        for (pos, &id) in ids.iter().enumerate() {
-            pos_of_id[id as usize] = pos as u32;
-        }
-        let mut leaf_of_pos = vec![NONE; n];
-        for (ni, node) in nodes.iter().enumerate() {
-            if node.is_leaf() {
-                for pos in node.start..node.end {
-                    leaf_of_pos[pos as usize] = ni as u32;
-                }
-            }
-        }
-        debug_assert!(leaf_of_pos.iter().all(|&l| l != NONE));
-        KdTree {
-            dim,
-            coords,
-            ids,
-            pos_of_id,
-            alive: vec![true; n],
-            leaf_of_pos,
-            nodes,
-            n_alive: n,
-        }
+        self.arena.len() * std::mem::size_of::<Line>()
+            + self.coords.len() * 8
+            + self.labels.len() * 4
+            + self
+                .tombstones
+                .as_deref()
+                .map_or(0, Tombstones::memory_bytes)
     }
 }
 
@@ -331,7 +480,7 @@ impl BuildableIndex for KdTree {
 
 impl OrthoIndex for KdTree {
     fn len(&self) -> usize {
-        self.ids.len()
+        self.labels.len()
     }
 
     fn dim(&self) -> usize {
@@ -339,102 +488,95 @@ impl OrthoIndex for KdTree {
     }
 
     fn report(&self, region: &Region, out: &mut Vec<usize>) {
-        assert_eq!(region.dim(), self.dim, "region dimension mismatch");
-        if !self.nodes.is_empty() {
-            self.report_rec(0, region, out);
-        }
+        self.report_while(region, &mut |id| {
+            out.push(id);
+            true
+        });
     }
 
     fn report_first(&self, region: &Region) -> Option<usize> {
-        assert_eq!(region.dim(), self.dim, "region dimension mismatch");
-        if self.nodes.is_empty() {
-            return None;
-        }
-        self.report_first_rec(0, region)
+        let mut first = None;
+        self.report_while(region, &mut |id| {
+            first = Some(id);
+            false
+        });
+        first
     }
 
     fn count(&self, region: &Region) -> usize {
-        assert_eq!(region.dim(), self.dim, "region dimension mismatch");
-        if self.nodes.is_empty() {
-            return 0;
-        }
-        self.count_rec(0, region)
+        let dead = self.tombstones.as_deref();
+        let mut total = 0;
+        self.walk(region, |ni, node, contained| {
+            let range = node.start as usize..node.end as usize;
+            total += match (contained, dead) {
+                (true, None) => range.len(),
+                (true, Some(t)) => t.node_alive[ni] as usize,
+                (false, _) => range
+                    .filter(|&pos| {
+                        dead.is_none_or(|t| t.alive[pos]) && region.contains(self.point(pos))
+                    })
+                    .count(),
+            };
+            true
+        });
+        total
     }
 
-    /// Single-pass filtered reporting: calls `f(id)` for every alive point
-    /// inside `region`, in DFS order, aborting the whole traversal if `f`
-    /// returns `false`. Visits every tree node at most once per call, so a
-    /// whole query session costs one traversal — the enumeration loops of
+    /// Single-pass filtered reporting: calls `f(label)` for every alive
+    /// point inside `region`, in DFS order, aborting the whole traversal if
+    /// `f` returns `false`. Visits every tree node at most once per call, so
+    /// a whole query session costs one traversal — the enumeration loops of
     /// Algorithms 2 and 4 use this with a reported-dataset mask instead of
     /// physical deletions (same answers; `experiments --a3` compares the two).
     fn report_while(&self, region: &Region, f: &mut dyn FnMut(usize) -> bool) {
-        assert_eq!(region.dim(), self.dim, "region dimension mismatch");
-        if self.nodes.is_empty() {
-            return;
-        }
-        let mut stack: Vec<u32> = vec![0];
-        while let Some(ni) = stack.pop() {
-            let node = &self.nodes[ni as usize];
-            if node.alive == 0 || !region.intersects_bbox(&node.lo, &node.hi) {
-                continue;
-            }
-            let full = region.contains_bbox(&node.lo, &node.hi);
-            if full || node.is_leaf() {
-                let (start, end) = (node.start, node.end);
-                for pos in start..end {
-                    let pos = pos as usize;
-                    if !self.alive[pos] {
-                        continue;
-                    }
-                    if !full && !region.contains(self.point(pos)) {
-                        continue;
-                    }
-                    if !f(self.ids[pos] as usize) {
-                        return;
-                    }
+        let dead = self.tombstones.as_deref();
+        self.walk(region, |_, node, contained| {
+            for pos in node.start as usize..node.end as usize {
+                if dead.is_some_and(|t| !t.alive[pos]) {
+                    continue;
                 }
-                continue;
+                if !contained && !region.contains(self.point(pos)) {
+                    continue;
+                }
+                if !f(self.labels[pos] as usize) {
+                    return false;
+                }
             }
-            let (l, r) = (node.left, node.right);
-            stack.push(r);
-            stack.push(l);
-        }
+            true
+        });
     }
 }
 
 impl DeletableIndex for KdTree {
+    /// # Panics
+    /// Panics if the tree was built with labels that are not a permutation
+    /// of `0..len`.
     fn delete(&mut self, id: usize) -> bool {
-        let pos = self.pos_of_id[id] as usize;
-        if !self.alive[pos] {
-            return false;
-        }
-        self.alive[pos] = false;
-        self.n_alive -= 1;
-        let mut ni = self.leaf_of_pos[pos];
-        while ni != NONE {
-            self.nodes[ni as usize].alive -= 1;
-            ni = self.nodes[ni as usize].parent;
-        }
-        true
+        self.tombstones
+            .get_or_insert_with(|| {
+                Box::new(Tombstones::new(
+                    &self.arena,
+                    self.lines_per_node,
+                    &self.labels,
+                ))
+            })
+            .set_alive(id, false)
     }
 
     fn restore(&mut self, id: usize) -> bool {
-        let pos = self.pos_of_id[id] as usize;
-        if self.alive[pos] {
-            return false;
+        match self.tombstones.as_deref_mut() {
+            Some(t) => t.set_alive(id, true),
+            None => {
+                assert!(id < self.labels.len(), "id out of range");
+                false
+            }
         }
-        self.alive[pos] = true;
-        self.n_alive += 1;
-        let mut ni = self.leaf_of_pos[pos];
-        while ni != NONE {
-            self.nodes[ni as usize].alive += 1;
-            ni = self.nodes[ni as usize].parent;
-        }
-        true
     }
 
     fn alive(&self) -> usize {
-        self.n_alive
+        self.tombstones
+            .as_deref()
+            .map_or(self.labels.len(), |t| t.n_alive)
     }
 }
 
@@ -525,38 +667,79 @@ mod tests {
 
     #[test]
     fn parallel_build_is_bit_identical_to_serial() {
-        // Enough points to cross PAR_BUILD_THRESHOLD several levels deep.
+        // Enough points to cross PAR_BUILD_THRESHOLD several levels deep, in
+        // 3 dimensions (one line per node) and 7 (two lines per node).
         let n = 20_000;
-        let pts: Vec<Vec<f64>> = (0..n)
-            .map(|i| {
-                let x = (i as f64 * 0.7371) % 97.0;
-                let y = (i as f64 * 1.3113) % 53.0;
-                vec![x, y, (x * y) % 11.0]
-            })
-            .collect();
-        let serial = KdTree::build(3, pts.clone());
-        for threads in [2, 3, 8] {
-            let par = KdTree::build_par(3, pts.clone(), threads);
-            assert_eq!(par.ids, serial.ids, "threads = {threads}");
-            assert_eq!(par.coords, serial.coords, "threads = {threads}");
-            assert_eq!(par.nodes.len(), serial.nodes.len());
-            for (a, b) in par.nodes.iter().zip(&serial.nodes) {
-                assert_eq!(a.lo, b.lo);
-                assert_eq!(a.hi, b.hi);
-                assert_eq!(
-                    (a.start, a.end, a.left, a.right, a.parent, a.alive),
-                    (b.start, b.end, b.left, b.right, b.parent, b.alive)
-                );
+        for dim in [3usize, 7] {
+            let pts: Vec<Vec<f64>> = (0..n)
+                .map(|i| {
+                    let x = (i as f64 * 0.7371) % 97.0;
+                    let y = (i as f64 * 1.3113) % 53.0;
+                    let mut p = vec![x, y, (x * y) % 11.0];
+                    p.extend((3..dim).map(|h| (x * h as f64 + y) % 7.0));
+                    p
+                })
+                .collect();
+            let serial = KdTree::build(dim, pts.clone());
+            assert_eq!(serial.arena.len(), node_count(n) * dim.div_ceil(LINE_DIMS));
+            for threads in [2, 3, 8] {
+                let par = KdTree::build_par(dim, pts.clone(), threads);
+                assert_eq!(par.arena, serial.arena, "threads = {threads}");
+                assert_eq!(par.coords, serial.coords, "threads = {threads}");
+                assert_eq!(par.labels, serial.labels, "threads = {threads}");
+                let region = Region::all(dim)
+                    .with_lo(0, 30.0, false)
+                    .with_hi(1, 20.0, true);
+                let mut got = vec![];
+                let mut want = vec![];
+                par.report(&region, &mut got);
+                serial.report(&region, &mut want);
+                assert_eq!(got, want);
             }
-            let region = Region::all(3)
-                .with_lo(0, 30.0, false)
-                .with_hi(1, 20.0, true);
-            let mut got = vec![];
-            let mut want = vec![];
-            par.report(&region, &mut got);
-            serial.report(&region, &mut want);
-            assert_eq!(got, want);
         }
+    }
+
+    #[test]
+    fn tombstone_table_appears_on_first_delete() {
+        let pts = grid_points_2d(100);
+        let mut t = KdTree::build(2, pts);
+        let region = Region::closed(vec![2.0, 3.0], vec![5.0, 6.0]);
+        let frozen_bytes = t.arena.len() * 64 + t.coords.len() * 8 + t.labels.len() * 4;
+        let mut before = vec![];
+        t.report(&region, &mut before);
+        // Never deleted from: no side table, and nothing allocates one.
+        assert!(!t.restore(7));
+        t.restore_all();
+        assert_eq!(t.alive(), 100);
+        assert!(t.tombstones.is_none());
+        assert_eq!(t.memory_bytes(), frozen_bytes);
+        // One delete + restore: the table exists from now on, is accounted
+        // for, and the answers (and their order) have not moved.
+        assert!(t.delete(7));
+        assert!(t.restore(7));
+        let n_nodes = t.arena.len();
+        assert_eq!(
+            t.memory_bytes(),
+            frozen_bytes + 100 * (1 + 4 + 4) + n_nodes * (4 + 4)
+        );
+        let mut after = vec![];
+        t.report(&region, &mut after);
+        assert_eq!(after, before);
+        assert_eq!(t.count(&region), before.len());
+        assert_eq!(t.alive(), 100);
+    }
+
+    #[test]
+    fn boxes_round_outward() {
+        // 0.1 is not an f32; 1e300 overflows one; 1e-310 underflows one.
+        for x in [0.1, -0.1, 1e300, -1e300, 1e-310, -1e-310, 0.0, -0.0, 2.5] {
+            let (lo, hi) = (round_down(x), round_up(x));
+            assert!(f64::from(lo) <= x && x <= f64::from(hi), "{x}");
+            assert!(lo == hi || lo.next_up() == hi, "{x}: not the nearest pair");
+        }
+        assert_eq!(round_down(1e300), f32::MAX);
+        assert_eq!(round_up(1e300), f32::INFINITY);
+        assert_eq!(round_down(f64::NEG_INFINITY), f32::NEG_INFINITY);
     }
 
     #[test]

@@ -6,14 +6,24 @@
 //! into points of `R^{2d}`, `R^{4d}` or `R^{4md+m}` and only interact with
 //! the search structure through that interface, so the backend is pluggable:
 //!
-//! * [`KdTree`] — a bounding-box kd-tree with per-subtree *alive counts*.
-//!   It supports `report`, `report_first`, `count`, and O(depth) tombstone
-//!   `delete`/`restore`, which is exactly the enumeration pattern of
-//!   Algorithms 2 and 4 (find one point, delete the reported dataset's
-//!   points, continue, re-insert at the end). This is the default backend,
-//!   substituting for the literal multi-level dynamic range tree
-//!   (`log^{4md} N` associated-structure blowup is not laptop-viable in the
-//!   lifted dimensions; `experiments --a2` compares the backends).
+//! * [`KdTree`] — a frozen bounding-box kd-tree laid out for reading: one
+//!   64-byte arena record per node (header plus the node box as `f32`,
+//!   rounded **outward** so pruning and whole-subtree acceptance stay sound
+//!   while exact `f64` point tests decide everything else — answers are
+//!   bit-identical to exact boxes, only pruning power is lost, and only on
+//!   coordinates needing more than 24 bits), the points row-major in tree
+//!   order, and a `u32` label per point that a hit reports (the input index
+//!   by default; [`KdTree::build_labeled`] stores the caller's). It supports
+//!   `report`, `report_first`, `count` and the single-pass `report_while`
+//!   the query loops of Algorithms 2 and 4 use. `O(depth)` tombstone
+//!   `delete`/`restore` — the literal enumeration pattern of those
+//!   algorithms (find one point, delete the reported dataset's points,
+//!   continue, re-insert at the end) — keep their bookkeeping in a side
+//!   table allocated by the first `delete`, so a tree that is only read
+//!   never carries it. This is the default backend, substituting for the
+//!   literal multi-level dynamic range tree (`log^{4md} N`
+//!   associated-structure blowup is not laptop-viable in the lifted
+//!   dimensions; `experiments --a2` compares the backends).
 //! * [`RangeTree`] — a faithful static multi-level range tree (De Berg et
 //!   al., as cited by the paper) used for low-dimensional exact structures
 //!   and as an ablation backend.
@@ -46,7 +56,8 @@ pub use region::Region;
 pub use scores::{DynScores, SortedScores, TotalF64};
 
 /// Read-only orthogonal search over a fixed point set. Item identifiers are
-/// the indexes of the points in the build input (`0..n`).
+/// the indexes of the points in the build input (`0..n`), unless the
+/// structure was built with caller-chosen labels ([`KdTree::build_labeled`]).
 pub trait OrthoIndex {
     /// Number of points the structure was built over (dead or alive).
     fn len(&self) -> usize;

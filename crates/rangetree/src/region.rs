@@ -136,55 +136,53 @@ impl Region {
         true
     }
 
-    /// True if the closed box `[blo, bhi]` can contain a point of the
-    /// region (used for subtree pruning).
+    /// Relates the closed box `[blo, bhi]` to dimensions `at..at + blo.len()`
+    /// of the region in one pass: [`Overlap::Disjoint`] when no point of the
+    /// box can satisfy the region (subtree pruning), [`Overlap::Contained`]
+    /// when every point of the box does (whole-subtree reporting without
+    /// per-point checks), [`Overlap::Partial`] otherwise.
+    ///
+    /// The box arrives as `f32` because that is how [`crate::KdTree`] stores
+    /// node boxes; widening to `f64` is exact, so both decisions are exact
+    /// for the box given.
     #[inline]
-    pub fn intersects_bbox(&self, blo: &[f64], bhi: &[f64]) -> bool {
-        debug_assert_eq!(blo.len(), self.dim());
-        for h in 0..self.dim() {
-            // Highest value available in the box must clear the lower bound…
-            if self.lo_strict[h] {
-                if bhi[h] <= self.lo[h] {
-                    return false;
-                }
-            } else if bhi[h] < self.lo[h] {
-                return false;
+    pub(crate) fn classify_bbox(&self, at: usize, blo: &[f32], bhi: &[f32]) -> Overlap {
+        let k = blo.len();
+        debug_assert!(bhi.len() == k && at + k <= self.dim());
+        let (rlo, rhi) = (&self.lo[at..at + k], &self.hi[at..at + k]);
+        let (slo, shi) = (&self.lo_strict[at..at + k], &self.hi_strict[at..at + k]);
+        let bhi = &bhi[..k];
+        let mut contained = true;
+        for h in 0..k {
+            let (lo, hi) = (f64::from(blo[h]), f64::from(bhi[h]));
+            // The highest value in the box must clear the lower bound and
+            // the lowest value the upper bound, else nothing below matches.
+            let below = if slo[h] { hi <= rlo[h] } else { hi < rlo[h] };
+            let above = if shi[h] { lo >= rhi[h] } else { lo > rhi[h] };
+            if below || above {
+                return Overlap::Disjoint;
             }
-            // …and the lowest value must clear the upper bound.
-            if self.hi_strict[h] {
-                if blo[h] >= self.hi[h] {
-                    return false;
-                }
-            } else if blo[h] > self.hi[h] {
-                return false;
-            }
+            let lo_in = if slo[h] { lo > rlo[h] } else { lo >= rlo[h] };
+            let hi_in = if shi[h] { hi < rhi[h] } else { hi <= rhi[h] };
+            contained &= lo_in && hi_in;
         }
-        true
+        if contained {
+            Overlap::Contained
+        } else {
+            Overlap::Partial
+        }
     }
+}
 
-    /// True if every point of the closed box `[blo, bhi]` satisfies the
-    /// region (used to report whole subtrees without per-point checks).
-    #[inline]
-    pub fn contains_bbox(&self, blo: &[f64], bhi: &[f64]) -> bool {
-        debug_assert_eq!(blo.len(), self.dim());
-        for h in 0..self.dim() {
-            if self.lo_strict[h] {
-                if blo[h] <= self.lo[h] {
-                    return false;
-                }
-            } else if blo[h] < self.lo[h] {
-                return false;
-            }
-            if self.hi_strict[h] {
-                if bhi[h] >= self.hi[h] {
-                    return false;
-                }
-            } else if bhi[h] > self.hi[h] {
-                return false;
-            }
-        }
-        true
-    }
+/// How a closed box relates to a [`Region`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Overlap {
+    /// No point of the box satisfies the region.
+    Disjoint,
+    /// Some points of the box may satisfy the region.
+    Partial,
+    /// Every point of the box satisfies the region.
+    Contained,
 }
 
 #[cfg(test)]
@@ -210,18 +208,28 @@ mod tests {
 
     #[test]
     fn bbox_pruning_respects_strictness() {
+        use Overlap::{Contained, Disjoint, Partial};
         // Region: x > 5 (strict).
         let r = Region::all(1).with_lo(0, 5.0, true);
         // A box ending exactly at 5 cannot contain a satisfying point.
-        assert!(!r.intersects_bbox(&[0.0], &[5.0]));
-        assert!(r.intersects_bbox(&[0.0], &[5.0001]));
-        // Containment: box starting exactly at 5 is not fully inside.
-        assert!(!r.contains_bbox(&[5.0], &[9.0]));
-        assert!(r.contains_bbox(&[5.0001], &[9.0]));
-        // Closed variant accepts boundary.
+        assert_eq!(r.classify_bbox(0, &[0.0], &[5.0]), Disjoint);
+        assert_eq!(r.classify_bbox(0, &[0.0], &[5.5]), Partial);
+        // Containment: a box starting exactly at 5 is not fully inside.
+        assert_eq!(r.classify_bbox(0, &[5.0], &[9.0]), Partial);
+        assert_eq!(r.classify_bbox(0, &[5.5], &[9.0]), Contained);
+        // Closed variant accepts the boundary.
         let rc = Region::all(1).with_lo(0, 5.0, false);
-        assert!(rc.intersects_bbox(&[0.0], &[5.0]));
-        assert!(rc.contains_bbox(&[5.0], &[9.0]));
+        assert_eq!(rc.classify_bbox(0, &[0.0], &[5.0]), Partial);
+        assert_eq!(rc.classify_bbox(0, &[5.0], &[9.0]), Contained);
+        // Upper bounds mirror that, and `at` selects the dimensions tested.
+        let ru = Region::all(3).with_hi(2, 5.0, true);
+        assert_eq!(ru.classify_bbox(2, &[5.0], &[9.0]), Disjoint);
+        assert_eq!(ru.classify_bbox(2, &[0.0], &[5.0]), Partial);
+        assert_eq!(ru.classify_bbox(2, &[0.0], &[4.5]), Contained);
+        assert_eq!(ru.classify_bbox(0, &[5.0, 0.0], &[9.0, 1.0]), Contained);
+        let rcu = Region::all(1).with_hi(0, 5.0, false);
+        assert_eq!(rcu.classify_bbox(0, &[5.0], &[9.0]), Partial);
+        assert_eq!(rcu.classify_bbox(0, &[0.0], &[5.0]), Contained);
     }
 
     #[test]

@@ -42,6 +42,34 @@ fn sorted(mut v: Vec<usize>) -> Vec<usize> {
     v
 }
 
+/// `report` (as a set), `count`, `report_first` membership and
+/// `report_while` (full pass and early stop) of `kd` against the scan.
+fn assert_matches_brute(kd: &KdTree, brute: &BruteForce, region: &Region) {
+    let mut want = vec![];
+    brute.report(region, &mut want);
+    let want = sorted(want);
+    let mut got = vec![];
+    kd.report(region, &mut got);
+    assert_eq!(sorted(got.clone()), want, "report under {region:?}");
+    assert_eq!(kd.count(region), want.len(), "count under {region:?}");
+    match kd.report_first(region) {
+        Some(id) => assert!(want.contains(&id), "report_first under {region:?}"),
+        None => assert!(want.is_empty(), "report_first under {region:?}"),
+    }
+    let mut streamed = vec![];
+    kd.report_while(region, &mut |id| {
+        streamed.push(id);
+        true
+    });
+    assert_eq!(streamed, got, "report_while order under {region:?}");
+    let mut calls = 0;
+    kd.report_while(region, &mut |_| {
+        calls += 1;
+        false
+    });
+    assert_eq!(calls, usize::from(!want.is_empty()), "early stop");
+}
+
 #[test]
 fn kdtree_and_rangetree_match_bruteforce() {
     let mut rng = StdRng::seed_from_u64(42);
@@ -89,6 +117,13 @@ fn kdtree_tombstones_match_bruteforce() {
     let pts = gridded_points(&mut rng, 400, dim);
     let mut brute = BruteForce::build(dim, pts.clone());
     let mut kd = KdTree::build(dim, pts.clone());
+    // Before the first delete the kd-tree has no tombstone table; every
+    // tombstone operation must already behave as if all points were alive.
+    assert_eq!(kd.alive(), brute.alive());
+    assert_eq!(kd.restore(17), brute.restore(17));
+    kd.restore_all();
+    assert_eq!(kd.alive(), pts.len());
+    assert_matches_brute(&kd, &brute, &random_region(&mut rng, dim));
     for step in 0..600 {
         let id = rng.gen_range(0..pts.len());
         if rng.gen_bool(0.5) {
@@ -96,13 +131,14 @@ fn kdtree_tombstones_match_bruteforce() {
         } else {
             assert_eq!(brute.restore(id), kd.restore(id), "restore step {step}");
         }
+        if step % 200 == 150 {
+            kd.restore_all();
+            for id in 0..pts.len() {
+                brute.restore(id);
+            }
+        }
         if step % 50 == 0 {
-            let region = random_region(&mut rng, dim);
-            let mut want = vec![];
-            brute.report(&region, &mut want);
-            let mut got = vec![];
-            kd.report(&region, &mut got);
-            assert_eq!(sorted(got), sorted(want));
+            assert_matches_brute(&kd, &brute, &random_region(&mut rng, dim));
             assert_eq!(kd.alive(), brute.alive());
         }
     }
@@ -198,4 +234,137 @@ fn logstructured_matches_bruteforce_under_churn() {
         assert_eq!(sorted(got), sorted(want));
         assert_eq!(ls.alive(), mirror.len());
     }
+}
+
+/// Coordinates chosen against the kd-tree's `f32` node boxes: values no
+/// `f32` represents, values beyond its range (which round to `f32::MAX` or
+/// ∞), both kinds of subnormal, signed zeros and infinite facets.
+fn f32_hostile_values() -> Vec<f64> {
+    let f32_max = f64::from(f32::MAX);
+    vec![
+        0.1,
+        0.1f64.next_up(),
+        -1.0 / 3.0,
+        16_777_216.0,
+        16_777_217.0,
+        -16_777_217.0,
+        1e300,
+        -1e300,
+        f64::MAX,
+        f32_max,
+        f32_max.next_up(),
+        -f32_max.next_up(),
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        5e-324,
+        -5e-324,
+        1e-40,
+        -1e-40,
+        0.0,
+        -0.0,
+        0.5,
+        2.0,
+    ]
+}
+
+/// Query bounds on, and within one `f32` ulp on both sides of, every value
+/// a box face can take.
+fn bounds_around(values: &[f64]) -> Vec<f64> {
+    let mut bounds = vec![];
+    for &v in values {
+        let f = v as f32;
+        bounds.extend([v, v.next_down(), v.next_up()]);
+        bounds.extend([f, f.next_down(), f.next_up()].map(f64::from));
+    }
+    bounds
+}
+
+#[test]
+fn kdtree_matches_bruteforce_on_f32_hostile_coordinates() {
+    let mut rng = StdRng::seed_from_u64(0xF32);
+    let values = f32_hostile_values();
+    let bounds = bounds_around(&values);
+    // dim 7 spreads a node's box over two arena lines.
+    for dim in [1usize, 2, 7] {
+        let pts: Vec<Vec<f64>> = (0..240)
+            .map(|_| {
+                (0..dim)
+                    .map(|_| values[rng.gen_range(0..values.len())])
+                    .collect()
+            })
+            .collect();
+        let brute = BruteForce::build(dim, pts.clone());
+        let kd = KdTree::build(dim, pts);
+        // Every bound on one axis, closed and strict, from below and above.
+        for &b in &bounds {
+            for strict in [false, true] {
+                assert_matches_brute(&kd, &brute, &Region::all(dim).with_lo(0, b, strict));
+                assert_matches_brute(&kd, &brute, &Region::all(dim).with_hi(0, b, strict));
+            }
+        }
+        // Random boxes with faces drawn from the same bounds.
+        for _ in 0..300 {
+            let mut region = Region::all(dim);
+            for h in 0..dim {
+                if rng.gen_bool(0.6) {
+                    let a = bounds[rng.gen_range(0..bounds.len())];
+                    let b = bounds[rng.gen_range(0..bounds.len())];
+                    region.set_lo(h, a.min(b), rng.gen_bool(0.5));
+                    region.set_hi(h, a.max(b), rng.gen_bool(0.5));
+                }
+            }
+            assert_matches_brute(&kd, &brute, &region);
+        }
+    }
+}
+
+#[test]
+fn kdtree_matches_bruteforce_when_all_coordinates_are_equal() {
+    // Every split is degenerate and every node box is one point that no
+    // f32 represents.
+    let pts = vec![vec![0.1, 16_777_217.0]; 100];
+    let brute = BruteForce::build(2, pts.clone());
+    let kd = KdTree::build(2, pts);
+    for &b in &bounds_around(&[0.1]) {
+        for strict in [false, true] {
+            assert_matches_brute(&kd, &brute, &Region::all(2).with_lo(0, b, strict));
+            assert_matches_brute(&kd, &brute, &Region::all(2).with_hi(0, b, strict));
+        }
+    }
+}
+
+/// A labeled build over `pts` where point `i` carries label `i % 5`.
+fn build_with_repeated_labels(dim: usize, pts: &[Vec<f64>]) -> KdTree {
+    let labels = (0..pts.len() as u32).map(|i| i % 5).collect();
+    KdTree::build_labeled(dim, pts.concat(), labels, 1)
+}
+
+#[test]
+fn labeled_build_reports_labels_in_dfs_order() {
+    let mut rng = StdRng::seed_from_u64(31);
+    let dim = 3;
+    let pts = gridded_points(&mut rng, 300, dim);
+    let by_id = KdTree::build(dim, pts.clone());
+    let by_label = build_with_repeated_labels(dim, &pts);
+    assert_eq!(by_label.len(), pts.len());
+    for _ in 0..25 {
+        let region = random_region(&mut rng, dim);
+        let mut ids = vec![];
+        by_id.report(&region, &mut ids);
+        let mut labels = vec![];
+        by_label.report(&region, &mut labels);
+        // Same points in the same traversal order, each reported as its label.
+        let want: Vec<usize> = ids.iter().map(|id| id % 5).collect();
+        assert_eq!(labels, want);
+        assert_eq!(by_label.count(&region), ids.len());
+        assert_eq!(by_label.report_first(&region), want.first().copied());
+    }
+}
+
+#[test]
+#[should_panic(expected = "unique labels")]
+fn delete_on_repeated_labels_panics() {
+    let mut rng = StdRng::seed_from_u64(32);
+    let pts = gridded_points(&mut rng, 40, 2);
+    build_with_repeated_labels(2, &pts).delete(3);
 }

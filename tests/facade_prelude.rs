@@ -346,5 +346,11 @@ fn benchmark_adapter_surface() {
     out.sort_unstable();
     // Both kernels report ids {1, 2}, appended to the same buffer.
     assert_eq!(out, vec![1, 1, 2, 2]);
+    // The flat, labeled constructor the Ptile indexes build through.
+    let labeled = KdTree::build_labeled(1, vec![0.0, 1.0, 2.0], vec![7, 7, 9], opts.threads);
+    out.clear();
+    labeled.report(&region, &mut out);
+    out.sort_unstable();
+    assert_eq!(out, vec![7, 9]);
     assert_eq!(EpsNet::new(2, 0.1).nearest(&[1.0, 0.0]).1.dim(), 2);
 }
