@@ -11,23 +11,25 @@
 //! guarantee shape, as the appendices note for the homogeneous cases).
 
 use crate::bitset::BitSet;
-use crate::cache::MaskCache;
+use crate::cache::{CacheKey, DigestMap, MaskCache};
 use crate::framework::{Interval, LogicalExpr, MeasureFunction, Predicate, Repository};
 use crate::pool::{par_map_with, BuildOptions};
 use crate::pref::{PrefBuildParams, PrefIndex};
 use crate::ptile::{PtileBuildParams, PtileRangeIndex};
 use crate::scratch::QueryScratch;
+use dds_geom::EpsNet;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Bit-exact hash key for a predicate, so identical predicates appearing in
-/// several DNF clauses share one index query per
-/// [`MixedQueryEngine::try_query_with`] call. Encodes the measure discriminant, then every float as its IEEE-754
-/// bit pattern (`f64::to_bits`), so `-0.0 != 0.0` keys differ — a false
-/// negative only costs a redundant query, never a wrong answer.
-fn predicate_key(pred: &Predicate) -> Vec<u64> {
-    let mut key = Vec::new();
+/// Bit-exact encoding of a predicate, the words of its [`CacheKey`]. Encodes
+/// the measure discriminant, then every float as its IEEE-754 bit pattern
+/// (`f64::to_bits`), so `-0.0 != 0.0` keys differ — a false negative only
+/// costs a redundant query, never a wrong answer. Written into `key`
+/// (cleared first), a buffer reused across a plan's predicates.
+fn predicate_words(pred: &Predicate, key: &mut Vec<u64>) {
+    key.clear();
     match &pred.measure {
         MeasureFunction::Percentile(r) => {
             key.push(0);
@@ -45,7 +47,76 @@ fn predicate_key(pred: &Predicate) -> Vec<u64> {
     }
     key.push(pred.theta.lo.to_bits());
     key.push(pred.theta.hi.to_bits());
-    key
+}
+
+/// One distinct predicate of a [`DnfPlan`] with the engine-invariant work
+/// done: its cache key, digested once, and for a top-k predicate the ε-net
+/// vector its direction snaps to.
+#[derive(Debug)]
+struct PlannedPred {
+    pred: Predicate,
+    key: CacheKey,
+    snap: Option<usize>,
+}
+
+/// An expression's DNF, planned once and evaluable on any engine that
+/// shares the plan's ε-net and mask-cache keys — every shard of a
+/// `ShardedEngine`. DNF expansion repeats predicates across clauses
+/// (distributing `p ∧ (q ∨ r)` puts `p` in both); the plan keeps each
+/// distinct predicate once, in first-appearance order, so an evaluation
+/// fetches each mask once with no per-call memo.
+#[derive(Debug)]
+pub(crate) struct DnfPlan {
+    preds: Vec<PlannedPred>,
+    /// The non-empty clauses, as indexes into `preds` (an empty clause
+    /// contributes nothing).
+    clauses: Vec<Vec<usize>>,
+}
+
+impl DnfPlan {
+    /// Plans `dnf`: cache keys digested under `hasher`, top-k directions
+    /// snapped on `net` (`None` only when no engine will evaluate the plan).
+    /// The caller has schema-checked the expression, so every direction has
+    /// the net's dimension.
+    pub(crate) fn new(
+        dnf: Vec<Vec<Predicate>>,
+        hasher: &RandomState,
+        net: Option<&EpsNet>,
+    ) -> Self {
+        let mut preds: Vec<PlannedPred> = Vec::new();
+        let mut index: DigestMap<usize> = DigestMap::default();
+        let mut clauses = Vec::with_capacity(dnf.len());
+        let mut words = Vec::new();
+        for clause in dnf.into_iter().filter(|c| !c.is_empty()) {
+            let mut planned = Vec::with_capacity(clause.len());
+            for pred in clause {
+                predicate_words(&pred, &mut words);
+                let key = CacheKey::new(&words, hasher);
+                let slot = *index.entry(key.clone()).or_insert_with(|| {
+                    let snap = match &pred.measure {
+                        MeasureFunction::TopK { v, .. } => net.map(|n| n.nearest(v).0),
+                        MeasureFunction::Percentile(_) => None,
+                    };
+                    preds.push(PlannedPred { pred, key, snap });
+                    preds.len() - 1
+                });
+                planned.push(slot);
+            }
+            clauses.push(planned);
+        }
+        DnfPlan { preds, clauses }
+    }
+
+    /// The clauses, each as its predicates (repeats included).
+    pub(crate) fn clauses(&self) -> impl Iterator<Item = impl Iterator<Item = &Predicate>> {
+        self.clauses
+            .iter()
+            .map(|c| c.iter().map(|&i| &self.preds[i].pred))
+    }
+
+    fn keys(&self) -> impl Iterator<Item = &CacheKey> + Clone {
+        self.preds.iter().map(|p| &p.key)
+    }
 }
 
 /// Errors answering a mixed expression.
@@ -255,6 +326,26 @@ impl MixedQueryEngine {
         self.pref.get(&k).map(PrefIndex::slack)
     }
 
+    /// The ε-net every Pref index of this engine snaps query directions to
+    /// (all are built with the engine's `(dim, eps)`, so they share it).
+    pub(crate) fn pref_net(&self) -> &EpsNet {
+        self.pref
+            .values()
+            .next()
+            .expect("the engine indexes at least one rank")
+            .net()
+    }
+
+    /// Plans `expr` for this engine (keys under its cache's hasher,
+    /// directions on its net). The caller has schema-checked `expr`.
+    fn plan(&self, expr: &LogicalExpr) -> DnfPlan {
+        DnfPlan::new(
+            expr.to_dnf(),
+            self.mask_cache.hasher(),
+            Some(self.pref_net()),
+        )
+    }
+
     /// Answers a logical expression over percentile and preference
     /// predicates: a superset of `q_Π(P)`, every reported dataset within
     /// each touched predicate's band. Schema-checks the expression first
@@ -263,8 +354,8 @@ impl MixedQueryEngine {
     ///
     /// Read-only: the engine can be shared (`&self`, e.g. behind an `Arc`)
     /// across query threads. The caller-provided scratch — the reported
-    /// flags, DNF accumulators, predicate-mask memo table and the lifted
-    /// orthant buffers — is reused across calls; it never affects answers.
+    /// flags, DNF accumulators, predicate masks and the lifted orthant
+    /// buffers — is reused across calls; it never affects answers.
     /// This path does not consult the cross-call [`MaskCache`].
     pub fn try_query_with(
         &self,
@@ -272,7 +363,9 @@ impl MixedQueryEngine {
         scratch: &mut QueryScratch,
     ) -> Result<Vec<usize>, EngineError> {
         self.schema_check(std::slice::from_ref(expr))?;
-        self.query_inner(&expr.to_dnf(), scratch, None)
+        let mut out = Vec::new();
+        self.eval_plan(&self.plan(expr), scratch, None, |j| out.push(j))?;
+        Ok(out)
     }
 
     /// Answers a slice of expressions on the `opts` worker pool: per-worker
@@ -298,111 +391,128 @@ impl MixedQueryEngine {
             if let Some((expected, got)) = expr_dim_mismatch(expr, dim) {
                 return Err(EngineError::DimensionMismatch { expected, got });
             }
-            self.query_inner(&expr.to_dnf(), scratch, Some(&self.mask_cache))
+            let mut out = Vec::new();
+            self.eval_plan(&self.plan(expr), scratch, Some(&self.mask_cache), |j| {
+                out.push(j)
+            })?;
+            Ok(out)
         })
     }
 
-    /// [`try_query_with`](Self::try_query_with) on a pre-expanded DNF, through the
-    /// cross-call [`MaskCache`] — the per-shard query path of
-    /// [`ShardedEngine`](crate::shard::ShardedEngine), where every call is
-    /// service traffic sharing the shard's cache and the *caller* owns the
-    /// DNF (the sharded layer expands each expression once and reuses it
-    /// for routing and for every shard, instead of re-expanding per
-    /// shard).
-    pub(crate) fn query_cached_dnf(
+    /// [`try_query_with`](Self::try_query_with) on a plan made by the
+    /// caller, through the cross-call [`MaskCache`] — the per-shard query
+    /// path of [`ShardedEngine`](crate::shard::ShardedEngine), which plans
+    /// each expression once for routing and for every shard. `emit` gets
+    /// the shard-local answer.
+    pub(crate) fn query_cached_plan(
         &self,
-        dnf: &[Vec<Predicate>],
+        plan: &DnfPlan,
         scratch: &mut QueryScratch,
-    ) -> Result<Vec<usize>, EngineError> {
-        self.query_inner(dnf, scratch, Some(&self.mask_cache))
+        emit: impl FnMut(usize),
+    ) -> Result<(), EngineError> {
+        self.eval_plan(plan, scratch, Some(&self.mask_cache), emit)
     }
 
-    /// The DNF evaluation loop behind every query path. DNF expansion
-    /// repeats predicates across clauses (e.g. distributing `p ∧ (q ∨ r)`
-    /// puts `p` in both clauses); each distinct predicate's hit mask is
-    /// computed once per call (scratch memo) or once per batch (shared
-    /// cache). Masks are packed bitsets: clause intersection is a word-wise
-    /// AND over 64 datasets at a time.
-    fn query_inner(
+    /// [`query_cached_plan`](Self::query_cached_plan) when every predicate's
+    /// mask is already resident in the cache: answers through `emit` and
+    /// returns `true` after one lookup that counts exactly the hits the
+    /// cached path would. Returns `false` — nothing emitted, counted or
+    /// touched — when some mask would have to be computed or waited for.
+    pub(crate) fn query_resident_plan(
         &self,
-        dnf: &[Vec<Predicate>],
+        plan: &DnfPlan,
+        scratch: &mut QueryScratch,
+        emit: impl FnMut(usize),
+    ) -> bool {
+        let mut masks = std::mem::take(&mut scratch.masks);
+        let resident = self.mask_cache.get_resident(plan.keys(), &mut masks);
+        if resident {
+            self.combine(plan, &masks, scratch, emit);
+        }
+        masks.clear();
+        scratch.masks = masks;
+        resident
+    }
+
+    /// The evaluation behind every query path: each distinct predicate's
+    /// mask, in first-appearance order — from `cache` when given, else
+    /// computed — stopping at the first error, then the clause algebra.
+    fn eval_plan(
+        &self,
+        plan: &DnfPlan,
         scratch: &mut QueryScratch,
         cache: Option<&MaskCache>,
-    ) -> Result<Vec<usize>, EngineError> {
-        let n = self.n_datasets;
-        let mut out = Vec::new();
-        // The memo, dedup set and accumulator move out of the scratch while
-        // the leaf queries (which borrow the scratch for their own buffers)
-        // run, and move back afterwards so their capacity is kept.
-        let mut memo = std::mem::take(&mut scratch.memo);
-        memo.clear();
-        let mut seen = std::mem::take(&mut scratch.seen);
-        seen.reset(n);
-        let mut acc = std::mem::take(&mut scratch.acc);
+        emit: impl FnMut(usize),
+    ) -> Result<(), EngineError> {
+        // The masks move out of the scratch while the leaf queries (which
+        // borrow the scratch for their own buffers) run, and move back
+        // afterwards so their capacity is kept.
+        let mut masks = std::mem::take(&mut scratch.masks);
         let mut result = Ok(());
-        'clauses: for clause in dnf {
-            if clause.is_empty() {
-                continue;
-            }
-            acc.reset(n);
-            acc.set_all();
-            for pred in clause {
-                let key = predicate_key(pred);
-                let mask = match memo.get(&key) {
-                    Some(m) => Arc::clone(m),
-                    None => match self.predicate_mask(pred, &key, scratch, cache) {
-                        Ok(m) => {
-                            memo.insert(key, Arc::clone(&m));
-                            m
-                        }
-                        Err(e) => {
-                            result = Err(e);
-                            break 'clauses;
-                        }
-                    },
-                };
-                acc.and_assign(&mask);
-            }
-            for j in acc.iter_ones() {
-                if seen.insert(j) {
-                    out.push(j);
+        for p in &plan.preds {
+            let mask = match cache {
+                None => self.compute_mask(p, scratch),
+                Some(cache) => cache.get_or_compute(&p.key, || self.compute_mask(p, scratch)),
+            };
+            match mask {
+                Ok(m) => masks.push(m),
+                Err(e) => {
+                    result = Err(e);
+                    break;
                 }
             }
         }
-        scratch.memo = memo;
-        scratch.seen = seen;
-        scratch.acc = acc;
-        result.map(|()| out)
+        if result.is_ok() {
+            self.combine(plan, &masks, scratch, emit);
+        }
+        masks.clear();
+        scratch.masks = masks;
+        result
     }
 
-    /// One predicate's hit mask: shared-cache lookup (batch / sharded
-    /// mode), then compute against the underlying index. The cache's map
-    /// locks are only held to fetch/insert the per-key cell; the compute
-    /// runs inside the cell's `OnceLock`, which guarantees exactly one
-    /// execution per distinct predicate and generation (racing workers
-    /// block on that cell only) — so
-    /// [`index_queries`](Self::index_queries) and the cache's miss counter
-    /// stay deterministic and distinct predicates never serialize behind
-    /// each other.
-    fn predicate_mask(
+    /// The clause algebra over one mask per distinct predicate: within a
+    /// clause a word-wise AND (64 datasets at a time), across clauses a
+    /// union. `emit` gets every answer once, clause by clause, ascending
+    /// within a clause.
+    fn combine(
         &self,
-        pred: &Predicate,
-        key: &[u64],
+        plan: &DnfPlan,
+        masks: &[Arc<BitSet>],
         scratch: &mut QueryScratch,
-        cache: Option<&MaskCache>,
-    ) -> Result<Arc<BitSet>, EngineError> {
-        match cache {
-            None => self.compute_mask(pred, scratch),
-            Some(cache) => cache.get_or_compute(key, || self.compute_mask(pred, scratch)),
+        mut emit: impl FnMut(usize),
+    ) {
+        let n = self.n_datasets;
+        let dedup = plan.clauses.len() > 1;
+        if dedup {
+            scratch.seen.reset(n);
+        }
+        for clause in &plan.clauses {
+            let hits = match clause[..] {
+                [only] => &*masks[only],
+                _ => {
+                    scratch.acc.reset(n);
+                    scratch.acc.set_all();
+                    for &i in clause {
+                        scratch.acc.and_assign(&masks[i]);
+                    }
+                    &scratch.acc
+                }
+            };
+            for j in hits.iter_ones() {
+                if !dedup || scratch.seen.insert(j) {
+                    emit(j);
+                }
+            }
         }
     }
 
     /// Queries the underlying index for one predicate and packs the hits.
     fn compute_mask(
         &self,
-        pred: &Predicate,
+        planned: &PlannedPred,
         scratch: &mut QueryScratch,
     ) -> Result<Arc<BitSet>, EngineError> {
+        let pred = &planned.pred;
         let mut mask = BitSet::new(self.n_datasets);
         match &pred.measure {
             MeasureFunction::Percentile(r) => {
@@ -414,9 +524,12 @@ impl MixedQueryEngine {
                     mask.insert(j);
                 });
             }
-            MeasureFunction::TopK { v, k } => {
+            MeasureFunction::TopK { k, .. } => {
                 let idx = self.pref.get(k).ok_or(EngineError::MissingRank(*k))?;
-                idx.query_cb(v, pred.theta.lo, &mut |j| {
+                let snap = planned
+                    .snap
+                    .expect("top-k directions are snapped when planned");
+                idx.query_snapped_cb(snap, pred.theta.lo, &mut |j| {
                     mask.insert(j);
                 });
             }

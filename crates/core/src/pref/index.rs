@@ -212,11 +212,22 @@ impl PrefIndex {
     /// Callback variant of [`query`](Self::query).
     pub fn query_cb(&self, u: &[f64], a_theta: f64, f: &mut dyn FnMut(usize)) {
         assert_eq!(u.len(), self.net.dim(), "query vector dimension mismatch");
-        let (vi, _) = self.net.nearest(u);
-        let mut hits = Vec::new();
-        self.trees[vi].report_at_least(a_theta - self.margin(), &mut hits);
-        for j in hits {
-            f(j);
+        self.query_snapped_cb(self.net.nearest(u).0, a_theta, f);
+    }
+
+    /// The ε-net the query vectors snap to (Algorithm 6, line 1). Every
+    /// index built with the same `(dim, eps)` has the same net, so a caller
+    /// querying several of them snaps a vector once.
+    pub(crate) fn net(&self) -> &EpsNet {
+        &self.net
+    }
+
+    /// [`query_cb`](Self::query_cb) after the snap: reports every dataset
+    /// whose score along net vector `vi` (an index into [`net`](Self::net))
+    /// clears `a_θ − ε − δ`.
+    pub(crate) fn query_snapped_cb(&self, vi: usize, a_theta: f64, f: &mut dyn FnMut(usize)) {
+        for &j in self.trees[vi].ids_at_least(a_theta - self.margin()) {
+            f(j as usize);
         }
     }
 

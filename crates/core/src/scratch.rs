@@ -2,8 +2,8 @@
 //!
 //! Every read-only query path in this crate takes `&self` and keeps its
 //! transient state — reported-dataset flags, degenerate-hit buffers, the
-//! lifted query orthant, DNF accumulators and the per-call predicate-mask
-//! memo — in a [`QueryScratch`] instead of `self` or fresh heap
+//! lifted query orthant, DNF accumulators and the per-call predicate
+//! masks — in a [`QueryScratch`] instead of `self` or fresh heap
 //! allocations. The convenience `query` methods create a scratch per call;
 //! the `*_with` variants accept one from the caller, so a query loop (or a
 //! worker thread of the batch APIs, via `dds_pool::par_map_with`) allocates
@@ -16,7 +16,6 @@
 
 use crate::bitset::BitSet;
 use dds_rangetree::Region;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Reusable buffers for the `&self` query paths.
@@ -55,10 +54,9 @@ pub struct QueryScratch {
     pub(crate) seen: BitSet,
     /// Clause intersection accumulator for DNF loops.
     pub(crate) acc: BitSet,
-    /// Per-call predicate-mask memo of the mixed engine (DNF expansion
-    /// repeats predicates across clauses; each distinct predicate queries
-    /// its index once per call).
-    pub(crate) memo: HashMap<Vec<u64>, Arc<BitSet>>,
+    /// The mixed engine's masks for one evaluation, one per distinct
+    /// predicate of the query plan (emptied after every evaluation).
+    pub(crate) masks: Vec<Arc<BitSet>>,
 }
 
 impl Default for QueryScratch {
@@ -78,7 +76,7 @@ impl QueryScratch {
             region: Region::all(1),
             seen: BitSet::new(0),
             acc: BitSet::new(0),
-            memo: HashMap::new(),
+            masks: Vec::new(),
         }
     }
 

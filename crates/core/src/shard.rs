@@ -120,13 +120,14 @@
 //! the engine's Ptile build carries its synopsis with it.
 
 use crate::cache::MaskCache;
-use crate::engine::{expr_dim_mismatch, EngineError, MixedQueryEngine};
-use crate::framework::{Dataset, LogicalExpr, MeasureFunction, Predicate, Repository};
+use crate::engine::{expr_dim_mismatch, DnfPlan, EngineError, MixedQueryEngine};
+use crate::framework::{Dataset, LogicalExpr, MeasureFunction, Repository};
 use crate::pool::{par_map_with, BuildOptions};
 use crate::pref::PrefBuildParams;
 use crate::ptile::PtileBuildParams;
 use crate::scratch::QueryScratch;
 use crate::telemetry::EngineTelemetry;
+use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -410,20 +411,12 @@ struct RoutingLit {
     rect: Vec<(f64, f64)>,
 }
 
-/// One DNF clause as the router sees it, computed once per query.
-enum PlanClause {
-    /// An empty clause — trivially proven silent on every shard.
-    Vacuous,
-    /// The clause's routable percentile literals (non-empty).
-    Lits(Vec<RoutingLit>),
-}
-
-/// One expression ready to scatter: its DNF (expanded once, shared by the
-/// routing check and every shard's evaluation) and the routing verdicts —
-/// `skip[s]` says how shard `s` was proven silent, `None` scatters
-/// everywhere.
+/// One expression ready to scatter: its DNF plan (expanded, keyed and
+/// snapped once, shared by the routing check and every shard's
+/// evaluation) and the routing verdicts — `skip[s]` says how shard `s` was
+/// proven silent, `None` scatters everywhere.
 struct QueryPlan {
-    dnf: Vec<Vec<Predicate>>,
+    dnf: DnfPlan,
     skip: Option<Vec<Skip>>,
 }
 
@@ -477,6 +470,9 @@ pub struct ShardedEngine {
     pref_params: PrefBuildParams,
     /// Per-shard mask-cache bound (entries, not bytes).
     cache_capacity: usize,
+    /// The SipHash keys of every shard's [`MaskCache`]: a query digests
+    /// each predicate's cache key once, and every shard looks it up.
+    hasher: RandomState,
     /// Routing fast-path tiers (see the module docs); set by
     /// [`with_routing`](Self::with_routing).
     routing: Routing,
@@ -519,6 +515,7 @@ impl ShardedEngine {
             ptile_params,
             pref_params,
             cache_capacity: crate::cache::DEFAULT_MASK_CACHE_CAPACITY,
+            hasher: RandomState::new(),
             routing: Routing::default(),
             routed_past: AtomicU64::new(0),
             routed_by_synopsis: AtomicU64::new(0),
@@ -954,65 +951,85 @@ impl ShardedEngine {
         let plan = self.plan(expr)?;
         let mut out = Vec::new();
         for s in 0..self.shards.len() {
-            out.append(&mut self.scatter_unit(&plan, s, scratch)?);
+            if !self.routed_away(&plan, s) {
+                self.scatter_unit(&plan, s, scratch, &mut out)?;
+            }
         }
         out.sort_unstable();
         Ok(out)
     }
 
-    /// Answers a slice of expressions on the `opts` worker pool: every
-    /// `(expression, shard)` pair is one scatter unit over
-    /// `dds_pool::par_map_with` (per-worker scratch), gathered back
-    /// **input-ordered** — `result[i]` answers `exprs[i]`, as ascending
-    /// global ids, bit-identical to
+    /// Answers a slice of expressions: every `(expression, shard)` pair is
+    /// one scatter unit, gathered back **input-ordered** — `result[i]`
+    /// answers `exprs[i]`, as ascending global ids, bit-identical to
     /// [`try_query_with`](Self::try_query_with) on each expression at
     /// every shard count × thread count (pinned by
     /// `tests/shard_equivalence.rs`). Each expression is schema-checked
     /// independently, so a wrong-dimension expression yields
     /// `Err(DimensionMismatch)` *in its slot* while the rest of the batch
     /// is still scattered and answered.
+    ///
+    /// Only index work fans out. One pass on the calling thread settles
+    /// every unit that needs none: units the routing plan proves silent
+    /// (a counter bump) and units whose every predicate mask is resident
+    /// in the shard's cache (one counted lookup, then the bitset algebra).
+    /// The remaining units — the ones that must walk an index — run on the
+    /// `opts` worker pool via `dds_pool::par_map_with` (per-worker scratch;
+    /// a single remaining unit runs inline). Cache counters come out as a
+    /// sequential run's: a resident unit counts the hits its lookups would
+    /// have, and a declined one counts nothing before it fans out.
     pub fn try_query_batch_opts(
         &self,
         exprs: &[LogicalExpr],
         opts: &BuildOptions,
     ) -> Vec<Result<Vec<GlobalId>, EngineError>> {
-        let n_shards = self.shards.len();
-        if n_shards == 0 {
+        if self.shards.is_empty() {
             return exprs.iter().map(|_| Ok(Vec::new())).collect();
         }
         // Planned once per expression, shared read-only by every
         // (expression, shard) scatter unit — the workers never re-expand.
         let plans: Vec<Result<QueryPlan, EngineError>> =
             exprs.iter().map(|e| self.plan(e)).collect();
-        // Scatter: unit (e, s) answers expression e on shard s. Flattening
-        // both dimensions keeps the pool busy even when the batch is
-        // smaller than the worker count.
-        let units: Vec<(usize, usize)> = (0..exprs.len())
-            .flat_map(|e| (0..n_shards).map(move |s| (e, s)))
+        let mut results: Vec<Result<Vec<GlobalId>, EngineError>> = plans
+            .iter()
+            .map(|p| p.as_ref().map(|_| Vec::new()).map_err(EngineError::clone))
             .collect();
-        let partials = par_map_with(opts, &units, QueryScratch::new, |scratch, _, &(e, s)| {
-            let plan = plans[e].as_ref().map_err(EngineError::clone)?;
-            self.scatter_unit(plan, s, scratch)
-        });
-        // Gather: merge each expression's per-shard partials in shard
-        // order (errors are identical across shards — first one wins),
-        // then canonicalize to ascending global ids.
-        let mut results = Vec::with_capacity(exprs.len());
-        let mut partials = partials.into_iter();
-        for _ in 0..exprs.len() {
-            let mut merged: Result<Vec<GlobalId>, EngineError> = Ok(Vec::new());
-            for partial in partials.by_ref().take(n_shards) {
-                if let Ok(acc) = &mut merged {
-                    match partial {
-                        Ok(mut ids) => acc.append(&mut ids),
-                        Err(e) => merged = Err(e),
-                    }
+        let mut scratch = QueryScratch::new();
+        let mut index_work: Vec<(usize, usize)> = Vec::new();
+        for (e, (plan, result)) in plans.iter().zip(&mut results).enumerate() {
+            let (Ok(plan), Ok(out)) = (plan, result) else {
+                continue;
+            };
+            for s in 0..self.shards.len() {
+                if !self.routed_away(plan, s) && !self.resident_unit(plan, s, &mut scratch, out) {
+                    index_work.push((e, s));
                 }
             }
-            if let Ok(ids) = &mut merged {
-                ids.sort_unstable();
+        }
+        // Scatter the index walks; flattening both dimensions keeps the
+        // pool busy even when the batch is smaller than the worker count.
+        let partials = par_map_with(
+            opts,
+            &index_work,
+            QueryScratch::new,
+            |scratch, _, &(e, s)| {
+                let plan = plans[e].as_ref().expect("only planned expressions scatter");
+                let mut ids = Vec::new();
+                self.scatter_unit(plan, s, scratch, &mut ids).map(|()| ids)
+            },
+        );
+        // Gather: every shard of an expression fails alike (same ranks,
+        // same plan), so any unit's error is the expression's answer.
+        for (&(e, _), partial) in index_work.iter().zip(partials) {
+            if let Ok(acc) = &mut results[e] {
+                match partial {
+                    Ok(mut ids) => acc.append(&mut ids),
+                    Err(err) => results[e] = Err(err),
+                }
             }
-            results.push(merged);
+        }
+        for ids in results.iter_mut().flatten() {
+            ids.sort_unstable();
         }
         results
     }
@@ -1020,11 +1037,13 @@ impl ShardedEngine {
     /// The per-expression front half of both query paths: the schema
     /// verdict (taken before DNF expansion or routing — a mismatched
     /// expression must neither expand nor touch shard bounding boxes built
-    /// for a different dimension), one DNF expansion, and the routing
-    /// verdicts under the routing timer.
+    /// for a different dimension), one DNF plan — cache keys digested under
+    /// the shards' shared hasher, top-k directions snapped on the shards'
+    /// shared ε-net — and the routing verdicts under the routing timer.
     fn plan(&self, expr: &LogicalExpr) -> Result<QueryPlan, EngineError> {
         self.schema_check(std::slice::from_ref(expr))?;
-        let dnf = expr.to_dnf();
+        let net = self.shards.first().map(|s| s.engine.pref_net());
+        let dnf = DnfPlan::new(expr.to_dnf(), &self.hasher, net);
         let routing_started = std::time::Instant::now();
         let skip = self.routing_skip(expr, &dnf);
         self.telemetry
@@ -1033,46 +1052,71 @@ impl ShardedEngine {
         Ok(QueryPlan { dnf, skip })
     }
 
-    /// One `(expression, shard)` scatter unit, shared by the sequential
-    /// and the batch path: a unit the plan's routing verdicts prove silent
-    /// only bumps its tier's counter; otherwise the shard records the load,
-    /// evaluates the DNF through its mask cache under the scatter timer,
-    /// and its shard-local hits come back translated to global ids
-    /// (shard-local order).
+    /// Whether the plan's routing verdicts prove shard `s` silent; a
+    /// skipped unit only bumps its tier's counter.
+    fn routed_away(&self, plan: &QueryPlan, s: usize) -> bool {
+        match plan.skip.as_ref().map_or(Skip::No, |sk| sk[s]) {
+            Skip::Box => self.routed_past.fetch_add(1, Ordering::Relaxed),
+            Skip::Synopsis => self.routed_by_synopsis.fetch_add(1, Ordering::Relaxed),
+            Skip::No => return false,
+        };
+        true
+    }
+
+    /// One `(expression, shard)` scatter unit the routing plan did not
+    /// skip: the shard records the load, evaluates the plan through its
+    /// mask cache under the scatter timer, and its hits are appended to
+    /// `out` as global ids (shard-local order).
     fn scatter_unit(
         &self,
         plan: &QueryPlan,
         s: usize,
         scratch: &mut QueryScratch,
-    ) -> Result<Vec<GlobalId>, EngineError> {
-        match plan.skip.as_ref().map_or(Skip::No, |sk| sk[s]) {
-            Skip::Box => {
-                self.routed_past.fetch_add(1, Ordering::Relaxed);
-                return Ok(Vec::new());
-            }
-            Skip::Synopsis => {
-                self.routed_by_synopsis.fetch_add(1, Ordering::Relaxed);
-                return Ok(Vec::new());
-            }
-            Skip::No => {}
-        }
+        out: &mut Vec<GlobalId>,
+    ) -> Result<(), EngineError> {
         let shard = &self.shards[s];
         shard.queries.fetch_add(1, Ordering::Relaxed);
         let unit_started = std::time::Instant::now();
-        let hits = shard.engine.query_cached_dnf(&plan.dnf, scratch);
+        let answered = shard
+            .engine
+            .query_cached_plan(&plan.dnf, scratch, |j| out.push(shard.global_ids[j]));
         self.telemetry
             .scatter
             .record_duration(unit_started.elapsed());
-        Ok(hits?.into_iter().map(|j| shard.global_ids[j]).collect())
+        answered
     }
 
-    /// The routing verdicts for one expression (whose caller-expanded DNF
+    /// [`scatter_unit`](Self::scatter_unit) for a unit whose every mask is
+    /// resident in the shard's cache; `false` (nothing recorded, counted
+    /// or appended) when some mask is not.
+    fn resident_unit(
+        &self,
+        plan: &QueryPlan,
+        s: usize,
+        scratch: &mut QueryScratch,
+        out: &mut Vec<GlobalId>,
+    ) -> bool {
+        let shard = &self.shards[s];
+        let unit_started = std::time::Instant::now();
+        let resident = shard
+            .engine
+            .query_resident_plan(&plan.dnf, scratch, |j| out.push(shard.global_ids[j]));
+        if resident {
+            shard.queries.fetch_add(1, Ordering::Relaxed);
+            self.telemetry
+                .scatter
+                .record_duration(unit_started.elapsed());
+        }
+        resident
+    }
+
+    /// The routing verdicts for one expression (whose caller-made DNF plan
     /// is passed in, so the expansion is paid once per query): `skip[s]`
     /// says how shard `s` was proven silent, if it was. `None` means
     /// "scatter everywhere" (routing disabled, nothing skippable, or the
     /// expression may error — error answers must come from the shards,
     /// not be routed away).
-    fn routing_skip(&self, expr: &LogicalExpr, dnf: &[Vec<Predicate>]) -> Option<Vec<Skip>> {
+    fn routing_skip(&self, expr: &LogicalExpr, dnf: &DnfPlan) -> Option<Vec<Skip>> {
         if self.routing == Routing::Off || self.shards.is_empty() || !self.ranks_indexed(expr) {
             return None;
         }
@@ -1090,17 +1134,12 @@ impl ShardedEngine {
     /// per-shard loop. `None` means some clause has no routable percentile
     /// literal of the served dimension — that clause can never be proven
     /// silent, so no shard is skippable and the per-shard work would be
-    /// wasted.
-    fn routing_plan(&self, dnf: &[Vec<Predicate>]) -> Option<Vec<PlanClause>> {
+    /// wasted. (The plan holds no empty clause: one contributes nothing by
+    /// the DNF evaluation contract, so it never blocks a skip.)
+    fn routing_plan(&self, dnf: &DnfPlan) -> Option<Vec<Vec<RoutingLit>>> {
         let dim = self.dim()?;
-        let mut clauses = Vec::with_capacity(dnf.len());
-        for clause in dnf {
-            // An empty clause contributes nothing by the DNF evaluation
-            // contract, so it never blocks a skip.
-            if clause.is_empty() {
-                clauses.push(PlanClause::Vacuous);
-                continue;
-            }
+        let mut clauses = Vec::new();
+        for clause in dnf.clauses() {
             let mut lits: Vec<RoutingLit> = Vec::new();
             for p in clause {
                 if let MeasureFunction::Percentile(r) = &p.measure {
@@ -1119,7 +1158,7 @@ impl ShardedEngine {
             if lits.is_empty() {
                 return None;
             }
-            clauses.push(PlanClause::Lits(lits));
+            clauses.push(lits);
         }
         Some(clauses)
     }
@@ -1130,16 +1169,15 @@ impl ShardedEngine {
     /// sees shards the box could not prove silent. Both require every
     /// clause to carry a skip-proving literal; see the module docs for the
     /// soundness argument.
-    fn shard_skip(plan: &[PlanClause], shard: &Shard, synopsis_route: bool) -> Skip {
+    fn shard_skip(plan: &[Vec<RoutingLit>], shard: &Shard, synopsis_route: bool) -> Skip {
         let Some(bounds) = &shard.bounds else {
             // A NaN coordinate was seen: containment reasoning is unsound
             // (and the engine carries no synopsis either).
             return Skip::No;
         };
         let margin = shard.engine.ptile_margin();
-        let box_skip = plan.iter().all(|c| match c {
-            PlanClause::Vacuous => true,
-            PlanClause::Lits(lits) => lits.iter().any(|l| {
+        let box_skip = plan.iter().all(|lits| {
+            lits.iter().any(|l| {
                 // Disjoint from the raw-point box in some attribute, and
                 // the clamped lower bound clears the zero-mass path.
                 l.lo > margin
@@ -1147,7 +1185,7 @@ impl ShardedEngine {
                         .iter()
                         .zip(bounds)
                         .any(|(q, b)| q.1 < b.0 || q.0 > b.1)
-            }),
+            })
         });
         if box_skip {
             return Skip::Box;
@@ -1158,15 +1196,14 @@ impl ShardedEngine {
         let Some(syn) = shard.engine.routing_synopsis() else {
             return Skip::No;
         };
-        let syn_skip = plan.iter().all(|c| match c {
-            PlanClause::Vacuous => true,
-            PlanClause::Lits(lits) => lits.iter().any(|l| {
+        let syn_skip = plan.iter().all(|lits| {
+            lits.iter().any(|l| {
                 // U + margin < a_θ: neither the main reporting path nor
                 // the zero-mass empty-slab path can fire for any member
                 // dataset (at U = 0 this is exactly the box tier's
                 // `margin < lo` precondition).
                 syn.mass_bound(&l.rect) + margin < l.lo
-            }),
+            })
         });
         if syn_skip {
             Skip::Synopsis
@@ -1274,7 +1311,12 @@ impl ShardedEngine {
         queries: u64,
         opts: &BuildOptions,
     ) -> Shard {
-        let cache = carried_cache.unwrap_or_else(|| Arc::new(MaskCache::new(self.cache_capacity)));
+        let cache = carried_cache.unwrap_or_else(|| {
+            Arc::new(MaskCache::with_hasher(
+                self.cache_capacity,
+                self.hasher.clone(),
+            ))
+        });
         let engine = MixedQueryEngine::build_opts(
             &repo,
             &self.ks,
@@ -1283,6 +1325,15 @@ impl ShardedEngine {
             opts,
         )
         .with_mask_cache(cache);
+        // A query snaps its top-k directions once, on shard 0's ε-net, for
+        // every shard: all shards of one schema must build the same net.
+        if let Some(first) = self.shards.first().filter(|s| s.dim == repo.dim()) {
+            let (net, theirs) = (engine.pref_net(), first.engine.pref_net());
+            assert!(
+                (theirs.dim(), theirs.eps(), theirs.len()) == (net.dim(), net.eps(), net.len()),
+                "shards must share one ε-net"
+            );
+        }
         Shard {
             engine,
             global_ids,
@@ -1378,6 +1429,45 @@ mod tests {
             Rect::interval(0.0, 60.0),
             0.9,
         ))
+    }
+
+    /// A query snaps each top-k direction once, on shard 0's ε-net, and
+    /// hands that net index to every shard — sound only because every
+    /// shard built the very same net.
+    #[test]
+    fn all_shards_share_one_eps_net() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let dataset_2d = |i: usize| {
+            let rows = (0..4)
+                .map(|j| vec![(i * 5 + j) as f64, (i * 3 + 2 * j) as f64 % 7.0])
+                .collect();
+            Dataset::from_rows(format!("d{i}"), rows)
+        };
+        let mut svc = ShardedEngine::new(
+            &[1, 2],
+            PtileBuildParams::exact_centralized(),
+            PrefBuildParams::exact_centralized(),
+        );
+        for s in 0..3u64 {
+            add(
+                &mut svc,
+                (0..2).map(|j| dataset_2d((2 * s + j) as usize)).collect(),
+                &[2 * s, 2 * s + 1],
+            );
+        }
+        let net = svc.shards[0].engine.pref_net();
+        let mut rng = StdRng::seed_from_u64(0xE95);
+        let probes: Vec<Vec<f64>> = (0..1000)
+            .map(|_| vec![rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)])
+            .collect();
+        for shard in &svc.shards[1..] {
+            let theirs = shard.engine.pref_net();
+            assert_eq!((theirs.dim(), theirs.eps()), (net.dim(), net.eps()));
+            for v in &probes {
+                assert_eq!(theirs.nearest(v).0, net.nearest(v).0, "direction {v:?}");
+            }
+        }
     }
 
     #[test]

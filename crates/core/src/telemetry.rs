@@ -247,7 +247,10 @@ pub struct QueryTrace {
     pub queue_ns: u64,
     /// Engine execution time, nanoseconds (0 for control ops).
     pub execute_ns: u64,
-    /// Response encode + socket write time, nanoseconds.
+    /// Response encode plus the wait for the socket to take the first
+    /// write, nanoseconds. The trace is published just before that write
+    /// (the one that usually completes the response), so the write
+    /// syscalls themselves are not in any stage.
     pub write_ns: u64,
     /// End-to-end time the threshold is compared against, nanoseconds.
     pub total_ns: u64,
@@ -276,8 +279,8 @@ struct Ring {
 /// `total_ns` met the threshold.
 ///
 /// Recording takes a short mutex on the ring (never on the answer path —
-/// only after the response bytes are already on the wire) and never
-/// allocates after construction. A threshold of zero traces every
+/// only once the response is encoded, just before its first write) and
+/// never allocates after construction. A threshold of zero traces every
 /// eligible request, which tests and the E19 harness use.
 #[derive(Debug)]
 pub struct SlowQueryLog {

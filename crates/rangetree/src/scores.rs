@@ -65,8 +65,13 @@ impl SortedScores {
     /// Appends every dataset index with score `≥ t` — the `T_v.Report(I')`
     /// call of Algorithm 6. Output-sensitive: `O(log N + OUT)`.
     pub fn report_at_least(&self, t: f64, out: &mut Vec<usize>) {
-        let start = self.keys.partition_point(|k| *k < t);
-        out.extend(self.ids[start..].iter().map(|&i| i as usize));
+        out.extend(self.ids_at_least(t).iter().map(|&i| i as usize));
+    }
+
+    /// The dataset indexes with score `≥ t`, in ascending score order — the
+    /// allocation-free form of [`report_at_least`](Self::report_at_least).
+    pub fn ids_at_least(&self, t: f64) -> &[u32] {
+        &self.ids[self.keys.partition_point(|k| *k < t)..]
     }
 
     /// Appends every dataset index with score in the closed interval

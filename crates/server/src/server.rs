@@ -95,8 +95,8 @@ pub struct ServerConfig {
     pub io_threads: usize,
     /// Worker threads each executed query fans out over
     /// (`ShardedEngine::try_query_batch_opts`); `None` uses the engine
-    /// default (`DDS_THREADS` / all cores). Builds triggered by ingest use
-    /// the same setting.
+    /// default (`DDS_THREADS` / all cores), resolved once when the server
+    /// starts. Builds triggered by ingest use the same setting.
     pub query_threads: Option<usize>,
     /// Upper bound on a frame body, both directions.
     pub max_frame_len: u32,
@@ -317,6 +317,11 @@ struct Shared {
     engine: RwLock<ShardedEngine>,
     counters: Counters,
     cfg: ServerConfig,
+    /// The worker pool every query and build runs on, resolved from
+    /// `cfg.query_threads` once at start-up: resolving the default reads
+    /// `DDS_THREADS` and the cgroup files, microseconds a request must not
+    /// pay.
+    opts: BuildOptions,
     /// The bound listener address (signal_shutdown pokes it to unblock
     /// accept).
     local_addr: std::net::SocketAddr,
@@ -340,8 +345,9 @@ struct Shared {
     /// on the hot path is an `Instant::now` pair and one relaxed add).
     stages: StageTimings,
     /// Bounded ring of slow-request traces (see
-    /// [`ServerConfig::slow_query_threshold`]). Only touched *after* a
-    /// response has fully left the socket — never on the answer path.
+    /// [`ServerConfig::slow_query_threshold`]). Only touched once a
+    /// response is fully encoded, just before its first write — never on
+    /// the answer path.
     slow_log: SlowQueryLog,
 }
 
@@ -354,13 +360,6 @@ impl Shared {
 
     fn engine_write(&self) -> std::sync::RwLockWriteGuard<'_, ShardedEngine> {
         self.engine.write().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn build_opts(&self) -> BuildOptions {
-        match self.cfg.query_threads {
-            Some(t) => BuildOptions::with_threads(t),
-            None => BuildOptions::default(),
-        }
     }
 
     fn signal_shutdown(&self) {
@@ -479,10 +478,14 @@ impl DdsServer {
             u64::try_from(cfg.slow_query_threshold.as_nanos()).unwrap_or(u64::MAX),
             cfg.slow_log_capacity,
         );
+        let opts = cfg
+            .query_threads
+            .map_or_else(BuildOptions::default, BuildOptions::with_threads);
         let shared = Arc::new(Shared {
             engine: RwLock::new(engine),
             counters: Counters::default(),
             cfg,
+            opts,
             local_addr,
             shutting_down: AtomicBool::new(false),
             reap: AtomicBool::new(false),
@@ -711,9 +714,9 @@ enum SessionState {
 
 /// Stage timings of the request currently in flight on a session,
 /// accumulated as the request moves through the state machine and
-/// finished into a [`QueryTrace`] once its response fully leaves the
-/// socket. All-scalar and `Copy`: carrying it costs nothing on the
-/// zero-alloc hot path.
+/// published as a [`QueryTrace`] just before its response's first write.
+/// All-scalar and `Copy`: carrying it costs nothing on the zero-alloc hot
+/// path.
 #[derive(Clone, Copy, Debug, Default)]
 struct PendingTrace {
     opcode: u8,
@@ -744,6 +747,10 @@ struct Session {
     /// When the current response's encode+write stage began
     /// (`respond_enqueue` stamps it).
     write_started: Instant,
+    /// The encoded response's trace is not yet published (`respond_enqueue`
+    /// sets it, [`publish_trace`] clears it): each response is traced
+    /// exactly once.
+    trace_owed: bool,
 }
 
 /// What [`drive_session`] decided about the session's future.
@@ -780,6 +787,7 @@ fn io_loop(shared: &Arc<Shared>, io: &Arc<IoShared>, mut reactor: Reactor) {
                 last_progress: Instant::now(),
                 pending: PendingTrace::default(),
                 write_started: Instant::now(),
+                trace_owed: false,
             });
         }
         // Deliver executor completions: encode into the session's write
@@ -944,38 +952,44 @@ fn drive_session(shared: &Arc<Shared>, io: &Arc<IoShared>, s: &mut Session) -> D
             SessionState::Write {
                 written,
                 close_after,
-            } => match s.stream.write(&s.write_buf[written..]) {
-                Ok(0) => return Drive::Close,
-                Ok(n) => {
-                    s.last_progress = Instant::now();
-                    let written = written + n;
-                    if written < s.write_buf.len() {
-                        s.state = SessionState::Write {
-                            written,
-                            close_after,
-                        };
-                    } else {
-                        shared
-                            .counters
-                            .bytes_out
-                            .fetch_add(s.write_buf.len() as u64, Ordering::Relaxed);
-                        finish_response(shared, s);
-                        if close_after {
-                            return Drive::Close;
-                        }
-                        s.state = SessionState::ReadPrefix { filled: 0 };
-                    }
+            } => {
+                // Any write may complete the response, and a client holding
+                // the whole reply must already see its trace.
+                if s.trace_owed {
+                    publish_trace(shared, s);
                 }
-                // Would-block is the only "try again later" signal: the
-                // flush resumes on the next writable tick.
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Drive::Keep,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                // A dead reader (reset, broken pipe) cannot wedge a
-                // flush: the session is dropped the moment the fault
-                // surfaces rather than spinning on a doomed socket.
-                Err(e) if crate::wire::is_disconnect_kind(e.kind()) => return Drive::Close,
-                Err(_) => return Drive::Close,
-            },
+                match s.stream.write(&s.write_buf[written..]) {
+                    Ok(0) => return Drive::Close,
+                    Ok(n) => {
+                        s.last_progress = Instant::now();
+                        let written = written + n;
+                        if written < s.write_buf.len() {
+                            s.state = SessionState::Write {
+                                written,
+                                close_after,
+                            };
+                        } else {
+                            shared
+                                .counters
+                                .bytes_out
+                                .fetch_add(s.write_buf.len() as u64, Ordering::Relaxed);
+                            if close_after {
+                                return Drive::Close;
+                            }
+                            s.state = SessionState::ReadPrefix { filled: 0 };
+                        }
+                    }
+                    // Would-block is the only "try again later" signal: the
+                    // flush resumes on the next writable tick.
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Drive::Keep,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    // A dead reader (reset, broken pipe) cannot wedge a
+                    // flush: the session is dropped the moment the fault
+                    // surfaces rather than spinning on a doomed socket.
+                    Err(e) if crate::wire::is_disconnect_kind(e.kind()) => return Drive::Close,
+                    Err(_) => return Drive::Close,
+                }
+            }
         }
     }
 }
@@ -990,8 +1004,8 @@ fn process_frame(shared: &Arc<Shared>, io: &Arc<IoShared>, s: &mut Session) {
         .fetch_add(4 + s.read_buf.len() as u64, Ordering::Relaxed);
     shared.counters.requests.fetch_add(1, Ordering::Relaxed);
     // Telemetry slot for this request (one in flight per session): the
-    // stage nanos accumulate here until the response fully leaves the
-    // socket, where `finish_response` turns them into a trace.
+    // stage nanos accumulate here until the response is about to be
+    // written, where `publish_trace` turns them into a trace.
     s.pending = PendingTrace {
         opcode: s.read_buf[1],
         bytes_in: 4 + s.read_buf.len() as u64,
@@ -1097,8 +1111,9 @@ fn process_frame(shared: &Arc<Shared>, io: &Arc<IoShared>, s: &mut Session) {
 /// silently closing (which the client would see as a bare
 /// `UnexpectedEof`, indistinguishable from a crashed server).
 fn respond_enqueue(shared: &Shared, s: &mut Session, resp: &Response, close_after: bool) {
-    // The write stage covers encode + flush: it starts here, before the
-    // response is serialized, and ends when the last byte leaves.
+    // The write stage covers encode + the wait for the socket: it starts
+    // here, before the response is serialized, and ends just before the
+    // first write (see `publish_trace`).
     s.write_started = Instant::now();
     let bound = shared.cfg.max_frame_len;
     if encode_frame_into(&mut s.write_buf, PROTOCOL_VERSION, bound, |w| {
@@ -1119,6 +1134,7 @@ fn respond_enqueue(shared: &Shared, s: &mut Session, resp: &Response, close_afte
         written: 0,
         close_after,
     };
+    s.trace_owed = true;
     // A fresh response restarts the stall clock — the peer gets the full
     // deadline to start draining it.
     s.last_progress = Instant::now();
@@ -1127,8 +1143,13 @@ fn respond_enqueue(shared: &Shared, s: &mut Session, resp: &Response, close_afte
 /// Best-effort synchronous flush at reap time: the socket goes back to
 /// blocking with a short write timeout, so a graceful shutdown delivers
 /// every pending response without letting one dead peer stall teardown.
+/// A response whose first write already happened was traced then; only
+/// one never handed to the socket is traced here.
 fn flush_blocking(shared: &Shared, s: &mut Session) {
     if let SessionState::Write { written, .. } = s.state {
+        if s.trace_owed {
+            publish_trace(shared, s);
+        }
         let _ = s.stream.set_nonblocking(false);
         let _ = s.stream.set_write_timeout(Some(Duration::from_secs(2)));
         if s.stream.write_all(&s.write_buf[written..]).is_ok() {
@@ -1136,7 +1157,6 @@ fn flush_blocking(shared: &Shared, s: &mut Session) {
                 .counters
                 .bytes_out
                 .fetch_add(s.write_buf.len() as u64, Ordering::Relaxed);
-            finish_response(shared, s);
         }
     }
 }
@@ -1146,12 +1166,18 @@ fn elapsed_ns(from: Instant) -> u64 {
     u64::try_from(from.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Closes out one request's telemetry after its response completely left
-/// the socket: records the write stage and offers the assembled
-/// [`QueryTrace`] to the slow-query log. Pure atomics (and, past the
-/// threshold, one short mutex on the trace ring) strictly after the
-/// answer bytes are gone — this can never affect an answer.
-fn finish_response(shared: &Shared, s: &mut Session) {
+/// Closes out one request's telemetry just before the first write of its
+/// fully encoded response: records the write stage and offers the
+/// assembled [`QueryTrace`] to the slow-query log, once per response.
+/// Published *before* the write, not after the last byte, because the
+/// write that completes the response releases the client: a client
+/// holding its reply can then always find the reply's trace. So the write
+/// stage is encode plus the wait for the socket to take the first write;
+/// the write syscalls themselves fall to the socket. Pure atomics (and,
+/// past the threshold, one short mutex on the trace ring) on an answer
+/// already encoded — this can never affect an answer.
+fn publish_trace(shared: &Shared, s: &mut Session) {
+    s.trace_owed = false;
     let write_ns = elapsed_ns(s.write_started);
     shared.stages.write.record(write_ns);
     let p = s.pending;
@@ -1425,7 +1451,7 @@ fn execute(shared: &Shared, req: Request) -> Response {
                 ));
             }
             let mut results =
-                engine.try_query_batch_opts(std::slice::from_ref(&expr), &shared.build_opts());
+                engine.try_query_batch_opts(std::slice::from_ref(&expr), &shared.opts);
             Response::Hits(results.pop().expect("one result per expression"))
         }
         Request::QueryBatch(exprs) => {
@@ -1444,7 +1470,7 @@ fn execute(shared: &Shared, req: Request) -> Response {
                     e.to_string(),
                 ));
             }
-            Response::BatchHits(engine.try_query_batch_opts(&exprs, &shared.build_opts()))
+            Response::BatchHits(engine.try_query_batch_opts(&exprs, &shared.opts))
         }
         Request::AddShard {
             request_id: _,
@@ -1454,7 +1480,7 @@ fn execute(shared: &Shared, req: Request) -> Response {
             shared.counters.admin_ops.fetch_add(1, Ordering::Relaxed);
             let repo = Repository::new(datasets);
             let mut engine = shared.engine_write();
-            match engine.try_add_shard_opts(&repo, &global_ids, &shared.build_opts()) {
+            match engine.try_add_shard_opts(&repo, &global_ids, &shared.opts) {
                 Ok(shard) => Response::ShardAdded {
                     shard: shard as u32,
                 },
@@ -1470,12 +1496,7 @@ fn execute(shared: &Shared, req: Request) -> Response {
             shared.counters.admin_ops.fetch_add(1, Ordering::Relaxed);
             let repo = Repository::new(datasets);
             let mut engine = shared.engine_write();
-            match engine.try_rebuild_shard_opts(
-                shard as usize,
-                &repo,
-                &global_ids,
-                &shared.build_opts(),
-            ) {
+            match engine.try_rebuild_shard_opts(shard as usize, &repo, &global_ids, &shared.opts) {
                 Ok(()) => Response::Done,
                 Err(e) => Response::Error(ServerError::new(ServerErrorKind::Ingest, e.to_string())),
             }
@@ -1488,7 +1509,7 @@ fn execute(shared: &Shared, req: Request) -> Response {
         Request::SplitShard { shard, move_ids } => {
             shared.counters.admin_ops.fetch_add(1, Ordering::Relaxed);
             let mut engine = shared.engine_write();
-            match engine.try_split_shard_opts(shard as usize, &move_ids, &shared.build_opts()) {
+            match engine.try_split_shard_opts(shard as usize, &move_ids, &shared.opts) {
                 Ok(new_shard) => Response::ShardAdded {
                     shard: new_shard as u32,
                 },
@@ -1501,7 +1522,7 @@ fn execute(shared: &Shared, req: Request) -> Response {
         Request::MergeShards { a, b } => {
             shared.counters.admin_ops.fetch_add(1, Ordering::Relaxed);
             let mut engine = shared.engine_write();
-            match engine.try_merge_shards_opts(a as usize, b as usize, &shared.build_opts()) {
+            match engine.try_merge_shards_opts(a as usize, b as usize, &shared.opts) {
                 Ok(survivor) => Response::ShardAdded {
                     shard: survivor as u32,
                 },
@@ -1584,5 +1605,95 @@ mod tests {
         }
         assert_eq!(w.map.len(), DEDUP_WINDOW_CAP + 1);
         assert!(w.map.values().all(|e| matches!(e, DedupEntry::InFlight)));
+    }
+
+    /// A response still mid-write when a graceful shutdown reaps its
+    /// session was traced before its first write; the reap-time flush
+    /// delivers the rest without tracing it a second time.
+    #[test]
+    fn a_response_pending_at_shutdown_is_traced_once() {
+        use crate::protocol::opcode;
+        use crate::wire::{read_frame, write_frame};
+        use dds_core::framework::{LogicalExpr, Predicate};
+        use dds_core::pref::PrefBuildParams;
+        use dds_core::ptile::PtileBuildParams;
+        use dds_geom::Rect;
+
+        const DATASETS: usize = 400;
+        const EXPRS: usize = 4000;
+        let spec = dds_workload::RepoSpec::mixed(DATASETS, 10, 1, 0x7ACE);
+        let mut engine = ShardedEngine::new(
+            &[1],
+            PtileBuildParams::exact_centralized(),
+            PrefBuildParams::exact_centralized(),
+        );
+        let shard = spec.shards(1).pop().expect("one shard");
+        engine
+            .try_add_shard_opts(
+                &Repository::from_point_sets(shard.sets),
+                &shard.global_ids,
+                &BuildOptions::serial(),
+            )
+            .expect("valid ingest");
+        let cfg = ServerConfig {
+            slow_query_threshold: Duration::ZERO,
+            ..ServerConfig::default()
+        };
+        let server = DdsServer::serve(engine, "127.0.0.1:0", cfg).expect("bind loopback");
+        let shared = Arc::clone(&server.shared);
+        let batch_traces = || {
+            shared
+                .metrics_report()
+                .slow_queries
+                .iter()
+                .filter(|t| t.opcode == opcode::QUERY_BATCH)
+                .count()
+        };
+
+        // Every expression matches every dataset: ~13 MB of answers, far
+        // more than the loopback socket buffers hold, so the response stays
+        // mid-write while nobody reads it.
+        let wide = LogicalExpr::Pred(Predicate::percentile_at_least(
+            Rect::interval(0.0, 100.0),
+            0.2,
+        ));
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        let (op, payload) = Request::QueryBatch(vec![wide; EXPRS]).encode();
+        write_frame(
+            &mut stream,
+            PROTOCOL_VERSION,
+            op,
+            &payload,
+            DEFAULT_MAX_FRAME_LEN,
+        )
+        .expect("send batch");
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while batch_traces() == 0 {
+            assert!(Instant::now() < deadline, "the batch was never traced");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(
+            shared.stats().bytes_out < (DATASETS * EXPRS * 8) as u64,
+            "the response must still be mid-write"
+        );
+
+        // Read only once the shutdown is under way, so the reap-time flush
+        // is what finishes the response.
+        let reader = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(300));
+            let frame = read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN).expect("read reply");
+            Response::decode(frame.opcode, &frame.payload).expect("decode reply")
+        });
+        server.shutdown();
+        match reader.join().expect("reader") {
+            Response::BatchHits(results) => {
+                assert_eq!(results.len(), EXPRS);
+                assert!(results
+                    .iter()
+                    .all(|r| r.as_ref().unwrap().len() == DATASETS));
+            }
+            other => panic!("expected batch hits, got {other:?}"),
+        }
+        assert_eq!(batch_traces(), 1, "the flush must not trace it again");
     }
 }

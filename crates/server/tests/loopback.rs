@@ -669,3 +669,39 @@ fn metrics_report_per_stage_latencies_without_touching_answers() {
     assert!(text.contains("dds_slow_queries_recent"));
     server.shutdown();
 }
+
+/// A client holding a reply always finds that reply's trace: the server
+/// publishes each response's trace before the write that can complete it,
+/// so the slow log read right after a reply already holds it — exactly
+/// once, never zero and never twice.
+#[test]
+fn every_reply_is_traced_before_the_client_holds_it() {
+    const QUERIES: usize = 2000;
+    let spec = RepoSpec::mixed(6, 20, 1, 0x7ACE);
+    let (_, served) = engine_pair(&spec, 2);
+    let cfg = ServerConfig {
+        slow_query_threshold: Duration::ZERO,
+        slow_log_capacity: QUERIES + 16,
+        ..ServerConfig::default()
+    };
+    let server = DdsServer::serve(served, "127.0.0.1:0", cfg).expect("bind loopback");
+    let mut client = DdsClient::connect(server.local_addr()).expect("connect");
+    let query_traces = |server: &DdsServer| {
+        server
+            .metrics()
+            .slow_queries
+            .iter()
+            .filter(|t| t.opcode == dds_server::protocol::opcode::QUERY)
+            .count()
+    };
+    for i in 0..QUERIES {
+        client.query(&wide_query()).expect("query").expect("answer");
+        assert_eq!(
+            query_traces(&server),
+            i + 1,
+            "after reply {} the slow log must hold its trace, once",
+            i + 1
+        );
+    }
+    server.shutdown();
+}

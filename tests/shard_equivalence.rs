@@ -378,6 +378,124 @@ fn routing_skips_value_separated_shards_and_spares_their_caches() {
     assert_eq!(svc.shards_routed_past(), 9);
 }
 
+/// Every counter a scatter unit can move: cache hits and misses, index
+/// walks, both routing tiers and the per-shard query loads.
+type UnitCounters = ((u64, u64), u64, u64, u64, Vec<ShardLoad>);
+
+fn unit_counters(svc: &ShardedEngine) -> UnitCounters {
+    (
+        svc.cache_stats(),
+        svc.index_queries(),
+        svc.shards_routed_past(),
+        svc.shards_routed_by_synopsis(),
+        svc.shard_loads(),
+    )
+}
+
+/// The batch path settles routed-away and cache-resident units inline and
+/// fans only index walks out to the pool. None of that may show: at every
+/// thread count a batch answers byte-identically to per-expression
+/// `try_query_with` on a twin engine, and moves every counter exactly as
+/// that sequential run does — on cold, fully warm and partially warm
+/// (one shard rebuilt) caches, for DNFs mixing resident and fresh
+/// predicates, with a wrong-dimension error in the batch. (Unindexed-rank
+/// errors stay out: `try_query_with` stops at the first shard's error
+/// while a batch scatters every shard, so their counters differ by design;
+/// `sharded_matches_unsharded` pins their answers.)
+#[test]
+fn inline_and_fanned_out_units_match_sequential_queries() {
+    // Dataset i lives in shard i % 3's band [100 s, 100 s + 20]: narrow
+    // queries route away from the two foreign shards.
+    let sets: Vec<Vec<f64>> = (0..9)
+        .map(|i| {
+            let base = 100.0 * (i % 3) as f64;
+            (0..5)
+                .map(|j| base + ((i * 7 + j * 3) % 21) as f64)
+                .collect()
+        })
+        .collect();
+    let band = |s: usize, a: f64| {
+        let base = 100.0 * s as f64;
+        Predicate::percentile_at_least(Rect::interval(base - 5.0, base + 25.0), a)
+    };
+    let wide = |a: f64| Predicate::percentile_at_least(Rect::interval(-10.0, 400.0), a);
+    let top = |t: f64| Predicate::topk_at_least(vec![1.0], 1, t);
+    let pred = LogicalExpr::Pred;
+    let wrong_dim = pred(Predicate::topk_at_least(vec![1.0, 0.0], 1, 0.0));
+    let first: Vec<LogicalExpr> = vec![
+        pred(band(0, 0.5)),
+        pred(wide(0.3)),
+        pred(top(50.0)),
+        LogicalExpr::Or(vec![pred(band(1, 0.5)), pred(top(150.0))]),
+        wrong_dim.clone(),
+        pred(band(2, 0.5)),
+        pred(wide(0.3)),
+    ];
+    // Once `first` has run, each of these mixes resident predicates with
+    // ones no shard has computed yet.
+    let mixed: Vec<LogicalExpr> = vec![
+        LogicalExpr::And(vec![pred(wide(0.3)), pred(top(120.0))]),
+        LogicalExpr::Or(vec![pred(band(0, 0.5)), pred(wide(0.6))]),
+        LogicalExpr::Or(vec![pred(top(50.0)), pred(top(80.0))]),
+        LogicalExpr::And(vec![pred(band(2, 0.5)), pred(band(2, 0.8))]),
+        wrong_dim,
+        pred(wide(0.3)),
+    ];
+    let both: Vec<LogicalExpr> = first.iter().chain(&mixed).cloned().collect();
+
+    for t in THREADS {
+        let opts = BuildOptions::with_threads(t);
+        let mut batched = sharded(&sets, 3);
+        let mut sequential = sharded(&sets, 3);
+        let mut scratch = QueryScratch::new();
+        let mut check = |batched: &ShardedEngine, sequential: &ShardedEngine, exprs, what| {
+            let got = batched.try_query_batch_opts(exprs, &opts);
+            let want: Vec<_> = exprs
+                .iter()
+                .map(|e| sequential.try_query_with(e, &mut scratch))
+                .collect();
+            assert_eq!(got, want, "{what}, threads = {t}");
+            assert_eq!(
+                unit_counters(batched),
+                unit_counters(sequential),
+                "{what} counters, threads = {t}"
+            );
+            got
+        };
+        let cold = check(&batched, &sequential, &first, "cold caches");
+        assert!(matches!(
+            cold[4],
+            Err(EngineError::DimensionMismatch {
+                expected: 1,
+                got: 2
+            })
+        ));
+        assert!(cold[0].as_ref().is_ok_and(|ids| !ids.is_empty()));
+        assert!(
+            batched.shards_routed_past() > 0,
+            "the band queries must route"
+        );
+        let walks = batched.index_queries();
+        check(&batched, &sequential, &first, "fully warm caches");
+        assert_eq!(
+            batched.index_queries(),
+            walks,
+            "a warm repeat walks no index"
+        );
+        check(&batched, &sequential, &mixed, "partly resident DNFs");
+        // Shard 0 re-lands on the same data: its cache goes stale while
+        // shards 1 and 2 stay resident.
+        let members: Vec<usize> = (0..sets.len()).step_by(3).collect();
+        let repo = || Repository::new(members.iter().map(|&i| dataset_1d(i, &sets[i])).collect());
+        let ids: Vec<GlobalId> = members.iter().map(|&i| i as GlobalId).collect();
+        for svc in [&mut batched, &mut sequential] {
+            svc.try_rebuild_shard_opts(0, &repo(), &ids, &BuildOptions::serial())
+                .expect("valid rebuild");
+        }
+        check(&batched, &sequential, &both, "partially warm caches");
+    }
+}
+
 /// A sharded engine built from scratch over an explicit shard layout
 /// (`layout[s]` = shard `s`'s global ids) — the "rebuilt" side of the
 /// transition-equivalence pins.
