@@ -1,5 +1,6 @@
 //! Experiment harness — regenerates every experiment table listed in
-//! [`EXPERIMENTS`] below.
+//! [`EXPERIMENTS`] below: the paper's claims, not served latency (that is
+//! the benchmark's job). Ids are never reused, so the list has gaps.
 //!
 //! ```sh
 //! cargo run --release -p dds-bench --bin experiments -- --all
@@ -9,45 +10,10 @@
 //! ```
 
 use dds_bench::experiments::{
-    ablations, batch, churn, exact, fault, federated, latency, lowerbound, pref, ptile, routing,
-    scaling, serving, shard, Scale,
+    ablations, exact, federated, lowerbound, pref, ptile, routing, scaling, Scale,
 };
 use dds_bench::Table;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::Ordering;
 use std::time::Instant;
-
-/// Counting global allocator: feeds `dds_bench::alloc::ALLOCATIONS` so E12
-/// can report measured allocations per query. Lives in the binary because
-/// the library crate forbids `unsafe`; the counter itself is a relaxed
-/// atomic add, cheap enough to leave on for the whole run.
-struct CountingAlloc;
-
-// SAFETY: defers every operation to `System`; only adds a relaxed counter
-// increment on the allocation paths.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        dds_bench::alloc::ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        dds_bench::alloc::ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        dds_bench::alloc::ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 type Experiment = (&'static str, &'static str, fn(Scale) -> Table);
 
@@ -100,44 +66,14 @@ const EXPERIMENTS: &[Experiment] = &[
         federated::e11_federated_delta_sweep,
     ),
     (
-        "--e12",
-        "Batch query throughput (worker pool)",
-        batch::e12_batch_query_throughput,
-    ),
-    (
         "--e13",
         "Set-intersection reduction (Thm 3.4)",
         lowerbound::e13_set_intersection,
     ),
     (
-        "--e14",
-        "Sharded scatter/gather throughput",
-        shard::e14_sharded_throughput,
-    ),
-    (
-        "--e15",
-        "Serving steady state: zero-allocation frames",
-        serving::e15_serving_allocations,
-    ),
-    (
-        "--e16",
-        "Shard lifecycle under churn (split/merge/rebalance)",
-        churn::e16_shard_churn,
-    ),
-    (
-        "--e17",
-        "Fault soak (chaos proxy + self-healing client)",
-        fault::e17_fault_soak,
-    ),
-    (
         "--e18",
         "Synopsis routing: selectivity × shards skip rates (box vs mass bound, =unrouted)",
         routing::e18_selective_routing,
-    ),
-    (
-        "--e19",
-        "Per-stage serving latency (Metrics op: p50/p99/p999 histograms)",
-        latency::e19_stage_latency,
     ),
     (
         "--a1",
@@ -163,7 +99,6 @@ const EXPERIMENTS: &[Experiment] = &[
 ];
 
 fn main() {
-    dds_bench::alloc::mark_installed();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let quick = smoke || args.iter().any(|a| a == "--quick");

@@ -1,6 +1,4 @@
 //! E13 — the Section 3.1 / Figure 4 reduction, executed at scale.
-//! (Renumbered from E12 when the batch-query-throughput experiment took
-//! that slot.)
 
 use super::Scale;
 use crate::table::{fmt_duration, Table};

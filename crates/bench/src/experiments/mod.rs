@@ -2,20 +2,14 @@
 //! the `experiments` binary).
 
 pub mod ablations;
-pub mod batch;
-pub mod churn;
 pub mod exact;
-pub mod fault;
 pub mod federated;
-pub mod latency;
 pub mod lowerbound;
 pub mod pref;
 pub mod ptile;
 pub mod routing;
 pub mod scaling;
-pub mod serving;
 pub mod setup;
-pub mod shard;
 
 /// Sweep sizes: `quick` shrinks every experiment for fast runs, `smoke`
 /// shrinks them further to a CI sanity check.

@@ -14,7 +14,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod alloc;
 pub mod experiments;
 pub mod table;
 pub mod timing;

@@ -126,7 +126,8 @@ pub enum EngineError {
     MissingRank(usize),
     /// A predicate's dimensionality (rectangle facets or preference-vector
     /// length) does not match the engine's schema dimension. Returned by
-    /// the `try_query*` paths and by [`MixedQueryEngine::schema_check`];
+    /// the `try_query*` paths and by
+    /// [`ShardedEngine::schema_check`](crate::shard::ShardedEngine::schema_check);
     /// the checked paths surface it instead of panicking deep inside the
     /// underlying indexes.
     DimensionMismatch {
@@ -273,10 +274,10 @@ impl MixedQueryEngine {
     }
 
     /// Checks every expression's predicate dimensionalities against the
-    /// engine schema, reporting the first mismatch as a typed error. The
-    /// serving tier runs this up front so a whole request (batches
-    /// included) is rejected all-or-nothing before any index is touched.
-    pub fn schema_check(&self, exprs: &[LogicalExpr]) -> Result<(), EngineError> {
+    /// engine schema, reporting the first mismatch as a typed error before
+    /// any index is touched. (The serving tier checks whole requests with
+    /// [`ShardedEngine::schema_check`](crate::shard::ShardedEngine::schema_check).)
+    fn schema_check(&self, exprs: &[LogicalExpr]) -> Result<(), EngineError> {
         let dim = self.dim();
         for expr in exprs {
             if let Some((expected, got)) = expr_dim_mismatch(expr, dim) {

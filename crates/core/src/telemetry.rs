@@ -281,7 +281,7 @@ struct Ring {
 /// Recording takes a short mutex on the ring (never on the answer path —
 /// only once the response is encoded, just before its first write) and
 /// never allocates after construction. A threshold of zero traces every
-/// eligible request, which tests and the E19 harness use.
+/// eligible request, which tests and the benchmark's traced pass use.
 #[derive(Debug)]
 pub struct SlowQueryLog {
     threshold_ns: u64,

@@ -6,9 +6,9 @@
 //! (`clear` never shrinks a `Vec`), so a session serving steady-state
 //! traffic allocates **nothing per frame** — and with the pool, a
 //! reconnect-storm allocates nothing per *session* either once the pool
-//! is warm. The `dds-bench` counting-allocator experiment (`--e15`) pins
-//! the per-frame half of this; the `buffers_reused` server counter makes
-//! the per-session half observable in production.
+//! is warm. The `steady_state_allocs` test pins the per-frame half of
+//! this with a counting allocator; the `buffers_reused` server counter
+//! makes the per-session half observable in production.
 //!
 //! Size classes are powers of two from 4 KiB to 512 KiB, at most
 //! [`PER_CLASS_RETENTION`] retained buffers each (≈ 65 MiB worst case,

@@ -12,8 +12,8 @@
 //! (frames are encoded with [`crate::wire::encode_frame_into`] and read
 //! with [`crate::wire::read_frame_into`]), so a warmed-up client
 //! allocates nothing per round trip — the other half of the server's
-//! zero-allocation steady state, pinned together by the `dds-bench`
-//! counting-allocator experiment.
+//! zero-allocation steady state, pinned together by the
+//! `steady_state_allocs` test's counting allocator.
 //!
 //! # Self-healing
 //!

@@ -146,44 +146,6 @@ impl RepoSpec {
         }
         shards
     }
-
-    /// Materializes the repository partitioned **geometrically skewed**
-    /// into at most `k` shards: shard 0 takes about half the datasets,
-    /// shard 1 about half the rest, and so on (contiguous over the build
-    /// order, so dataset `i` keeps global id `i`). The result is the
-    /// realistic bad case a rebalance plan's splits exist to fix — a few
-    /// oversized head shards and a tail of small ones — while the union
-    /// is still exactly the unsharded build. Every shard holds at least
-    /// one dataset; shards that would be empty (`k > n_datasets`) are
-    /// dropped.
-    pub fn shards_skewed(&self, k: usize) -> Vec<RepoShard> {
-        assert!(k >= 1, "need at least one shard");
-        let k = k.min(self.n_datasets);
-        let mut sets = self.build().into_iter().enumerate();
-        let mut remaining = self.n_datasets;
-        (0..k)
-            .map(|s| {
-                let tail = k - 1 - s; // shards still to fill after this one
-                let take = if tail == 0 {
-                    remaining
-                } else {
-                    // Half the remainder, but always leave one dataset for
-                    // each later shard.
-                    remaining.div_ceil(2).max(1).min(remaining - tail)
-                };
-                remaining -= take;
-                let mut shard = RepoShard {
-                    global_ids: Vec::with_capacity(take),
-                    sets: Vec::with_capacity(take),
-                };
-                for (i, ds) in sets.by_ref().take(take) {
-                    shard.global_ids.push(i as u64);
-                    shard.sets.push(ds);
-                }
-                shard
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -233,45 +195,6 @@ mod tests {
             }
             assert!(seen.iter().all(|&s| s), "every dataset lands in a shard");
         }
-    }
-
-    #[test]
-    fn skewed_shards_partition_with_a_heavy_head() {
-        let spec = RepoSpec::mixed(16, 60, 2, 31);
-        let whole = spec.build();
-        for k in [1, 2, 3, 4, 8, 20] {
-            let shards = spec.shards_skewed(k);
-            assert_eq!(shards.len(), k.min(16), "k = {k}");
-            // Contiguous coverage: ids run 0..n in order across shards,
-            // datasets identical to the unsharded build.
-            let mut next = 0u64;
-            for shard in &shards {
-                assert!(!shard.sets.is_empty(), "no empty shards");
-                assert_eq!(shard.global_ids.len(), shard.sets.len());
-                for (&gid, ds) in shard.global_ids.iter().zip(&shard.sets) {
-                    assert_eq!(gid, next);
-                    next += 1;
-                    let orig = &whole[gid as usize];
-                    assert_eq!(ds.len(), orig.len());
-                    assert!(ds
-                        .iter()
-                        .zip(orig)
-                        .all(|(p, q)| p.as_slice() == q.as_slice()));
-                }
-            }
-            assert_eq!(next, 16, "every dataset lands in a shard");
-            // Skew: sizes never increase along the shard list, and with
-            // enough room the head is strictly heavier than the tail.
-            for pair in shards.windows(2) {
-                assert!(pair[0].sets.len() >= pair[1].sets.len());
-            }
-            if (3..=4).contains(&k) {
-                assert!(shards[0].sets.len() > shards[k - 1].sets.len());
-            }
-        }
-        // The canonical halving: 16 datasets over 3 shards → 8, 4, 4.
-        let sizes: Vec<usize> = spec.shards_skewed(3).iter().map(|s| s.sets.len()).collect();
-        assert_eq!(sizes, vec![8, 4, 4]);
     }
 
     #[test]

@@ -581,7 +581,9 @@ proptest! {
     /// builds** (ε > 0, the regime where per-shard φ accounting or
     /// positional sampling seeds would break it): split-then-query and
     /// merge-then-query stay bit-identical to the unsharded sampled
-    /// reference and to the post-transition layout rebuilt from scratch.
+    /// reference and to the post-transition layout rebuilt from scratch —
+    /// and so does a head-heavy layout after `rebalance_plan_with` →
+    /// `apply_rebalance_opts`.
     #[test]
     fn sampled_split_and_merge_match_rebuilt_from_scratch(salt in 0usize..1000) {
         let n = 6usize;
@@ -625,6 +627,25 @@ proptest! {
             })
             .collect();
         let expected: Vec<_> = exprs.iter().map(|e| reference(&reference_engine, e)).collect();
+        // A transitioned engine ≡ the unsharded reference ≡ its own
+        // layout rebuilt from scratch, at threads {1, 4}.
+        let check = |svc: &ShardedEngine, start: &str| {
+            let layout: Vec<Vec<GlobalId>> =
+                (0..svc.n_shards()).map(|s| svc.global_ids(s).to_vec()).collect();
+            let fresh = engine_with_layout(&sets, &layout, &ptile, &pref);
+            for t in [1usize, 4] {
+                let opts = BuildOptions::with_threads(t);
+                let churned = svc.try_query_batch_opts(&exprs, &opts);
+                prop_assert_eq!(
+                    &churned, &expected,
+                    "sampled transition vs unsharded, start = {}, threads = {}", start, t
+                );
+                prop_assert_eq!(
+                    &churned, &fresh.try_query_batch_opts(&exprs, &opts),
+                    "sampled transition vs rebuilt, start = {}, threads = {}", start, t
+                );
+            }
+        };
         for k in [2usize, 3, 8] {
             let k_eff = k.min(n);
             let round_robin: Vec<Vec<GlobalId>> = (0..k_eff)
@@ -641,22 +662,29 @@ proptest! {
             if svc.n_shards() >= 2 {
                 svc.try_merge_shards_opts(svc.n_shards() - 1, 0, &BuildOptions::serial()).expect("valid merge");
             }
-            let layout: Vec<Vec<GlobalId>> =
-                (0..svc.n_shards()).map(|s| svc.global_ids(s).to_vec()).collect();
-            let fresh = engine_with_layout(&sets, &layout, &ptile, &pref);
-            for t in [1usize, 4] {
-                let opts = BuildOptions::with_threads(t);
-                let churned = svc.try_query_batch_opts(&exprs, &opts);
-                prop_assert_eq!(
-                    &churned, &expected,
-                    "sampled transition vs unsharded, shards = {}, threads = {}", k, t
-                );
-                prop_assert_eq!(
-                    &churned, &fresh.try_query_batch_opts(&exprs, &opts),
-                    "sampled transition vs rebuilt, shards = {}, threads = {}", k, t
-                );
-            }
+            check(&svc, &format!("round-robin over {k} shards"));
         }
+        // A head-heavy start: one oversized shard and a small tail. The
+        // planner must split the head (here it also merges the tail
+        // pair); the applied plan changes no answer.
+        let head_heavy: Vec<Vec<GlobalId>> = vec![vec![0, 1, 2, 3], vec![4], vec![5]];
+        let mut svc = engine_with_layout(&sets, &head_heavy, &ptile, &pref);
+        prop_assert_eq!(
+            &svc.try_query_batch_opts(&exprs, &BuildOptions::serial()), &expected,
+            "head-heavy layout vs unsharded before the rebalance"
+        );
+        let plan = svc.rebalance_plan_with(&RebalanceConfig {
+            max_datasets: 2,
+            merge_under: 2,
+            hot_factor: 4.0,
+        });
+        prop_assert!(
+            plan.iter().any(|a| matches!(a, RebalanceAction::Split { .. })),
+            "the head shard must propose a split: {:?}", plan
+        );
+        svc.apply_rebalance_opts(&plan, &BuildOptions::serial())
+            .expect("a freshly computed plan applies cleanly");
+        check(&svc, "head-heavy, rebalanced");
     }
 }
 
