@@ -7,6 +7,7 @@ use crate::table::{fmt_bytes, fmt_duration, Table};
 use crate::timing::{median_duration, time};
 use dds_core::framework::Interval;
 use dds_core::guarantee::check_ptile;
+use dds_core::pool::BuildOptions;
 use dds_core::ptile::{PtileBuildParams, PtileThresholdIndex};
 use dds_geom::{CoordGrid, Point, Rect};
 use dds_rangetree::{BruteForce, BuildableIndex, KdTree, OrthoIndex, RangeTree, Region};
@@ -166,7 +167,8 @@ pub fn a3_lazy_vs_eager(scale: Scale) -> Table {
     for n in sweep {
         let wl = clustered_workload(n, 300, 1, 0xA3);
         let params = PtileBuildParams::default().with_rect_budget(496);
-        let mut idx = PtileThresholdIndex::build(&wl.synopses, params);
+        let mut idx =
+            PtileThresholdIndex::build_opts(&wl.synopses, params, &BuildOptions::serial());
         let queries = ptile_queries(&wl, scale.queries(), 15, idx.margin(), 0xA3 + 1);
         let mut t_lazy = Vec::new();
         let mut t_eager = Vec::new();
@@ -214,7 +216,8 @@ pub fn a4_eps_budget(scale: Scale) -> Table {
     let queries = ptile_queries(&wl, scale.queries(), 10, 0.3, 0xA4 + 1);
     for budget in [28usize, 120, 496, 2016, 8128] {
         let params = PtileBuildParams::default().with_rect_budget(budget);
-        let (idx, _build) = time(|| PtileThresholdIndex::build(&wl.synopses, params));
+        let (idx, _build) =
+            time(|| PtileThresholdIndex::build_opts(&wl.synopses, params, &BuildOptions::serial()));
         let mut t_q = Vec::new();
         let (mut exact, mut reported) = (0usize, 0usize);
         for q in &queries {
@@ -258,14 +261,14 @@ pub fn a5_synopsis_families(scale: Scale) -> Table {
     let queries = ptile_queries(&wl, scale.queries(), 12, 0.2, 0xA5 + 2);
 
     // ~2 KiB per dataset for every family.
-    let families: Vec<(&str, Vec<Box<dyn PercentileSynopsis>>)> = vec![
+    let families: Vec<(&str, Vec<Box<dyn PercentileSynopsis + Sync>>)> = vec![
         (
             "uniform sample (64 pts)",
             wl.sets
                 .iter()
                 .map(|p| {
                     Box::new(UniformSampleSynopsis::from_points(p, 64, 0.001, &mut rng))
-                        as Box<dyn PercentileSynopsis>
+                        as Box<dyn PercentileSynopsis + Sync>
                 })
                 .collect(),
         ),
@@ -274,7 +277,8 @@ pub fn a5_synopsis_families(scale: Scale) -> Table {
             wl.sets
                 .iter()
                 .map(|p| {
-                    Box::new(EquiDepthHistogram::from_points(p, 256)) as Box<dyn PercentileSynopsis>
+                    Box::new(EquiDepthHistogram::from_points(p, 256))
+                        as Box<dyn PercentileSynopsis + Sync>
                 })
                 .collect(),
         ),
@@ -283,7 +287,8 @@ pub fn a5_synopsis_families(scale: Scale) -> Table {
             wl.sets
                 .iter()
                 .map(|p| {
-                    Box::new(GridHistogram::from_points(p, 128)) as Box<dyn PercentileSynopsis>
+                    Box::new(GridHistogram::from_points(p, 128))
+                        as Box<dyn PercentileSynopsis + Sync>
                 })
                 .collect(),
         ),
@@ -293,7 +298,7 @@ pub fn a5_synopsis_families(scale: Scale) -> Table {
                 .iter()
                 .map(|p| {
                     Box::new(GaussianMixtureSynopsis::fit(p, 8, 10, &mut rng))
-                        as Box<dyn PercentileSynopsis>
+                        as Box<dyn PercentileSynopsis + Sync>
                 })
                 .collect(),
         ),
@@ -310,7 +315,12 @@ pub fn a5_synopsis_families(scale: Scale) -> Table {
         let measured = deltas.iter().fold(0.0f64, |a, &b| a.max(b));
         let bytes = synopses.iter().map(|s| s.memory_bytes()).sum::<usize>() / n;
         let params = PtileBuildParams::default().with_rect_budget(496);
-        let idx = PtileThresholdIndex::build_with_deltas(&synopses, Some(&deltas), params);
+        let idx = PtileThresholdIndex::build_with_deltas_opts(
+            &synopses,
+            Some(&deltas),
+            params,
+            &BuildOptions::serial(),
+        );
         let (mut missed, mut exact, mut reported) = (0usize, 0usize, 0usize);
         for q in &queries {
             let hits = idx.query(&q.rect, q.a);

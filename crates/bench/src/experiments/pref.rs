@@ -7,6 +7,7 @@ use crate::timing::{median_duration, time};
 use dds_core::baseline::LinearScanPref;
 use dds_core::framework::Repository;
 use dds_core::guarantee::check_pref;
+use dds_core::pool::BuildOptions;
 use dds_core::pref::{PrefBuildParams, PrefIndex, PrefMultiIndex};
 
 /// E6 — Theorem 5.4 shape: `O(log N + OUT)` queries vs the Ω(𝒩) scan, with
@@ -30,7 +31,8 @@ pub fn e6_pref_scaling(scale: Scale) -> Table {
         let wl = ball_workload(n, 300, 2, 0xE6);
         let qs = pref_queries(&wl, k, scale.queries(), 0.01, 0xE6 + 1);
         let params = PrefBuildParams::exact_centralized().with_eps(0.05);
-        let (idx, build) = time(|| PrefIndex::build(&wl.synopses, k, params));
+        let (idx, build) =
+            time(|| PrefIndex::build_opts(&wl.synopses, k, params, &BuildOptions::serial()));
         let repo = Repository::from_point_sets(wl.sets.clone());
         let scan = LinearScanPref::build(&repo);
         let slack = idx.slack();
@@ -87,7 +89,9 @@ pub fn e7_pref_multi(scale: Scale) -> Table {
         let wl = ball_workload(n, 200, 2, 0xE7);
         let qs = pref_queries(&wl, k, scale.queries(), 0.02, 0xE7 + 1);
         let params = PrefBuildParams::exact_centralized().with_eps(0.1);
-        let (idx, build) = time(|| PrefMultiIndex::build(&wl.synopses, k, 2, params));
+        let (idx, build) = time(|| {
+            PrefMultiIndex::build_opts(&wl.synopses, k, 2, params, &BuildOptions::serial())
+        });
         let slack = idx.slack();
         let mut t_first = Vec::new();
         let mut t_cached = Vec::new();

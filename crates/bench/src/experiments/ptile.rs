@@ -8,6 +8,7 @@ use crate::timing::{median_duration, time};
 use dds_core::baseline::{LinearScanPtile, SynopsisScanPtile};
 use dds_core::framework::{Interval, Repository};
 use dds_core::guarantee::{check_ptile, check_ptile_conjunction};
+use dds_core::pool::BuildOptions;
 use dds_core::ptile::{PtileBuildParams, PtileMultiIndex, PtileRangeIndex, PtileThresholdIndex};
 
 fn bench_params() -> PtileBuildParams {
@@ -38,7 +39,9 @@ pub fn e1_threshold_query_scaling(scale: Scale) -> Table {
     );
     for n in scale.n_sweep() {
         let wl = clustered_workload(n, 400, 1, 0xE1);
-        let (idx, build) = time(|| PtileThresholdIndex::build(&wl.synopses, bench_params()));
+        let (idx, build) = time(|| {
+            PtileThresholdIndex::build_opts(&wl.synopses, bench_params(), &BuildOptions::serial())
+        });
         let queries = ptile_queries(&wl, scale.queries(), 10, idx.margin(), 0xE1 + 1);
         let repo = Repository::from_point_sets(wl.sets.clone());
         let scan = LinearScanPtile::build(&repo);
@@ -92,7 +95,8 @@ pub fn e2_threshold_guarantees(scale: Scale) -> Table {
     for (n, d) in [(2000usize, 1usize), (1000, 2)] {
         let n = if scale.quick { n / 4 } else { n };
         let wl = mixed_workload(n, 400, d, 0xE2);
-        let idx = PtileThresholdIndex::build(&wl.synopses, bench_params());
+        let idx =
+            PtileThresholdIndex::build_opts(&wl.synopses, bench_params(), &BuildOptions::serial());
         let queries = ptile_queries(&wl, scale.queries(), 12, idx.margin(), 0xE2 + 1);
         let slack = idx.slack();
         let mut missed = 0usize;
@@ -137,7 +141,9 @@ pub fn e3_range_queries(scale: Scale) -> Table {
     );
     for n in scale.n_sweep() {
         let wl = clustered_workload(n, 400, 1, 0xE3);
-        let (idx, build) = time(|| PtileRangeIndex::build(&wl.synopses, bench_params()));
+        let (idx, build) = time(|| {
+            PtileRangeIndex::build_opts(&wl.synopses, bench_params(), &BuildOptions::serial())
+        });
         let queries = ptile_queries(&wl, scale.queries(), 10, idx.margin(), 0xE3 + 1);
         let repo = Repository::from_point_sets(wl.sets.clone());
         let scan = LinearScanPtile::build(&repo);
@@ -193,7 +199,8 @@ pub fn e5_multi_predicates(scale: Scale) -> Table {
         let params = PtileBuildParams::default()
             .with_rect_budget(4096) // per-slot budget 64 after the m-th root
             .with_empirical_eps(0.2);
-        let (idx, build) = time(|| PtileMultiIndex::build(&wl.synopses, 2, params));
+        let (idx, build) =
+            time(|| PtileMultiIndex::build_opts(&wl.synopses, 2, params, &BuildOptions::serial()));
         let qs = ptile_queries(&wl, scale.queries(), 20, idx.margin(), 0xE5 + 1);
         let slack = idx.slack();
         let mut t_idx = Vec::new();

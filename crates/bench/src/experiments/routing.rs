@@ -11,8 +11,8 @@
 //! (selectivity) × shard count, and for each row runs the same batch on
 //! three engines over identical shard layouts:
 //!
-//! * **unrouted** — `with_routing(false)`, the correctness reference;
-//! * **box** — `with_synopsis_routing(false)`, the pre-synopsis engine;
+//! * **unrouted** — `Routing::Off`, the correctness reference;
+//! * **box** — `Routing::BoxOnly`, the pre-synopsis engine;
 //! * **full** — box tier + synopsis mass bound (the default).
 //!
 //! Columns report the per-row (expression, shard) skip counts of each

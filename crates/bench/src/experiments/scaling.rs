@@ -170,7 +170,9 @@ pub fn e9_dynamic_updates(scale: Scale) -> Table {
             let (_, d) = time(|| dynamic.query(&q.rect, q.theta));
             t_q.push(d);
         }
-        let (_, t_rebuild) = time(|| PtileRangeIndex::build(&wl.synopses, bench_params()));
+        let (_, t_rebuild) = time(|| {
+            PtileRangeIndex::build_opts(&wl.synopses, bench_params(), &BuildOptions::serial())
+        });
         table.row(vec![
             n.to_string(),
             fmt_duration(t_ins / 200),
@@ -191,7 +193,8 @@ pub fn e10_delay(scale: Scale) -> Table {
     );
     for n in scale.n_sweep() {
         let wl = mixed_workload(n, 200, 1, 0xE10);
-        let idx = PtileThresholdIndex::build(&wl.synopses, bench_params());
+        let idx =
+            PtileThresholdIndex::build_opts(&wl.synopses, bench_params(), &BuildOptions::serial());
         // A broad query with a large output: every gap is one "delay".
         let rect = dds_geom::Rect::interval(10.0, 90.0);
         let mut rec = DelayRecorder::new();

@@ -28,7 +28,7 @@
 //!   often one recomputes) depends on timing — the counters stay exact
 //!   totals, but eviction-regime counts can vary run to run. Answers never
 //!   do: a recomputed mask is bit-identical to the evicted one.
-//! * **Hashed once per expression** — a [`CacheKey`] carries the
+//! * **Hashed once per expression** — a `CacheKey` carries the
 //!   predicate's bit-exact encoding and a digest of it under the cache's
 //!   SipHash keys (one `RandomState` per cache, shared by every shard
 //!   cache of one `ShardedEngine`). A sharded query digests each predicate

@@ -652,8 +652,9 @@ mod tests {
         for i in ground_truth(&repo(), &expr) {
             assert!(hits.contains(&i));
         }
-        // A second identical call re-queries (memo is per-call) and keeps
-        // counting.
+        // A second identical call queries the indexes again: the plan dedups
+        // predicates within one call, and `try_query_with` bypasses the mask
+        // cache.
         let again = query(&e, &expr).unwrap();
         assert_eq!(e.index_queries(), 6);
         let mut again = again;

@@ -25,8 +25,9 @@
 //! executable), [`guarantee`] (recall / error-band checkers used by tests
 //! and experiments), [`delay`] (enumeration-delay instrumentation,
 //! Remark 3), [`pool`] (deterministic worker-pool builds *and* batch
-//! queries — every index offers a `*_opts` constructor taking a
-//! [`pool::BuildOptions`] whose thread count never changes results),
+//! queries — every index has one constructor, `build_opts`, taking a
+//! [`pool::BuildOptions`] whose thread count never changes results;
+//! serial callers pass `BuildOptions::serial()`),
 //! [`bitset`] (packed `u64` hit masks for the DNF query loops), [`scratch`]
 //! (reusable per-query state behind the `&self` query paths and the
 //! batch APIs), [`cache`] (the bounded, generation-tagged
@@ -58,7 +59,6 @@ pub mod error {
     pub use crate::engine::EngineError;
     pub use crate::shard::IngestError;
 }
-pub mod extensions;
 pub mod framework;
 pub mod guarantee;
 pub mod lowerbound;

@@ -14,6 +14,7 @@
 //! `O(OUT + extras)`; the lower bound says the extras cannot be avoided by
 //! any near-linear exact structure in `d ≥ 5`.
 
+use crate::pool::BuildOptions;
 use crate::pref::{PrefBuildParams, PrefIndex};
 use dds_geom::Point;
 use dds_synopsis::ExactSynopsis;
@@ -38,7 +39,7 @@ impl HalfspaceReporter {
             .map(|p| ExactSynopsis::new(vec![p.clone()]))
             .collect();
         let params = PrefBuildParams::exact_centralized().with_eps(eps);
-        let index = PrefIndex::build(&synopses, 1, params);
+        let index = PrefIndex::build_opts(&synopses, 1, params, &BuildOptions::serial());
         HalfspaceReporter { index, points }
     }
 

@@ -16,6 +16,7 @@
 //! exact synopses and tiny per-dataset supports the builder indexes every
 //! dataset exactly (ε = δ = 0), so the reduction answers are exact.
 
+use crate::pool::BuildOptions;
 use crate::ptile::{PtileBuildParams, PtileThresholdIndex};
 use dds_geom::{Point, Rect};
 use dds_synopsis::ExactSynopsis;
@@ -70,7 +71,7 @@ impl SetIntersectionCPtile {
         // Generous rectangle budget: datasets have 2r points each.
         let params = PtileBuildParams::exact_centralized()
             .with_rect_budget((points_per_dataset * (points_per_dataset + 1)).pow(2));
-        let index = PtileThresholdIndex::build(&synopses, params);
+        let index = PtileThresholdIndex::build_opts(&synopses, params, &BuildOptions::serial());
         assert_eq!(
             index.eps(),
             0.0,

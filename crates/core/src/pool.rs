@@ -13,8 +13,9 @@
 //!    DFS-preorder position (`KdTree::build_par`).
 //!
 //! Consequently `build_opts(…, &BuildOptions::with_threads(t))` is
-//! **bit-identical** to the serial `build(…)` for every `t` — pinned by
-//! `tests/parallel_equivalence.rs` — and [`BuildOptions::default`] can
-//! safely use all available cores (`DDS_THREADS` overrides).
+//! **bit-identical** to `build_opts(…, &BuildOptions::serial())` for every
+//! `t` — pinned by `tests/parallel_equivalence.rs` — and
+//! [`BuildOptions::default`] can safely use all available cores
+//! (`DDS_THREADS` overrides).
 
 pub use dds_pool::{mix_seed, par_map, par_map_with, BuildOptions};

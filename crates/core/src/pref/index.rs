@@ -59,6 +59,7 @@ impl PrefBuildParams {
 /// Approximate top-k preference index (Theorem 5.4).
 ///
 /// ```
+/// use dds_core::pool::BuildOptions;
 /// use dds_core::pref::{PrefBuildParams, PrefIndex};
 /// use dds_geom::Point;
 /// use dds_synopsis::ExactSynopsis;
@@ -70,7 +71,12 @@ impl PrefBuildParams {
 /// ];
 /// // "At least 2 points scoring >= 0.6": only the first dataset
 /// // (omega_2 = 0.8 vs 0.2).
-/// let index = PrefIndex::build(&synopses, 2, PrefBuildParams::exact_centralized());
+/// let index = PrefIndex::build_opts(
+///     &synopses,
+///     2,
+///     PrefBuildParams::exact_centralized(),
+///     &BuildOptions::serial(),
+/// );
 /// assert_eq!(index.query(&[1.0, 0.0], 0.6), vec![0]);
 /// ```
 #[derive(Clone, Debug)]
@@ -85,25 +91,10 @@ pub struct PrefIndex {
 }
 
 impl PrefIndex {
-    /// Builds the index over one synopsis per dataset (Algorithm 5),
-    /// serially.
-    ///
-    /// # Panics
-    /// Panics if `synopses` is empty, dimensions differ, or `k == 0`.
-    pub fn build<S: PrefSynopsis>(synopses: &[S], k: usize, params: PrefBuildParams) -> Self {
-        let net = Self::check_and_net(synopses, k, &params);
-        let trees = net
-            .vectors()
-            .iter()
-            .map(|v| Self::direction_tree(synopses, v, k))
-            .collect();
-        Self::assemble(net, k, trees, params, synopses.len())
-    }
-
-    /// Worker-pool variant of [`build`](Self::build): the per-net-direction
-    /// score tables (the `O(ε^{-d+1})` structures `T_v`) are computed on
-    /// `opts.threads` scoped threads. Bit-identical results for every
-    /// thread count.
+    /// Builds the index over one synopsis per dataset (Algorithm 5). The
+    /// per-net-direction score tables (the `O(ε^{-d+1})` structures `T_v`)
+    /// are computed on `opts.threads` scoped threads, with bit-identical
+    /// results for every thread count.
     ///
     /// # Panics
     /// Panics if `synopses` is empty, dimensions differ, or `k == 0`.
@@ -232,17 +223,10 @@ impl PrefIndex {
     }
 
     /// Batch variant of [`query`](Self::query): answers every `(u, a_θ)`
-    /// pair with the default worker pool ([`BuildOptions::default`]: all
-    /// available cores, `DDS_THREADS` override). Results come back in input
-    /// order and are **bit-identical** to sequential one-at-a-time queries,
-    /// for every thread count — the index is read-only, so threads share it
-    /// without coordination.
-    pub fn query_batch(&self, queries: &[(Vec<f64>, f64)]) -> Vec<Vec<usize>> {
-        self.query_batch_opts(queries, &BuildOptions::default())
-    }
-
-    /// [`query_batch`](Self::query_batch) with an explicit worker-pool
-    /// configuration.
+    /// pair on the `opts` worker pool. Results come back in input order and
+    /// are **bit-identical** to sequential one-at-a-time queries, for every
+    /// thread count — the index is read-only, so threads share it without
+    /// coordination.
     pub fn query_batch_opts(
         &self,
         queries: &[(Vec<f64>, f64)],
@@ -268,9 +252,18 @@ mod tests {
         ]
     }
 
+    fn index(k: usize) -> PrefIndex {
+        PrefIndex::build_opts(
+            &synopses(),
+            k,
+            PrefBuildParams::exact_centralized(),
+            &BuildOptions::serial(),
+        )
+    }
+
     #[test]
     fn top1_threshold_query() {
-        let idx = PrefIndex::build(&synopses(), 1, PrefBuildParams::exact_centralized());
+        let idx = index(1);
         let mut hits = idx.query(&[1.0, 0.0], 0.45);
         hits.sort_unstable();
         // ω_1 scores: 0.9, 0.5, 0.4·… dataset 2 top ≈ 0.1·/0.4-ish — only
@@ -283,7 +276,7 @@ mod tests {
 
     #[test]
     fn k2_uses_second_largest() {
-        let idx = PrefIndex::build(&synopses(), 2, PrefBuildParams::exact_centralized());
+        let idx = index(2);
         // ω_2 along (1,0): 0.8, 0.4, 0.05.
         let hits = idx.query(&[1.0, 0.0], 0.7);
         assert_eq!(hits, vec![0]);
@@ -292,7 +285,7 @@ mod tests {
     #[test]
     fn recall_holds_on_random_directions() {
         let syns = synopses();
-        let idx = PrefIndex::build(&syns, 1, PrefBuildParams::exact_centralized());
+        let idx = index(1);
         let dirs = [[0.6, 0.8], [0.0, 1.0], [-1.0, 0.0], [0.707, -0.707]];
         for v in dirs {
             for a in [-0.5, 0.0, 0.3, 0.8] {
@@ -317,7 +310,7 @@ mod tests {
 
     #[test]
     fn oversized_k_never_reports() {
-        let idx = PrefIndex::build(&synopses(), 5, PrefBuildParams::exact_centralized());
+        let idx = index(5);
         // All datasets have 2 points; ω_5 = −∞ everywhere.
         assert!(idx.query(&[1.0, 0.0], -10.0).is_empty());
     }

@@ -35,30 +35,8 @@ pub struct PrefMultiIndex {
 
 impl PrefMultiIndex {
     /// Builds the score table (Algorithm 5 applied to every net vector).
-    ///
-    /// # Panics
-    /// Panics if `synopses` is empty, `k == 0` or `m == 0`.
-    pub fn build<S: PrefSynopsis>(
-        synopses: &[S],
-        k: usize,
-        m: usize,
-        params: PrefBuildParams,
-    ) -> Self {
-        assert!(!synopses.is_empty(), "repository must be non-empty");
-        assert!(k >= 1 && m >= 1);
-        let dim = synopses[0].dim();
-        let net = EpsNet::new(dim, params.eps);
-        let scores = net
-            .vectors()
-            .iter()
-            .map(|v| synopses.iter().map(|s| s.score(v, k)).collect())
-            .collect();
-        Self::assemble(net, k, m, params, synopses.len(), scores)
-    }
-
-    /// Worker-pool variant of [`build`](Self::build): the per-net-direction
-    /// score rows are computed on `opts.threads` scoped threads.
-    /// Bit-identical results for every thread count.
+    /// The per-net-direction score rows are computed on `opts.threads`
+    /// scoped threads, with bit-identical results for every thread count.
     ///
     /// # Panics
     /// Panics if `synopses` is empty, `k == 0` or `m == 0`.
@@ -196,16 +174,26 @@ mod tests {
         ]
     }
 
+    fn index() -> PrefMultiIndex {
+        PrefMultiIndex::build_opts(
+            &synopses(),
+            1,
+            2,
+            PrefBuildParams::exact_centralized(),
+            &BuildOptions::serial(),
+        )
+    }
+
     #[test]
     fn conjunction_selects_the_balanced_dataset() {
-        let idx = PrefMultiIndex::build(&synopses(), 1, 2, PrefBuildParams::exact_centralized());
+        let idx = index();
         let hits = idx.query(&[(vec![1.0, 0.0], 0.5), (vec![0.0, 1.0], 0.5)]);
         assert_eq!(hits, vec![1], "only ds1 clears 0.5 on both axes");
     }
 
     #[test]
     fn single_slot_conjunction() {
-        let idx = PrefMultiIndex::build(&synopses(), 1, 2, PrefBuildParams::exact_centralized());
+        let idx = index();
         let mut hits = idx.query(&[(vec![1.0, 0.0], 0.6)]);
         hits.sort_unstable();
         assert_eq!(hits, vec![0, 1]);
@@ -213,7 +201,7 @@ mod tests {
 
     #[test]
     fn trees_are_memoized() {
-        let idx = PrefMultiIndex::build(&synopses(), 1, 2, PrefBuildParams::exact_centralized());
+        let idx = index();
         assert_eq!(idx.materialized_trees(), 0);
         let q = [(vec![1.0, 0.0], 0.5), (vec![0.0, 1.0], 0.5)];
         let _ = idx.query(&q);
@@ -227,7 +215,7 @@ mod tests {
     #[test]
     fn recall_and_band_on_conjunctions() {
         let syns = synopses();
-        let idx = PrefMultiIndex::build(&syns, 1, 2, PrefBuildParams::exact_centralized());
+        let idx = index();
         let queries = [(vec![0.6, 0.8], 0.3), (vec![0.8, -0.6], -0.2)];
         let hits = idx.query(&queries);
         for (i, s) in syns.iter().enumerate() {

@@ -86,30 +86,9 @@ impl PtileMultiIndex {
     ///
     /// The per-dataset rectangle budget is re-split as `budget^(1/m)` so the
     /// `|R_i|^m` tuple blow-up stays within `params.max_rects_per_dataset`.
-    ///
-    /// # Panics
-    /// Panics if `synopses` is empty or `m == 0`.
-    pub fn build<S: PercentileSynopsis>(
-        synopses: &[S],
-        m: usize,
-        params: PtileBuildParams,
-    ) -> Self {
-        assert!(!synopses.is_empty(), "repository must be non-empty");
-        assert!(m >= 1, "need at least one predicate slot");
-        let inner = Self::per_slot_params(&params, m);
-        let n = synopses.len();
-        let parts: Vec<TuplePart> = synopses
-            .iter()
-            .enumerate()
-            .map(|(i, syn)| Self::dataset_part(i, syn, m, &params, &inner, n))
-            .collect();
-        let fallback = PtileRangeIndex::build(synopses, params.clone());
-        Self::from_parts(synopses[0].dim(), m, params.delta, parts, fallback, 1)
-    }
-
-    /// Worker-pool variant of [`build`](Self::build): datasets × canonical
-    /// rectangle tuples are enumerated on `opts.threads` scoped threads.
-    /// Bit-identical results for every thread count.
+    /// Datasets × canonical rectangle tuples are enumerated on
+    /// `opts.threads` scoped threads, with bit-identical results for every
+    /// thread count.
     ///
     /// # Panics
     /// Panics if `synopses` is empty or `m == 0`.
@@ -428,20 +407,10 @@ impl PtileMultiIndex {
     }
 
     /// Batch variant of [`query_expr`](Self::query_expr): answers every
-    /// expression with the default worker pool ([`BuildOptions::default`]:
-    /// all available cores, `DDS_THREADS` override), one reusable scratch
-    /// per worker thread. Results come back in input order and are
+    /// expression on the `opts` worker pool, one reusable scratch per
+    /// worker thread. Results come back in input order and are
     /// **bit-identical** to calling [`query_expr`](Self::query_expr) on
     /// each expression sequentially, for every thread count.
-    pub fn query_expr_batch(
-        &self,
-        exprs: &[LogicalExpr],
-    ) -> Vec<Result<Vec<usize>, MultiQueryError>> {
-        self.query_expr_batch_opts(exprs, &BuildOptions::default())
-    }
-
-    /// [`query_expr_batch`](Self::query_expr_batch) with an explicit
-    /// worker-pool configuration.
     pub fn query_expr_batch_opts(
         &self,
         exprs: &[LogicalExpr],
@@ -508,6 +477,15 @@ mod tests {
         ]
     }
 
+    fn index() -> PtileMultiIndex {
+        PtileMultiIndex::build_opts(
+            &synopses(),
+            2,
+            PtileBuildParams::exact_centralized(),
+            &BuildOptions::serial(),
+        )
+    }
+
     fn region_a() -> Rect {
         Rect::interval(-1.0, 11.0)
     }
@@ -518,7 +496,7 @@ mod tests {
 
     #[test]
     fn conjunction_of_two_predicates() {
-        let idx = PtileMultiIndex::build(&synopses(), 2, PtileBuildParams::exact_centralized());
+        let idx = index();
         assert_eq!(idx.eps(), 0.0);
         // ≥ 40% in A and ≥ 40% in B: only ds0.
         let hits = idx.query(&[
@@ -530,7 +508,7 @@ mod tests {
 
     #[test]
     fn conjunction_with_two_sided_bands() {
-        let idx = PtileMultiIndex::build(&synopses(), 2, PtileBuildParams::exact_centralized());
+        let idx = index();
         // Mass in A within [0.1, 0.3] and mass in B within [0.7, 0.9]: ds2.
         let hits = idx.query(&[
             (region_a(), Interval::new(0.1, 0.3)),
@@ -541,7 +519,7 @@ mod tests {
 
     #[test]
     fn single_predicate_clause_is_padded() {
-        let idx = PtileMultiIndex::build(&synopses(), 2, PtileBuildParams::exact_centralized());
+        let idx = index();
         let mut hits = idx.query(&[(region_a(), Interval::new(0.4, 1.0))]);
         hits.sort_unstable();
         assert_eq!(hits, vec![0, 1]);
@@ -549,7 +527,7 @@ mod tests {
 
     #[test]
     fn degenerate_band_falls_back_to_intersection() {
-        let idx = PtileMultiIndex::build(&synopses(), 2, PtileBuildParams::exact_centralized());
+        let idx = index();
         // Mass in B within [0, 0.1] (degenerate lower bound) and ≥ 0.9 in A:
         // ds1 (0 in B, 1.0 in A).
         let hits = idx.query(&[
@@ -561,7 +539,7 @@ mod tests {
 
     #[test]
     fn dnf_expression_union() {
-        let idx = PtileMultiIndex::build(&synopses(), 2, PtileBuildParams::exact_centralized());
+        let idx = index();
         // (≥ 0.9 in A) OR (≥ 0.7 in B): ds1 ∪ ds2.
         let expr = LogicalExpr::Or(vec![
             LogicalExpr::Pred(Predicate::percentile_at_least(region_a(), 0.9)),
@@ -574,7 +552,7 @@ mod tests {
 
     #[test]
     fn oversized_clause_is_rejected() {
-        let idx = PtileMultiIndex::build(&synopses(), 2, PtileBuildParams::exact_centralized());
+        let idx = index();
         let p = Predicate::percentile_at_least(region_a(), 0.5);
         let expr = LogicalExpr::And(vec![
             LogicalExpr::Pred(p.clone()),
@@ -589,7 +567,7 @@ mod tests {
 
     #[test]
     fn non_percentile_predicate_is_rejected() {
-        let idx = PtileMultiIndex::build(&synopses(), 2, PtileBuildParams::exact_centralized());
+        let idx = index();
         let expr = LogicalExpr::Pred(Predicate::topk_at_least(vec![1.0], 1, 0.5));
         assert_eq!(idx.query_expr(&expr), Err(MultiQueryError::NonPercentile));
     }

@@ -64,6 +64,7 @@ struct RangePart {
 /// ```
 /// use dds_core::ptile::{PtileBuildParams, PtileRangeIndex};
 /// use dds_core::framework::Interval;
+/// use dds_core::pool::BuildOptions;
 /// use dds_geom::{Point, Rect};
 /// use dds_synopsis::ExactSynopsis;
 ///
@@ -74,7 +75,11 @@ struct RangePart {
 ///         Point::one(2.0), Point::one(4.0), Point::one(6.0), Point::one(10.0),
 ///     ]),
 /// ];
-/// let index = PtileRangeIndex::build(&synopses, PtileBuildParams::exact_centralized());
+/// let index = PtileRangeIndex::build_opts(
+///     &synopses,
+///     PtileBuildParams::exact_centralized(),
+///     &BuildOptions::serial(),
+/// );
 /// // Between 20% and 40% of the points in [3, 8]: only the first dataset
 /// // (mass 1/3); the second (mass 1/2) exceeds the upper bound.
 /// let hits = index.query(&Rect::interval(3.0, 8.0), Interval::new(0.2, 0.4));
@@ -102,17 +107,13 @@ pub struct PtileRangeIndex {
 
 impl PtileRangeIndex {
     /// Builds the index (Algorithm 3 with one-step-expansion pairs) with a
-    /// uniform synopsis error bound `params.delta`, serially.
+    /// uniform synopsis error bound `params.delta`. Per-dataset work units
+    /// run on `opts.threads` scoped threads, with bit-identical results for
+    /// every thread count; [`BuildOptions::serial`] builds on the calling
+    /// thread.
     ///
     /// # Panics
     /// Panics if `synopses` is empty or dimensions are inconsistent.
-    pub fn build<S: PercentileSynopsis>(synopses: &[S], params: PtileBuildParams) -> Self {
-        Self::build_with_deltas(synopses, None, params)
-    }
-
-    /// Worker-pool variant of [`build`](Self::build): per-dataset work units
-    /// run on `opts.threads` scoped threads. Bit-identical results for every
-    /// thread count.
     pub fn build_opts<S: PercentileSynopsis + Sync>(
         synopses: &[S],
         params: PtileBuildParams,
@@ -121,28 +122,12 @@ impl PtileRangeIndex {
         Self::build_with_deltas_opts(synopses, None, params, opts)
     }
 
-    /// Builds the index with per-dataset synopsis error bounds
-    /// (`deltas[i] = δ_i`, Remark 2 with known budgets), serially.
+    /// [`build_opts`](Self::build_opts) with per-dataset synopsis error
+    /// bounds (`deltas[i] = δ_i`, Remark 2 with known budgets).
     ///
     /// # Panics
     /// Panics if `synopses` is empty, dimensions are inconsistent, or
     /// `deltas` has the wrong arity.
-    pub fn build_with_deltas<S: PercentileSynopsis>(
-        synopses: &[S],
-        deltas: Option<&[f64]>,
-        params: PtileBuildParams,
-    ) -> Self {
-        Self::check_build_inputs(synopses, deltas);
-        let n = synopses.len();
-        let parts: Vec<RangePart> = synopses
-            .iter()
-            .enumerate()
-            .map(|(i, syn)| Self::dataset_part(i, syn, deltas, &params, n))
-            .collect();
-        Self::from_parts(synopses[0].dim(), parts, 1)
-    }
-
-    /// Worker-pool variant of [`build_with_deltas`](Self::build_with_deltas).
     pub fn build_with_deltas_opts<S: PercentileSynopsis + Sync>(
         synopses: &[S],
         deltas: Option<&[f64]>,
@@ -424,8 +409,11 @@ mod tests {
     }
 
     fn exact_index() -> PtileRangeIndex {
-        let idx =
-            PtileRangeIndex::build(&figure1_synopses(), PtileBuildParams::exact_centralized());
+        let idx = PtileRangeIndex::build_opts(
+            &figure1_synopses(),
+            PtileBuildParams::exact_centralized(),
+            &BuildOptions::serial(),
+        );
         assert_eq!(idx.eps(), 0.0);
         idx
     }
@@ -451,7 +439,11 @@ mod tests {
         let mut pts = vec![Point::one(2.0)];
         pts.extend((0..9).map(|i| Point::one(5.0 + i as f64 * 0.1)));
         let syn = vec![ExactSynopsis::new(pts)];
-        let idx = PtileRangeIndex::build(&syn, PtileBuildParams::exact_centralized());
+        let idx = PtileRangeIndex::build_opts(
+            &syn,
+            PtileBuildParams::exact_centralized(),
+            &BuildOptions::serial(),
+        );
         assert_eq!(idx.eps(), 0.0);
         let hits = idx.query(&Rect::interval(1.0, 7.0), Interval::new(0.0, 0.2));
         assert!(hits.is_empty(), "non-maximal rectangle must not fire");
@@ -526,10 +518,11 @@ mod tests {
         // θ = [0.5, 0.52] over R = [3, 8]: masses are 1/3 and 1/2.
         //  - dataset 0: band [0.3, 0.72] ∋ 1/3 → reported;
         //  - dataset 1: band [0.5, 0.52] ∋ 1/2 → reported.
-        let idx = PtileRangeIndex::build_with_deltas(
+        let idx = PtileRangeIndex::build_with_deltas_opts(
             &figure1_synopses(),
             Some(&[0.2, 0.0]),
             PtileBuildParams::exact_centralized(),
+            &BuildOptions::serial(),
         );
         let mut hits = idx.query(&Rect::interval(3.0, 8.0), Interval::new(0.5, 0.52));
         hits.sort_unstable();

@@ -141,7 +141,7 @@ impl RoutingSynopsis {
         self.edges.len()
     }
 
-    /// Bin count of axis `h` (at most [`ROUTING_BINS`]; fewer after edge
+    /// Bin count of axis `h` (at most `ROUTING_BINS`; fewer after edge
     /// deduplication).
     pub fn bins(&self, h: usize) -> usize {
         self.env[h].len()

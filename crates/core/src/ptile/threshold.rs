@@ -62,17 +62,12 @@ pub struct PtileThresholdIndex {
 
 impl PtileThresholdIndex {
     /// Builds the index with a uniform synopsis error bound `params.delta`
-    /// (Algorithm 1), serially.
+    /// (Algorithm 1). Per-dataset work units run on `opts.threads` scoped
+    /// threads, with bit-identical results for every thread count;
+    /// [`BuildOptions::serial`] builds on the calling thread.
     ///
     /// # Panics
     /// Panics if `synopses` is empty or dimensions are inconsistent.
-    pub fn build<S: PercentileSynopsis>(synopses: &[S], params: PtileBuildParams) -> Self {
-        Self::build_with_deltas(synopses, None, params)
-    }
-
-    /// Worker-pool variant of [`build`](Self::build): per-dataset work units
-    /// run on `opts.threads` scoped threads. Bit-identical results for every
-    /// thread count.
     pub fn build_opts<S: PercentileSynopsis + Sync>(
         synopses: &[S],
         params: PtileBuildParams,
@@ -81,28 +76,12 @@ impl PtileThresholdIndex {
         Self::build_with_deltas_opts(synopses, None, params, opts)
     }
 
-    /// Builds the index with *per-dataset* synopsis error bounds
-    /// (`deltas[i] = δ_i`, Remark 2 with known budgets), serially.
+    /// [`build_opts`](Self::build_opts) with *per-dataset* synopsis error
+    /// bounds (`deltas[i] = δ_i`, Remark 2 with known budgets).
     ///
     /// # Panics
     /// Panics if `synopses` is empty, dimensions are inconsistent, or
     /// `deltas` (when given) has the wrong arity.
-    pub fn build_with_deltas<S: PercentileSynopsis>(
-        synopses: &[S],
-        deltas: Option<&[f64]>,
-        params: PtileBuildParams,
-    ) -> Self {
-        Self::check_build_inputs(synopses, deltas);
-        let n = synopses.len();
-        let parts: Vec<ThresholdPart> = synopses
-            .iter()
-            .enumerate()
-            .map(|(i, syn)| Self::dataset_part(i, syn, deltas, &params, n))
-            .collect();
-        Self::from_parts(synopses[0].dim(), parts, 1)
-    }
-
-    /// Worker-pool variant of [`build_with_deltas`](Self::build_with_deltas).
     pub fn build_with_deltas_opts<S: PercentileSynopsis + Sync>(
         synopses: &[S],
         deltas: Option<&[f64]>,
@@ -388,12 +367,19 @@ mod tests {
         ]
     }
 
+    fn exact_index() -> PtileThresholdIndex {
+        PtileThresholdIndex::build_opts(
+            &figure1_synopses(),
+            PtileBuildParams::exact_centralized(),
+            &BuildOptions::serial(),
+        )
+    }
+
     #[test]
     fn figure1() {
         // The running example of Section 4.2: R = [3, 8], θ = [0.2, 1]
         // must report both datasets (masses 1/3 and 2/4).
-        let idx =
-            PtileThresholdIndex::build(&figure1_synopses(), PtileBuildParams::exact_centralized());
+        let idx = exact_index();
         assert_eq!(idx.eps(), 0.0, "tiny supports are indexed exactly");
         let mut hits = idx.query(&Rect::interval(3.0, 8.0), 0.2);
         hits.sort_unstable();
@@ -402,8 +388,7 @@ mod tests {
 
     #[test]
     fn threshold_excludes_low_mass_datasets() {
-        let idx =
-            PtileThresholdIndex::build(&figure1_synopses(), PtileBuildParams::exact_centralized());
+        let idx = exact_index();
         // θ = [0.4, 1]: only dataset 1 (mass 0.5) qualifies.
         let hits = idx.query(&Rect::interval(3.0, 8.0), 0.4);
         assert_eq!(hits, vec![1]);
@@ -414,8 +399,7 @@ mod tests {
     #[test]
     fn repeated_queries_are_stable() {
         // Repeated identical queries must be stable (shared-read path).
-        let idx =
-            PtileThresholdIndex::build(&figure1_synopses(), PtileBuildParams::exact_centralized());
+        let idx = exact_index();
         for _ in 0..5 {
             let mut hits = idx.query(&Rect::interval(3.0, 8.0), 0.2);
             hits.sort_unstable();
@@ -425,8 +409,7 @@ mod tests {
 
     #[test]
     fn no_duplicates_in_output() {
-        let idx =
-            PtileThresholdIndex::build(&figure1_synopses(), PtileBuildParams::exact_centralized());
+        let idx = exact_index();
         let hits = idx.query(&Rect::interval(0.0, 20.0), 0.5);
         let mut dedup = hits.clone();
         dedup.sort_unstable();
@@ -436,8 +419,7 @@ mod tests {
 
     #[test]
     fn tiny_threshold_reports_everything() {
-        let idx =
-            PtileThresholdIndex::build(&figure1_synopses(), PtileBuildParams::exact_centralized());
+        let idx = exact_index();
         // A query region containing no point at all, but a_θ = 0: the band
         // [a−slack, 1] admits every dataset, and the theorem only promises a
         // superset — report all.
@@ -448,15 +430,13 @@ mod tests {
 
     #[test]
     fn empty_region_with_real_threshold_reports_nothing() {
-        let idx =
-            PtileThresholdIndex::build(&figure1_synopses(), PtileBuildParams::exact_centralized());
+        let idx = exact_index();
         assert!(idx.query(&Rect::interval(500.0, 600.0), 0.2).is_empty());
     }
 
     #[test]
     fn eager_and_lazy_strategies_agree() {
-        let mut idx =
-            PtileThresholdIndex::build(&figure1_synopses(), PtileBuildParams::exact_centralized());
+        let mut idx = exact_index();
         for (lo, hi, a) in [
             (3.0, 8.0, 0.2),
             (0.0, 20.0, 0.5),
@@ -480,10 +460,11 @@ mod tests {
         //  - dataset 1 (mass 1/2 ≥ 0.4): reported outright, with a zero
         //    personal slack.
         let syns = figure1_synopses();
-        let idx = PtileThresholdIndex::build_with_deltas(
+        let idx = PtileThresholdIndex::build_with_deltas_opts(
             &syns,
             Some(&[0.3, 0.0]),
             PtileBuildParams::exact_centralized(),
+            &BuildOptions::serial(),
         );
         let mut hits = idx.query(&Rect::interval(3.0, 8.0), 0.4);
         hits.sort_unstable();

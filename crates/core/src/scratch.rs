@@ -25,6 +25,7 @@ use std::sync::Arc;
 /// resets the ones it touches. Create one per query loop / worker thread:
 ///
 /// ```
+/// use dds_core::pool::BuildOptions;
 /// use dds_core::ptile::{PtileBuildParams, PtileThresholdIndex};
 /// use dds_core::scratch::QueryScratch;
 /// use dds_geom::{Point, Rect};
@@ -34,7 +35,11 @@ use std::sync::Arc;
 ///     ExactSynopsis::new(vec![Point::one(1.0), Point::one(7.0)]),
 ///     ExactSynopsis::new(vec![Point::one(4.0), Point::one(6.0)]),
 /// ];
-/// let index = PtileThresholdIndex::build(&synopses, PtileBuildParams::exact_centralized());
+/// let index = PtileThresholdIndex::build_opts(
+///     &synopses,
+///     PtileBuildParams::exact_centralized(),
+///     &BuildOptions::serial(),
+/// );
 /// let mut scratch = QueryScratch::new();
 /// for lo in 0..5 {
 ///     // Identical answers to `index.query(..)`, no per-query buffers.

@@ -58,11 +58,13 @@ impl BuildOptions {
         assert!(threads >= 1, "need at least one worker thread");
         BuildOptions { threads }
     }
+}
 
+impl Default for BuildOptions {
     /// Resolves the thread count from the environment: the `DDS_THREADS`
     /// variable when set to a positive integer, otherwise
     /// [`std::thread::available_parallelism`].
-    pub fn from_env() -> Self {
+    fn default() -> Self {
         let env = std::env::var("DDS_THREADS")
             .ok()
             .and_then(|s| s.trim().parse::<usize>().ok())
@@ -73,12 +75,6 @@ impl BuildOptions {
                 .unwrap_or(1)
         });
         BuildOptions { threads }
-    }
-}
-
-impl Default for BuildOptions {
-    fn default() -> Self {
-        Self::from_env()
     }
 }
 
@@ -343,6 +339,6 @@ mod tests {
         // Whatever the ambient environment, explicit construction wins.
         assert_eq!(BuildOptions::serial().threads, 1);
         assert_eq!(BuildOptions::with_threads(6).threads, 6);
-        assert!(BuildOptions::from_env().threads >= 1);
+        assert!(BuildOptions::default().threads >= 1);
     }
 }

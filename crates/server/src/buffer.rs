@@ -11,7 +11,7 @@
 //! makes the per-session half observable in production.
 //!
 //! Size classes are powers of two from 4 KiB to 512 KiB, at most
-//! [`PER_CLASS_RETENTION`] retained buffers each (≈ 65 MiB worst case,
+//! `PER_CLASS_RETENTION` retained buffers each (≈ 65 MiB worst case,
 //! in practice a handful of classes see traffic). Oversized buffers —
 //! a response that outgrew the largest class — are classified by
 //! capacity into the largest class they cover, so their capacity keeps

@@ -22,7 +22,7 @@
 //! re-dialed, attempts back off exponentially with deterministic jitter,
 //! and the whole loop is bounded by a deadline and an attempt cap. What
 //! may be *re-sent* is governed by the wire op's
-//! [`RetrySafety`](crate::protocol::RetrySafety) class — reads and
+//! [`RetrySafety`] class — reads and
 //! data-free admin ops always, ingests only under a dedup `request_id`
 //! (which this client stamps automatically), `Shutdown`/`Sleep` never.
 //! An answered transient rejection (`Busy`, `throttled`, `unavailable`)
@@ -160,8 +160,7 @@ impl ClientError {
     ///
     /// Note this classifies the **error**, not the op: a transient error
     /// after an op of unknown fate is only actually retryable if the op
-    /// is retry-safe (see
-    /// [`RetrySafety`](crate::protocol::RetrySafety)) — the retry loop
+    /// is retry-safe (see [`RetrySafety`]) — the retry loop
     /// enforces that half.
     pub fn is_transient(&self) -> bool {
         match self {

@@ -9,6 +9,7 @@
 //! ```
 
 use dds_core::framework::Repository;
+use dds_core::pool::BuildOptions;
 use dds_core::pref::{PrefBuildParams, PrefIndex};
 use dds_core::ptile::{PtileBuildParams, PtileThresholdIndex};
 use dds_workload::CityScenario;
@@ -24,9 +25,10 @@ fn main() {
 
     // (i) Percentile search over incident locations.
     let incidents = Repository::from_point_sets(sc.incidents.clone());
-    let ptile = PtileThresholdIndex::build(
+    let ptile = PtileThresholdIndex::build_opts(
         &incidents.exact_synopses(),
         PtileBuildParams::exact_centralized(),
+        &BuildOptions::serial(),
     );
     let mut coverage = ptile.query(&sc.brooklyn, 0.10);
     coverage.sort_unstable();
@@ -49,10 +51,11 @@ fn main() {
     // (ii) Preference search over neighborhood quality vectors.
     let quality = Repository::from_point_sets(sc.quality.clone());
     let k = 5;
-    let pref = PrefIndex::build(
+    let pref = PrefIndex::build_opts(
         &quality.exact_synopses(),
         k,
         PrefBuildParams::exact_centralized(),
+        &BuildOptions::serial(),
     );
     // The economist's quality-of-life weighting: equal parts safety, air
     // quality, healthcare.

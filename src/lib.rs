@@ -33,9 +33,10 @@
 //!
 //! // Centralized percentile search: which datasets have >= 20% of their
 //! // points inside [3, 8]?
-//! let index = PtileThresholdIndex::build(
+//! let index = PtileThresholdIndex::build_opts(
 //!     &repo.exact_synopses(),
 //!     PtileBuildParams::exact_centralized(),
+//!     &BuildOptions::serial(),
 //! );
 //! let mut hits = index.query(&Rect::from_bounds(&[3.0], &[8.0]), 0.2);
 //! hits.sort_unstable();
@@ -45,10 +46,11 @@
 //! ## Threading
 //!
 //! Index construction runs on a scoped std-thread worker pool. Every index
-//! offers a `*_opts` constructor taking a [`prelude::BuildOptions`] (thread
-//! count; the default resolves `DDS_THREADS` and falls back to all available
-//! cores); the two engines have only that form — pass
-//! `&BuildOptions::default()` for the default pool.
+//! has exactly one constructor, `build_opts`, taking a
+//! [`prelude::BuildOptions`] (thread count; the default resolves
+//! `DDS_THREADS` and falls back to all available cores), and so do the two
+//! engines. Serial callers pass `&BuildOptions::serial()`, which runs every
+//! work unit on the calling thread.
 //! The thread count **never** changes results: parallel builds are
 //! bit-identical to serial ones for every index family.
 //!

@@ -1,9 +1,10 @@
 //! Batch-query equivalence layer: the parallel batch APIs
-//! (`MixedQueryEngine::query_batch`, `PtileMultiIndex::query_expr_batch`,
-//! `PrefIndex::query_batch`, `DynamicPtileIndex::insert_batch`) must be
-//! **bit-identical** to sequential one-at-a-time execution for every thread
-//! count — same answers, same order, same errors. This is the contract that
-//! lets `query_batch` default to all available cores, exactly as the
+//! (`MixedQueryEngine::try_query_batch_opts`,
+//! `PtileMultiIndex::query_expr_batch_opts`, `PrefIndex::query_batch_opts`,
+//! `DynamicPtileIndex::insert_batch`) must be **bit-identical** to
+//! sequential one-at-a-time execution for every thread count — same
+//! answers, same order, same errors. This is the contract that lets callers
+//! pass `BuildOptions::default()` (all available cores), exactly as the
 //! build-side `tests/parallel_equivalence.rs` does for construction.
 //!
 //! Also pins the `&self` refactor at the type level: a shared `Arc<engine>`
@@ -84,7 +85,8 @@ fn ptile_expr(lo: f64, w: f64, a: f64, bw: f64) -> LogicalExpr {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// `MixedQueryEngine::query_batch` ≡ sequential `query`, and scratch
+    /// `MixedQueryEngine::try_query_batch_opts` ≡ sequential `try_query_with`,
+    /// and scratch
     /// reuse ≡ fresh scratch, for every thread count.
     #[test]
     fn engine_batch_matches_sequential((sets, shapes) in repo_and_batch()) {
@@ -118,11 +120,11 @@ proptest! {
         }
     }
 
-    /// `PtileMultiIndex::query_expr_batch` ≡ sequential `query_expr`.
+    /// `PtileMultiIndex::query_expr_batch_opts` ≡ sequential `query_expr`.
     #[test]
     fn multi_index_batch_matches_sequential((sets, shapes) in repo_and_batch()) {
         let syns = synopses_1d(&sets);
-        let idx = PtileMultiIndex::build(&syns, 2, PtileBuildParams::exact_centralized());
+        let idx = PtileMultiIndex::build_opts(&syns, 2, PtileBuildParams::exact_centralized(), &BuildOptions::serial());
         let exprs: Vec<LogicalExpr> = shapes
             .iter()
             .map(|&(lo, w, a, bw)| ptile_expr(lo, w, a, bw))
@@ -139,7 +141,12 @@ proptest! {
 fn pref_batch_matches_sequential() {
     let repo = common::ball_repo(40, 60, 2, 0xBA7C);
     let syns = repo.exact_synopses();
-    let idx = PrefIndex::build(&syns, 2, PrefBuildParams::exact_centralized());
+    let idx = PrefIndex::build_opts(
+        &syns,
+        2,
+        PrefBuildParams::exact_centralized(),
+        &BuildOptions::serial(),
+    );
     let queries: Vec<(Vec<f64>, f64)> = (0..25)
         .map(|i| {
             let angle = i as f64 * 0.251;
@@ -163,7 +170,12 @@ fn pref_batch_matches_sequential() {
 fn empty_clauses_are_benign_in_sequential_and_batch() {
     let sets: Vec<Vec<f64>> = vec![vec![1.0, 7.0, 9.0], vec![2.0, 4.0, 6.0, 10.0]];
     let syns = synopses_1d(&sets);
-    let idx = PtileMultiIndex::build(&syns, 2, PtileBuildParams::exact_centralized());
+    let idx = PtileMultiIndex::build_opts(
+        &syns,
+        2,
+        PtileBuildParams::exact_centralized(),
+        &BuildOptions::serial(),
+    );
     let empty_and = LogicalExpr::And(vec![]);
     let empty_or = LogicalExpr::Or(vec![]);
     let real = ptile_expr(3.0, 5.0, 0.2, 0.8);
@@ -203,7 +215,7 @@ fn empty_clauses_are_benign_in_sequential_and_batch() {
 
 /// The mask cache makes `index_queries` advance by the number of
 /// *distinct uncached* predicates in a batch, at every thread count — and
-/// since the cache now **survives across `query_batch` calls**, only the
+/// since the cache now **survives across `try_query_batch_opts` calls**, only the
 /// first batch computes anything; repeats are pure cache hits.
 #[test]
 fn batch_counts_each_distinct_predicate_once() {

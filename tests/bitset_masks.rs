@@ -1,6 +1,6 @@
 //! Packed-bitset hit masks: word-boundary coverage (63 / 64 / 65 datasets)
 //! for the DNF query loops, and the regression pin that predicate dedup in
-//! `MixedQueryEngine::query` still issues exactly one index query per
+//! `MixedQueryEngine::try_query_with` still issues exactly one index query per
 //! distinct predicate after the `Vec<bool>` → `u64`-word switch.
 
 use distribution_aware_search::prelude::*;
@@ -79,7 +79,12 @@ fn word_boundary_universes_answer_exactly() {
 fn multi_index_clause_accumulator_at_word_boundaries() {
     for n in [63usize, 64, 65] {
         let syns = unit_repo(n).exact_synopses();
-        let idx = PtileMultiIndex::build(&syns, 2, PtileBuildParams::exact_centralized());
+        let idx = PtileMultiIndex::build_opts(
+            &syns,
+            2,
+            PtileBuildParams::exact_centralized(),
+            &BuildOptions::serial(),
+        );
         // Degenerate band (lo = 0) forces the bitset intersection fallback.
         let hits = idx.query(&[
             (
@@ -143,7 +148,8 @@ fn dnf_dedup_still_issues_one_query_per_distinct_predicate() {
     dedup.sort_unstable();
     dedup.dedup();
     assert_eq!(dedup.len(), hits.len());
-    // Re-querying keeps counting (memo is per call).
+    // Re-querying keeps counting: the plan dedups predicates within one
+    // call, and `try_query_with` bypasses the mask cache.
     let _ = e.try_query_with(&expr, &mut QueryScratch::new()).unwrap();
     assert_eq!(e.index_queries(), 6);
 }

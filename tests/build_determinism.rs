@@ -35,8 +35,8 @@ fn ptile_queries() -> Vec<(Rect, Interval)> {
 #[test]
 fn ptile_threshold_builds_identically_twice() {
     let (syns, params) = ptile_inputs();
-    let a = PtileThresholdIndex::build(&syns, params.clone());
-    let b = PtileThresholdIndex::build(&syns, params);
+    let a = PtileThresholdIndex::build_opts(&syns, params.clone(), &BuildOptions::serial());
+    let b = PtileThresholdIndex::build_opts(&syns, params, &BuildOptions::serial());
     assert_eq!(a.eps().to_bits(), b.eps().to_bits());
     assert_eq!(a.memory_bytes(), b.memory_bytes());
     for (rect, theta) in ptile_queries() {
@@ -47,8 +47,8 @@ fn ptile_threshold_builds_identically_twice() {
 #[test]
 fn ptile_range_builds_identically_twice() {
     let (syns, params) = ptile_inputs();
-    let a = PtileRangeIndex::build(&syns, params.clone());
-    let b = PtileRangeIndex::build(&syns, params);
+    let a = PtileRangeIndex::build_opts(&syns, params.clone(), &BuildOptions::serial());
+    let b = PtileRangeIndex::build_opts(&syns, params, &BuildOptions::serial());
     assert_eq!(a.eps().to_bits(), b.eps().to_bits());
     assert_eq!(a.slack().to_bits(), b.slack().to_bits());
     assert_eq!(a.lifted_points(), b.lifted_points());
@@ -61,8 +61,8 @@ fn ptile_range_builds_identically_twice() {
 #[test]
 fn ptile_multi_builds_identically_twice() {
     let (syns, params) = ptile_inputs();
-    let a = PtileMultiIndex::build(&syns, 2, params.clone());
-    let b = PtileMultiIndex::build(&syns, 2, params);
+    let a = PtileMultiIndex::build_opts(&syns, 2, params.clone(), &BuildOptions::serial());
+    let b = PtileMultiIndex::build_opts(&syns, 2, params, &BuildOptions::serial());
     assert_eq!(a.eps().to_bits(), b.eps().to_bits());
     assert_eq!(a.margin().to_bits(), b.margin().to_bits());
     assert_eq!(a.lifted_points(), b.lifted_points());
@@ -88,11 +88,11 @@ fn pref_indexes_build_identically_twice() {
     let repo = ball_repo(20, 400, 2, 0xBA11);
     let syns = repo.exact_synopses();
     let params = PrefBuildParams::exact_centralized().with_eps(0.04);
-    let a = PrefIndex::build(&syns, 3, params.clone());
-    let b = PrefIndex::build(&syns, 3, params.clone());
+    let a = PrefIndex::build_opts(&syns, 3, params.clone(), &BuildOptions::serial());
+    let b = PrefIndex::build_opts(&syns, 3, params.clone(), &BuildOptions::serial());
     assert_eq!(a.memory_bytes(), b.memory_bytes());
-    let am = PrefMultiIndex::build(&syns, 3, 2, params.clone());
-    let bm = PrefMultiIndex::build(&syns, 3, 2, params);
+    let am = PrefMultiIndex::build_opts(&syns, 3, 2, params.clone(), &BuildOptions::serial());
+    let bm = PrefMultiIndex::build_opts(&syns, 3, 2, params, &BuildOptions::serial());
     for q in 0..12 {
         let angle = q as f64 * 0.5;
         let v = vec![angle.cos(), angle.sin()];
@@ -107,9 +107,9 @@ fn pref_indexes_build_identically_twice() {
 
 #[test]
 fn mixed_engine_builds_identically_twice_under_default_pool() {
-    // `MixedQueryEngine::build` uses `BuildOptions::default()` — whatever
-    // thread count the environment resolves, two builds from one seed must
-    // answer identically, bit for bit.
+    // `BuildOptions::default()` resolves whatever thread count the
+    // environment gives; two builds from one seed must answer identically,
+    // bit for bit.
     let repo = mixed_repo(14, 900, 2, 0x217);
     let ptile = PtileBuildParams::default()
         .with_rect_budget(200)

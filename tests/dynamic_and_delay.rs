@@ -6,6 +6,7 @@ mod common;
 use common::{mixed_repo, point_sets, sorted};
 use dds_core::delay::DelayRecorder;
 use dds_core::framework::Interval;
+use dds_core::pool::BuildOptions;
 use dds_core::ptile::{DynamicPtileIndex, PtileBuildParams, PtileRangeIndex, PtileThresholdIndex};
 use dds_synopsis::ExactSynopsis;
 use dds_workload::queries;
@@ -29,7 +30,8 @@ fn dynamic_ptile_tracks_static_rebuild() {
     let bbox = dds_geom::Rect::from_bounds(&[0.0], &[100.0]);
 
     // Full set: dynamic answers equal the static index on the same data.
-    let static_idx = PtileRangeIndex::build(&synopses, params.clone());
+    let static_idx =
+        PtileRangeIndex::build_opts(&synopses, params.clone(), &BuildOptions::serial());
     for _ in 0..15 {
         let r = queries::random_rect(&mut rng, &bbox);
         let (a, b) = queries::random_theta(&mut rng, 0.1);
@@ -53,7 +55,7 @@ fn dynamic_ptile_tracks_static_rebuild() {
         }
     }
     let kept_synopses: Vec<ExactSynopsis> = keep.iter().map(|&i| synopses[i].clone()).collect();
-    let rebuilt = PtileRangeIndex::build(&kept_synopses, params);
+    let rebuilt = PtileRangeIndex::build_opts(&kept_synopses, params, &BuildOptions::serial());
     for _ in 0..15 {
         let r = queries::random_rect(&mut rng, &bbox);
         let (a, b) = queries::random_theta(&mut rng, 0.1);
@@ -83,9 +85,10 @@ fn delay_is_bounded_per_report() {
     // liberal constant of the mean (no pathological stalls), which is the
     // observable consequence of the Õ(1)-delay claim.
     let repo = mixed_repo(120, 150, 1, 411);
-    let idx = PtileThresholdIndex::build(
+    let idx = PtileThresholdIndex::build_opts(
         &repo.exact_synopses(),
         PtileBuildParams::exact_centralized(),
+        &BuildOptions::serial(),
     );
     let r = dds_geom::Rect::interval(0.0, 100.0);
     let mut rec = DelayRecorder::new();
@@ -122,7 +125,7 @@ fn dynamic_insertion_is_cheap_relative_to_rebuild() {
     let mut all = synopses.clone();
     all.push(extra);
     let t1 = std::time::Instant::now();
-    let _rebuilt = PtileRangeIndex::build(&all, params);
+    let _rebuilt = PtileRangeIndex::build_opts(&all, params, &BuildOptions::serial());
     let rebuild_time = t1.elapsed();
     assert!(
         insert_time < rebuild_time,
@@ -154,7 +157,11 @@ fn unknown_delta_remark_semantics() {
         .iter()
         .fold(0.0f64, |a, &b| a.max(b))
         .clamp(0.01, 0.6);
-    let idx = PtileThresholdIndex::build(&synopses, PtileBuildParams::federated(delta_max));
+    let idx = PtileThresholdIndex::build_opts(
+        &synopses,
+        PtileBuildParams::federated(delta_max),
+        &BuildOptions::serial(),
+    );
     let bbox = dds_geom::Rect::from_bounds(&[0.0], &[100.0]);
     for _ in 0..15 {
         let r = queries::random_rect(&mut rng, &bbox);

@@ -6,6 +6,7 @@ mod common;
 use common::{mixed_repo, point_sets, sorted};
 use dds_core::framework::{ground_truth, Interval, LogicalExpr, Predicate, Repository};
 use dds_core::guarantee::check_ptile_conjunction;
+use dds_core::pool::BuildOptions;
 use dds_core::ptile::{ExactCPtile1D, PtileBuildParams, PtileMultiIndex};
 use dds_geom::Rect;
 use dds_workload::queries;
@@ -16,10 +17,11 @@ use rand::{Rng, SeedableRng};
 fn multi_index_conjunction_guarantees() {
     let repo = mixed_repo(30, 300, 1, 301);
     let sets = point_sets(&repo);
-    let idx = PtileMultiIndex::build(
+    let idx = PtileMultiIndex::build_opts(
         &repo.exact_synopses(),
         2,
         PtileBuildParams::exact_centralized(),
+        &BuildOptions::serial(),
     );
     let slack = idx.slack();
     let mut rng = StdRng::seed_from_u64(302);
@@ -48,10 +50,11 @@ fn multi_index_conjunction_guarantees() {
 #[test]
 fn expression_queries_cover_ground_truth() {
     let repo = mixed_repo(25, 250, 1, 311);
-    let idx = PtileMultiIndex::build(
+    let idx = PtileMultiIndex::build_opts(
         &repo.exact_synopses(),
         2,
         PtileBuildParams::exact_centralized(),
+        &BuildOptions::serial(),
     );
     let mut rng = StdRng::seed_from_u64(312);
     let bbox = Rect::from_bounds(&[0.0], &[100.0]);

@@ -22,13 +22,21 @@ fn ptile_indexes_through_the_facade() {
     let repo = repo();
     let syns = repo.exact_synopses();
 
-    let threshold = PtileThresholdIndex::build(&syns, PtileBuildParams::exact_centralized());
+    let threshold = PtileThresholdIndex::build_opts(
+        &syns,
+        PtileBuildParams::exact_centralized(),
+        &BuildOptions::serial(),
+    );
     let region = Rect::from_bounds(&[0.0, 0.0], &[1.0, 10.0]);
     let mut hits = threshold.query(&region, 0.5);
     hits.sort_unstable();
     assert_eq!(hits, vec![0, 1], "all of a and b sit at positions <= 10");
 
-    let range = PtileRangeIndex::build(&syns, PtileBuildParams::exact_centralized());
+    let range = PtileRangeIndex::build_opts(
+        &syns,
+        PtileBuildParams::exact_centralized(),
+        &BuildOptions::serial(),
+    );
     let mut hits = range.query(&region, Interval::new(0.5, 1.0));
     hits.sort_unstable();
     assert_eq!(hits, vec![0, 1]);
@@ -46,7 +54,12 @@ fn exact_1d_and_multi_through_the_facade() {
     assert_eq!(hits, vec![0, 1], "both have >= 50% of mass in [3, 9]");
 
     let syns = repo.exact_synopses();
-    let multi = PtileMultiIndex::build(&syns, 2, PtileBuildParams::exact_centralized());
+    let multi = PtileMultiIndex::build_opts(
+        &syns,
+        2,
+        PtileBuildParams::exact_centralized(),
+        &BuildOptions::serial(),
+    );
     let q1 = (Rect::interval(0.0, 5.0), Interval::new(0.2, 1.0));
     let q2 = (Rect::interval(5.0, 11.0), Interval::new(0.2, 1.0));
     let mut hits = multi.query(&[q1, q2]);
@@ -59,17 +72,24 @@ fn pref_indexes_through_the_facade() {
     let repo = repo();
     let syns = repo.exact_synopses();
 
-    let idx = PrefIndex::build(
+    let idx = PrefIndex::build_opts(
         &syns,
         1,
         PrefBuildParams::exact_centralized().with_eps(0.02),
+        &BuildOptions::serial(),
     );
     // Quality direction: datasets whose best score clears 0.5.
     let hits = idx.query(&[1.0, 0.0], 0.5);
     assert!(hits.contains(&0) && hits.contains(&2));
     assert!(idx.slack() >= 0.0);
 
-    let multi = PrefMultiIndex::build(&syns, 1, 2, PrefBuildParams::exact_centralized());
+    let multi = PrefMultiIndex::build_opts(
+        &syns,
+        1,
+        2,
+        PrefBuildParams::exact_centralized(),
+        &BuildOptions::serial(),
+    );
     let hits = multi.query(&[(vec![1.0, 0.0], 0.5)]);
     assert!(hits.contains(&0) && hits.contains(&2));
 }
@@ -255,9 +275,10 @@ fn quickstart_docs_scenario_through_the_facade() {
         Dataset::from_rows("c", vec![vec![100.0], vec![200.0]]),
     ];
     let repo = Repository::new(datasets);
-    let index = PtileThresholdIndex::build(
+    let index = PtileThresholdIndex::build_opts(
         &repo.exact_synopses(),
         PtileBuildParams::exact_centralized(),
+        &BuildOptions::serial(),
     );
     let mut hits = index.query(&Rect::from_bounds(&[3.0], &[8.0]), 0.2);
     hits.sort_unstable();

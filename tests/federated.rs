@@ -7,6 +7,7 @@ mod common;
 use common::{ball_repo, mixed_repo, point_sets};
 use dds_core::framework::Interval;
 use dds_core::guarantee::{check_pref, check_ptile};
+use dds_core::pool::BuildOptions;
 use dds_core::pref::{PrefBuildParams, PrefIndex};
 use dds_core::ptile::{PtileBuildParams, PtileRangeIndex, PtileThresholdIndex};
 use dds_synopsis::{
@@ -42,7 +43,7 @@ fn grid_histogram_synopses_keep_the_band() {
     // Measure δ and pad it: the probe is a lower bound on the sup-error.
     let delta = (1.5 * measured_delta(&synopses, &sets, &mut rng)).clamp(0.01, 0.5);
     let params = PtileBuildParams::federated(delta);
-    let idx = PtileRangeIndex::build(&synopses, params);
+    let idx = PtileRangeIndex::build_opts(&synopses, params, &BuildOptions::serial());
     let slack = idx.slack();
     let bbox = dds_geom::Rect::from_bounds(&[0.0], &[100.0]);
     for q in 0..30 {
@@ -74,7 +75,11 @@ fn equi_depth_histograms_match_fainder_setting() {
         .map(|pts| EquiDepthHistogram::from_points(pts, 64))
         .collect();
     let delta = (1.5 * measured_delta(&synopses, &sets, &mut rng)).clamp(0.01, 0.5);
-    let idx = PtileThresholdIndex::build(&synopses, PtileBuildParams::federated(delta));
+    let idx = PtileThresholdIndex::build_opts(
+        &synopses,
+        PtileBuildParams::federated(delta),
+        &BuildOptions::serial(),
+    );
     let slack = idx.slack();
     let bbox = dds_geom::Rect::from_bounds(&[0.0], &[100.0]);
     for q in 0..30 {
@@ -106,7 +111,11 @@ fn mixture_synopses_keep_the_band_2d() {
         .collect();
     // Mixtures on skewed data can be coarse; measure and pad generously.
     let delta = (1.5 * measured_delta(&synopses, &sets, &mut rng)).clamp(0.02, 0.6);
-    let idx = PtileThresholdIndex::build(&synopses, PtileBuildParams::federated(delta));
+    let idx = PtileThresholdIndex::build_opts(
+        &synopses,
+        PtileBuildParams::federated(delta),
+        &BuildOptions::serial(),
+    );
     let slack = idx.slack();
     let bbox = dds_geom::Rect::from_bounds(&[0.0, 0.0], &[100.0, 100.0]);
     for q in 0..20 {
@@ -141,7 +150,11 @@ fn sample_synopses_advertised_delta_suffices() {
         .iter()
         .map(|s| s.percentile_delta().unwrap())
         .fold(0.0, f64::max);
-    let idx = PtileThresholdIndex::build(&synopses, PtileBuildParams::federated(delta));
+    let idx = PtileThresholdIndex::build_opts(
+        &synopses,
+        PtileBuildParams::federated(delta),
+        &BuildOptions::serial(),
+    );
     let slack = idx.slack();
     let bbox = dds_geom::Rect::from_bounds(&[0.0], &[100.0]);
     for q in 0..30 {
@@ -172,7 +185,12 @@ fn federated_pref_with_direction_caches() {
         .map(|pts| NetCachePref::build(pts, 0.05, 32))
         .collect();
     let delta = synopses[0].pref_delta().unwrap();
-    let idx = PrefIndex::build(&synopses, k, PrefBuildParams::federated(delta));
+    let idx = PrefIndex::build_opts(
+        &synopses,
+        k,
+        PrefBuildParams::federated(delta),
+        &BuildOptions::serial(),
+    );
     let slack = idx.slack();
     let mut rng = StdRng::seed_from_u64(142);
     for q in 0..30 {

@@ -20,11 +20,12 @@ fn synopses_1d(sets: &[Vec<f64>]) -> Vec<dds_synopsis::ExactSynopsis> {
         .collect()
 }
 
-/// Generated case: datasets, query interval `(lo, hi)`, band `(a, b)`.
-type PtileCase = (Vec<Vec<f64>>, (f64, f64), (f64, f64));
+/// Generated case: datasets, query interval `(lo, hi)`, band `(a, b)`, and
+/// per-dataset synopsis errors `δ_i` (the first `datasets.len()` are used).
+type PtileCase = (Vec<Vec<f64>>, (f64, f64), (f64, f64), Vec<f64>);
 
 /// Strategy: a small 1-d repository on an integer grid (ties and boundary
-/// cases), plus one query interval and a percentile band.
+/// cases), plus one query interval, a percentile band and per-dataset δs.
 fn repo_and_query() -> impl Strategy<Value = PtileCase> {
     (
         prop::collection::vec(
@@ -36,6 +37,7 @@ fn repo_and_query() -> impl Strategy<Value = PtileCase> {
             let lo = a as f64 / 100.0;
             (lo, (lo + w as f64 / 100.0).min(1.0))
         }),
+        prop::collection::vec((0u32..=30).prop_map(|d| d as f64 / 100.0), 7..8),
     )
 }
 
@@ -43,19 +45,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Ptile family: range, threshold and multi-predicate structures agree
-    /// with their serial builds for every thread count.
+    /// with their serial builds for every thread count — range and
+    /// threshold with a uniform δ and with per-dataset δs alike.
     #[test]
     fn ptile_builds_are_thread_count_invariant(
-        (sets, (lo, hi), (a, b)) in repo_and_query(),
+        (sets, (lo, hi), (a, b), deltas) in repo_and_query(),
     ) {
         let syns = synopses_1d(&sets);
         let params = PtileBuildParams::exact_centralized();
         let rect = Rect::interval(lo, hi);
         let theta = Interval::new(a, b);
+        let serial = BuildOptions::serial();
+        let delta_choices = [None, Some(&deltas[..syns.len()])];
 
-        let range_serial = PtileRangeIndex::build(&syns, params.clone());
-        let thr_serial = PtileThresholdIndex::build(&syns, params.clone());
-        let multi_serial = PtileMultiIndex::build(&syns, 2, params.clone());
+        let range_serial = delta_choices.map(|d| {
+            PtileRangeIndex::build_with_deltas_opts(&syns, d, params.clone(), &serial)
+        });
+        let thr_serial = delta_choices.map(|d| {
+            PtileThresholdIndex::build_with_deltas_opts(&syns, d, params.clone(), &serial)
+        });
+        let multi_serial = PtileMultiIndex::build_opts(&syns, 2, params.clone(), &serial);
         let expr = LogicalExpr::Or(vec![
             LogicalExpr::Pred(Predicate::percentile_at_least(rect.clone(), a)),
             LogicalExpr::And(vec![
@@ -66,16 +75,19 @@ proptest! {
 
         for t in THREADS {
             let opts = BuildOptions::with_threads(t);
-            let range = PtileRangeIndex::build_opts(&syns, params.clone(), &opts);
-            prop_assert_eq!(range.query(&rect, theta), range_serial.query(&rect, theta));
-            prop_assert_eq!(range.slack().to_bits(), range_serial.slack().to_bits());
-            prop_assert_eq!(range.margin().to_bits(), range_serial.margin().to_bits());
-            prop_assert_eq!(range.memory_bytes(), range_serial.memory_bytes());
+            for (i, d) in delta_choices.into_iter().enumerate() {
+                let range = PtileRangeIndex::build_with_deltas_opts(&syns, d, params.clone(), &opts);
+                prop_assert_eq!(range.query(&rect, theta), range_serial[i].query(&rect, theta));
+                prop_assert_eq!(range.slack().to_bits(), range_serial[i].slack().to_bits());
+                prop_assert_eq!(range.margin().to_bits(), range_serial[i].margin().to_bits());
+                prop_assert_eq!(range.memory_bytes(), range_serial[i].memory_bytes());
 
-            let thr = PtileThresholdIndex::build_opts(&syns, params.clone(), &opts);
-            prop_assert_eq!(thr.query(&rect, a), thr_serial.query(&rect, a));
-            prop_assert_eq!(thr.slack().to_bits(), thr_serial.slack().to_bits());
-            prop_assert_eq!(thr.memory_bytes(), thr_serial.memory_bytes());
+                let thr = PtileThresholdIndex::build_with_deltas_opts(&syns, d, params.clone(), &opts);
+                prop_assert_eq!(thr.query(&rect, a), thr_serial[i].query(&rect, a));
+                prop_assert_eq!(thr.slack().to_bits(), thr_serial[i].slack().to_bits());
+                prop_assert_eq!(thr.margin().to_bits(), thr_serial[i].margin().to_bits());
+                prop_assert_eq!(thr.memory_bytes(), thr_serial[i].memory_bytes());
+            }
 
             let multi = PtileMultiIndex::build_opts(&syns, 2, params.clone(), &opts);
             prop_assert_eq!(
@@ -119,8 +131,9 @@ proptest! {
         let syns = repo.exact_synopses();
         let pref_params = PrefBuildParams::exact_centralized().with_eps(0.05);
 
-        let pref_serial = PrefIndex::build(&syns, 1, pref_params.clone());
-        let multi_serial = PrefMultiIndex::build(&syns, 1, 2, pref_params.clone());
+        let pref_serial = PrefIndex::build_opts(&syns, 1, pref_params.clone(), &BuildOptions::serial());
+        let multi_serial =
+            PrefMultiIndex::build_opts(&syns, 1, 2, pref_params.clone(), &BuildOptions::serial());
         let engine_serial = MixedQueryEngine::build_opts(
             &repo,
             &[1],
@@ -182,7 +195,7 @@ fn sampled_builds_are_thread_count_invariant() {
     let syns = repo.exact_synopses();
     let params = PtileBuildParams::default().with_rect_budget(200);
 
-    let serial = PtileRangeIndex::build(&syns, params.clone());
+    let serial = PtileRangeIndex::build_opts(&syns, params.clone(), &BuildOptions::serial());
     assert!(serial.eps() > 0.0, "sampling path must be engaged");
     let queries: Vec<(Rect, Interval)> = (0..8)
         .map(|q| {

@@ -7,6 +7,7 @@ mod common;
 use common::{ball_repo, point_sets, sorted};
 use dds_core::baseline::LinearScanPref;
 use dds_core::guarantee::check_pref;
+use dds_core::pool::BuildOptions;
 use dds_core::pref::{DynamicPrefIndex, PrefBuildParams, PrefIndex, PrefMultiIndex};
 use dds_workload::queries;
 use rand::rngs::StdRng;
@@ -17,10 +18,11 @@ fn pref_index_guarantees_d2() {
     let repo = ball_repo(60, 400, 2, 201);
     let sets = point_sets(&repo);
     for k in [1usize, 10] {
-        let idx = PrefIndex::build(
+        let idx = PrefIndex::build_opts(
             &repo.exact_synopses(),
             k,
             PrefBuildParams::exact_centralized(),
+            &BuildOptions::serial(),
         );
         let slack = idx.slack();
         let mut rng = StdRng::seed_from_u64(202 + k as u64);
@@ -49,7 +51,7 @@ fn pref_index_guarantees_d3() {
     let sets = point_sets(&repo);
     let k = 3;
     let params = PrefBuildParams::exact_centralized().with_eps(0.15);
-    let idx = PrefIndex::build(&repo.exact_synopses(), k, params);
+    let idx = PrefIndex::build_opts(&repo.exact_synopses(), k, params, &BuildOptions::serial());
     let slack = idx.slack();
     let mut rng = StdRng::seed_from_u64(212);
     for q in 0..20 {
@@ -75,15 +77,17 @@ fn finer_nets_report_fewer_extras() {
     let repo = ball_repo(80, 300, 2, 221);
     let sets = point_sets(&repo);
     let k = 2;
-    let coarse = PrefIndex::build(
+    let coarse = PrefIndex::build_opts(
         &repo.exact_synopses(),
         k,
         PrefBuildParams::exact_centralized().with_eps(0.4),
+        &BuildOptions::serial(),
     );
-    let fine = PrefIndex::build(
+    let fine = PrefIndex::build_opts(
         &repo.exact_synopses(),
         k,
         PrefBuildParams::exact_centralized().with_eps(0.02),
+        &BuildOptions::serial(),
     );
     let mut rng = StdRng::seed_from_u64(222);
     let mut extra_coarse = 0usize;
@@ -109,11 +113,12 @@ fn multi_pref_conjunctions() {
     let repo = ball_repo(50, 300, 2, 231);
     let sets = point_sets(&repo);
     let k = 2;
-    let idx = PrefMultiIndex::build(
+    let idx = PrefMultiIndex::build_opts(
         &repo.exact_synopses(),
         k,
         2,
         PrefBuildParams::exact_centralized(),
+        &BuildOptions::serial(),
     );
     let slack = idx.slack();
     let mut rng = StdRng::seed_from_u64(232);
@@ -149,7 +154,12 @@ fn dynamic_pref_tracks_static_answers() {
     let sets = point_sets(&repo);
     let k = 1;
     let params = PrefBuildParams::exact_centralized();
-    let static_idx = PrefIndex::build(&repo.exact_synopses(), k, params.clone());
+    let static_idx = PrefIndex::build_opts(
+        &repo.exact_synopses(),
+        k,
+        params.clone(),
+        &BuildOptions::serial(),
+    );
     let mut dyn_idx = DynamicPrefIndex::new(2, k, params);
     let mut handles = Vec::new();
     for s in repo.exact_synopses() {
@@ -178,10 +188,11 @@ fn dynamic_pref_tracks_static_answers() {
 fn pref_matches_linear_scan_within_band() {
     let repo = ball_repo(50, 250, 2, 251);
     let k = 4;
-    let idx = PrefIndex::build(
+    let idx = PrefIndex::build_opts(
         &repo.exact_synopses(),
         k,
         PrefBuildParams::exact_centralized(),
+        &BuildOptions::serial(),
     );
     let scan = LinearScanPref::build(&repo);
     let mut rng = StdRng::seed_from_u64(252);

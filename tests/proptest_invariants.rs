@@ -5,6 +5,7 @@ mod common;
 
 use common::sorted;
 use dds_core::framework::{Interval, Repository};
+use dds_core::pool::BuildOptions;
 use dds_core::pref::{PrefBuildParams, PrefIndex};
 use dds_core::ptile::{ExactCPtile1D, PtileBuildParams, PtileRangeIndex, PtileThresholdIndex};
 use dds_geom::{CoordGrid, Point, Rect};
@@ -54,7 +55,7 @@ proptest! {
     ) {
         let a = a_pct as f64 / 100.0;
         let syns = synopses_of(&sets);
-        let idx = PtileThresholdIndex::build(&syns, PtileBuildParams::exact_centralized());
+        let idx = PtileThresholdIndex::build_opts(&syns, PtileBuildParams::exact_centralized(), &BuildOptions::serial());
         prop_assert_eq!(idx.eps(), 0.0);
         let got = sorted(idx.query(&Rect::interval(lo, hi), a));
         // a == 0 is the report-everything band; the guarantee allows it.
@@ -78,7 +79,7 @@ proptest! {
         let a = a_pct as f64 / 100.0;
         let b = (a + w_pct as f64 / 100.0).min(1.0);
         let syns = synopses_of(&sets);
-        let idx = PtileRangeIndex::build(&syns, PtileBuildParams::exact_centralized());
+        let idx = PtileRangeIndex::build_opts(&syns, PtileBuildParams::exact_centralized(), &BuildOptions::serial());
         prop_assert_eq!(idx.eps(), 0.0);
         let theta = Interval::new(a, b);
         let got = sorted(idx.query(&Rect::interval(lo, hi), theta));
@@ -162,7 +163,7 @@ proptest! {
             .collect();
         let syns: Vec<ExactSynopsis> =
             datasets.iter().map(|d| ExactSynopsis::new(d.clone())).collect();
-        let idx = PrefIndex::build(&syns, k, PrefBuildParams::exact_centralized());
+        let idx = PrefIndex::build_opts(&syns, k, PrefBuildParams::exact_centralized(), &BuildOptions::serial());
         let hits = idx.query(&v, a);
         for (i, d) in datasets.iter().enumerate() {
             let score = dds_workload::queries::exact_kth_score(d, &v, k);

@@ -8,6 +8,7 @@ use common::{mixed_repo, point_sets, sorted};
 use dds_core::baseline::LinearScanPtile;
 use dds_core::framework::Interval;
 use dds_core::guarantee::{check_ptile, GuaranteeCheck};
+use dds_core::pool::BuildOptions;
 use dds_core::ptile::{PtileBuildParams, PtileRangeIndex, PtileThresholdIndex};
 use dds_workload::queries;
 use rand::rngs::StdRng;
@@ -30,9 +31,10 @@ fn assert_holds(check: &GuaranteeCheck, ctx: &str) {
 fn threshold_index_guarantees_d1() {
     let repo = mixed_repo(60, 500, 1, 11);
     let sets = point_sets(&repo);
-    let idx = PtileThresholdIndex::build(
+    let idx = PtileThresholdIndex::build_opts(
         &repo.exact_synopses(),
         PtileBuildParams::exact_centralized(),
+        &BuildOptions::serial(),
     );
     let slack = idx.slack();
     let mut rng = StdRng::seed_from_u64(12);
@@ -50,9 +52,10 @@ fn threshold_index_guarantees_d1() {
 fn threshold_index_guarantees_d2() {
     let repo = mixed_repo(40, 400, 2, 21);
     let sets = point_sets(&repo);
-    let idx = PtileThresholdIndex::build(
+    let idx = PtileThresholdIndex::build_opts(
         &repo.exact_synopses(),
         PtileBuildParams::exact_centralized(),
+        &BuildOptions::serial(),
     );
     let slack = idx.slack();
     let mut rng = StdRng::seed_from_u64(22);
@@ -70,9 +73,10 @@ fn threshold_index_guarantees_d2() {
 fn range_index_guarantees_d1() {
     let repo = mixed_repo(50, 400, 1, 31);
     let sets = point_sets(&repo);
-    let idx = PtileRangeIndex::build(
+    let idx = PtileRangeIndex::build_opts(
         &repo.exact_synopses(),
         PtileBuildParams::exact_centralized(),
+        &BuildOptions::serial(),
     );
     let slack = idx.slack();
     let mut rng = StdRng::seed_from_u64(32);
@@ -90,9 +94,10 @@ fn range_index_guarantees_d1() {
 fn range_index_guarantees_d2() {
     let repo = mixed_repo(30, 300, 2, 41);
     let sets = point_sets(&repo);
-    let idx = PtileRangeIndex::build(
+    let idx = PtileRangeIndex::build_opts(
         &repo.exact_synopses(),
         PtileBuildParams::exact_centralized(),
+        &BuildOptions::serial(),
     );
     let slack = idx.slack();
     let mut rng = StdRng::seed_from_u64(42);
@@ -112,9 +117,10 @@ fn small_supports_make_answers_exact() {
     // agree with the exact baseline bit-for-bit.
     let repo = mixed_repo(40, 60, 1, 51);
     let scan = LinearScanPtile::build(&repo);
-    let idx = PtileRangeIndex::build(
+    let idx = PtileRangeIndex::build_opts(
         &repo.exact_synopses(),
         PtileBuildParams::exact_centralized(),
+        &BuildOptions::serial(),
     );
     assert_eq!(idx.eps(), 0.0, "60-point datasets fit the budget exactly");
     let mut rng = StdRng::seed_from_u64(52);
@@ -134,9 +140,10 @@ fn small_supports_make_answers_exact() {
 #[test]
 fn output_is_duplicate_free_and_queries_are_repeatable() {
     let repo = mixed_repo(30, 200, 1, 61);
-    let idx = PtileThresholdIndex::build(
+    let idx = PtileThresholdIndex::build_opts(
         &repo.exact_synopses(),
         PtileBuildParams::exact_centralized(),
+        &BuildOptions::serial(),
     );
     let r = dds_geom::Rect::interval(10.0, 60.0);
     let first = sorted(idx.query(&r, 0.3));
@@ -152,9 +159,10 @@ fn output_is_duplicate_free_and_queries_are_repeatable() {
 fn selectivity_controls_output_size() {
     let repo = mixed_repo(60, 300, 1, 71);
     let sets = point_sets(&repo);
-    let idx = PtileThresholdIndex::build(
+    let idx = PtileThresholdIndex::build_opts(
         &repo.exact_synopses(),
         PtileBuildParams::exact_centralized(),
+        &BuildOptions::serial(),
     );
     let mut rng = StdRng::seed_from_u64(72);
     // A rectangle sized to ~50% of a dataset's mass should report a healthy

@@ -6,6 +6,7 @@ mod common;
 
 use common::sorted;
 use dds_core::framework::Repository;
+use dds_core::pool::BuildOptions;
 use dds_core::pref::{PrefBuildParams, PrefIndex};
 use dds_core::ptile::{PtileBuildParams, PtileThresholdIndex};
 use dds_workload::CityScenario;
@@ -14,9 +15,10 @@ use dds_workload::CityScenario;
 fn percentile_query_finds_focused_cities() {
     let sc = CityScenario::generate(24, 300, 0.15, 501);
     let repo = Repository::from_point_sets(sc.incidents.clone());
-    let idx = PtileThresholdIndex::build(
+    let idx = PtileThresholdIndex::build_opts(
         &repo.exact_synopses(),
         PtileBuildParams::exact_centralized(),
+        &BuildOptions::serial(),
     );
     // "at least 10% of the data points from Brooklyn" — Example 1.1.
     let hits = idx.query(&sc.brooklyn, 0.10);
@@ -39,10 +41,11 @@ fn preference_query_finds_high_quality_cities() {
     let sc = CityScenario::generate(24, 200, 0.15, 511);
     let repo = Repository::from_point_sets(sc.quality.clone());
     let k = 5; // "at least k neighborhoods with high quality of life"
-    let idx = PrefIndex::build(
+    let idx = PrefIndex::build_opts(
         &repo.exact_synopses(),
         k,
         PrefBuildParams::exact_centralized(),
+        &BuildOptions::serial(),
     );
     // Equal-weight quality-of-life direction.
     let s3 = 1.0 / 3.0f64.sqrt();
@@ -80,14 +83,16 @@ fn combined_discovery_workflow() {
     let sc = CityScenario::generate(16, 250, 0.2, 521);
     let incidents = Repository::from_point_sets(sc.incidents.clone());
     let quality = Repository::from_point_sets(sc.quality.clone());
-    let ptile = PtileThresholdIndex::build(
+    let ptile = PtileThresholdIndex::build_opts(
         &incidents.exact_synopses(),
         PtileBuildParams::exact_centralized(),
+        &BuildOptions::serial(),
     );
-    let pref = PrefIndex::build(
+    let pref = PrefIndex::build_opts(
         &quality.exact_synopses(),
         3,
         PrefBuildParams::exact_centralized(),
+        &BuildOptions::serial(),
     );
     let coverage = sorted(ptile.query(&sc.brooklyn, 0.1));
     let s3 = 1.0 / 3.0f64.sqrt();

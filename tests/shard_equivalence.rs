@@ -135,7 +135,8 @@ fn mixed_expr(i: usize, lo: f64, w: f64, a: f64, bw: f64) -> LogicalExpr {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// `ShardedEngine::{query, query_batch}` ≡ a single unsharded engine,
+    /// `ShardedEngine::{try_query_with, try_query_batch_opts}` ≡ a single
+    /// unsharded engine,
     /// for every shard count × thread count — including the expressions
     /// that error on an unindexed rank.
     #[test]
