@@ -7,7 +7,8 @@ use dds_core::lowerbound::SetIntersectionCPtile;
 use dds_workload::UniformSetInstance;
 
 /// E13 — set intersection through the CPtile oracle: exactness and query
-/// cost of the reduction (Theorem 3.4's construction).
+/// cost of the reduction (Theorem 3.4's construction). Asserts zero
+/// mismatches on every row.
 pub fn e13_set_intersection(scale: Scale) -> Table {
     let mut table = Table::new(
         "E13 — set intersection ↔ CPtile reduction (Fig. 4 / Thm 3.4)",
@@ -44,6 +45,12 @@ pub fn e13_set_intersection(scale: Scale) -> Table {
                 }
             }
         }
+        // Figure 4's reduction is exact: every pair's intersection read off
+        // the CPtile oracle equals the brute-force merge.
+        assert_eq!(
+            mismatches, 0,
+            "the CPtile reduction answered set intersection wrongly (g {g}, universe {universe})"
+        );
         table.row(vec![
             g.to_string(),
             universe.to_string(),

@@ -1,24 +1,24 @@
 //! Dynamic Ptile index: synopsis insertion and deletion — Remark 1 after
 //! Theorem 4.11.
 //!
-//! The range structure of Algorithm 3 is decomposable, so the classic
-//! logarithmic method applies: lifted points live in Bentley–Saxe buckets
-//! (`dds_rangetree::LogStructured`), synopsis insertion adds one batch of
-//! lifted points, deletion tombstones them (physically dropped at the next
-//! merge). Queries are Algorithm 4 over the bucket set, including the
-//! zero-mass auxiliary structures. Datasets are identified by stable
-//! `u64` handles issued at insertion.
+//! The range structure of Algorithm 3 decomposes over datasets, so the
+//! classic logarithmic method (Bentley–Saxe) applies to whole datasets:
+//! level `ℓ` is a frozen [`PtileRangeIndex`] over at most `2^ℓ` datasets.
+//! An insertion builds the dataset's part once and merges levels like a
+//! binary counter, rebuilding each merged level from the retained parts (no
+//! resampling). A deletion sets one retired flag; queries run Algorithm 4 on
+//! every level and filter retired datasets out, and a merge that touches a
+//! retired dataset's level drops its part for good. Datasets are identified
+//! by stable `u64` handles issued at insertion, which double as their seed
+//! identities ([`PtileBuildParams::seed_ids`]).
 
-use super::coreset::{build_coreset, rect_weights};
+use super::range::{PtileRangeIndex, RangePart};
 use super::PtileBuildParams;
 use crate::framework::Interval;
-use crate::pool::{mix_seed, par_map, BuildOptions};
+use crate::pool::{par_map, BuildOptions};
+use crate::scratch::QueryScratch;
 use dds_geom::Rect;
-use dds_rangetree::{GlobalId, KdTree, LogStructured, Region};
 use dds_synopsis::PercentileSynopsis;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::collections::HashMap;
 
 /// Stable handle of an inserted synopsis.
 pub type SynopsisHandle = u64;
@@ -47,31 +47,23 @@ pub type SynopsisHandle = u64;
 pub struct DynamicPtileIndex {
     dim: usize,
     params: PtileBuildParams,
-    /// Lifted pair points in `R^{4d+2}` (`w±` budgets pre-folded).
-    main: LogStructured<KdTree>,
-    /// Per dimension: empty-slab triples `(c_j, c_{j+1}, ε_i + δ_i)`.
-    aux: Vec<LogStructured<KdTree>>,
-    owner_main: HashMap<GlobalId, SynopsisHandle>,
-    groups_main: HashMap<SynopsisHandle, Vec<GlobalId>>,
-    owner_aux: Vec<HashMap<GlobalId, SynopsisHandle>>,
-    groups_aux: Vec<HashMap<SynopsisHandle, Vec<GlobalId>>>,
+    /// `levels[ℓ]` holds at most `2^ℓ` datasets.
+    levels: Vec<Option<Level>>,
+    /// `retired[h]` for every handle ever issued (`len` = next handle).
+    retired: Vec<bool>,
     /// Worst sampling error among synopses ever inserted (monotone, so
     /// guarantees quoted to callers never weaken retroactively).
     eps_max: f64,
-    next_handle: SynopsisHandle,
     n_alive: usize,
 }
 
-/// One synopsis' insertion payload: the lifted pair points, the empty-slab
-/// triples per dimension and the achieved sampling error. A pure function
-/// of `(handle, budget_n, synopsis, params)` — per-handle RNG streams via
-/// [`mix_seed`]`(seed, handle)` — so batches can be computed on worker
-/// threads in any order and applied in handle order, bit-identical to
-/// serial one-at-a-time insertion.
-struct DynPart {
-    batch: Vec<Vec<f64>>,
-    slabs: Vec<Vec<Vec<f64>>>,
-    eps_i: f64,
+/// One frozen Bentley–Saxe level: the static index over its datasets and
+/// the parts it was built from, with their handles.
+#[derive(Clone, Debug)]
+struct Level {
+    index: PtileRangeIndex,
+    /// Label `j` of `index` is `parts[j]`, in ascending handle order.
+    parts: Vec<(SynopsisHandle, RangePart)>,
 }
 
 impl DynamicPtileIndex {
@@ -80,16 +72,11 @@ impl DynamicPtileIndex {
         assert!(dim >= 1);
         DynamicPtileIndex {
             dim,
-            main: LogStructured::new(4 * dim + 2),
-            aux: (0..dim).map(|_| LogStructured::new(3)).collect(),
-            owner_main: HashMap::new(),
-            groups_main: HashMap::new(),
-            owner_aux: vec![HashMap::new(); dim],
-            groups_aux: vec![HashMap::new(); dim],
-            eps_max: 0.0,
-            next_handle: 0,
-            n_alive: 0,
             params,
+            levels: Vec::new(),
+            retired: Vec::new(),
+            eps_max: 0.0,
+            n_alive: 0,
         }
     }
 
@@ -118,26 +105,25 @@ impl DynamicPtileIndex {
         2.0 * self.margin()
     }
 
-    /// Inserts a synopsis; `Õ(1)` amortized per lifted point. The sampling
-    /// budget is split as if the repository held `max(N, 16)` datasets.
+    /// Inserts a synopsis; `Õ(1)` amortized per lifted point. The φ split
+    /// uses a declared [`PtileBuildParams::phi_datasets`] anchor (and
+    /// panics once the live datasets outgrow it, as a static build does),
+    /// else `max(N, 16)` datasets.
     ///
-    /// Sampling draws from a per-handle RNG stream
-    /// ([`mix_seed`]`(params.seed, handle)`), not a shared sequential
-    /// generator, so an insertion's content depends only on `(handle, N)` —
-    /// the property that lets [`insert_batch`](Self::insert_batch) compute
-    /// payloads on worker threads and stay bit-identical to serial inserts.
+    /// Sampling draws from the RNG stream a static build gives seed id
+    /// `handle`, so an insertion's content depends only on `(handle, N)`:
+    /// that lets [`insert_batch`](Self::insert_batch) build parts on
+    /// worker threads and stay bit-identical to serial inserts.
     pub fn insert_synopsis<S: PercentileSynopsis>(&mut self, synopsis: &S) -> SynopsisHandle {
-        let handle = self.next_handle;
-        let budget_n = (self.n_alive + 1).max(16);
-        let part = Self::dataset_part(&self.params, self.dim, handle, budget_n, synopsis);
-        self.apply_part(part)
+        let part = self.dataset_part(synopsis, self.retired.len() as u64, self.n_alive + 1);
+        self.push(part, 1)
     }
 
-    /// Bulk insertion on the worker pool: the per-synopsis payloads
-    /// (coreset sampling, canonical-rectangle pair enumeration, empty
-    /// slabs) are computed on `opts.threads` scoped threads and applied in
-    /// handle order. The resulting structure — handles, bucket contents,
-    /// query answers, quoted `eps()` — is **bit-identical** to calling
+    /// Bulk insertion on the worker pool: the per-synopsis parts (coreset
+    /// sampling, canonical-rectangle pair enumeration, empty slabs) are
+    /// computed on `opts.threads` scoped threads and applied in handle
+    /// order. The resulting structure — handles, level contents, query
+    /// answers, quoted `eps()` — is **bit-identical** to calling
     /// [`insert_synopsis`](Self::insert_synopsis) once per synopsis in
     /// order, for every thread count.
     pub fn insert_batch<S: PercentileSynopsis + Sync>(
@@ -145,103 +131,85 @@ impl DynamicPtileIndex {
         synopses: &[S],
         opts: &BuildOptions,
     ) -> Vec<SynopsisHandle> {
-        let base_handle = self.next_handle;
+        let base_handle = self.retired.len() as u64;
         let base_alive = self.n_alive;
-        let params = &self.params;
-        let dim = self.dim;
+        let this = &*self;
+        // The j-th unit sees the budget the serial loop would have used at
+        // its turn: N grows by one per preceding insertion.
         let parts = par_map(opts, synopses, |j, syn| {
-            // The j-th unit sees the budget the serial loop would have used
-            // at its turn: N grows by one per preceding insertion.
-            let budget_n = (base_alive + j + 1).max(16);
-            Self::dataset_part(params, dim, base_handle + j as u64, budget_n, syn)
+            this.dataset_part(syn, base_handle + j as u64, base_alive + j + 1)
         });
-        parts.into_iter().map(|p| self.apply_part(p)).collect()
+        parts
+            .into_iter()
+            .map(|p| self.push(p, opts.threads))
+            .collect()
     }
 
-    /// One synopsis' insertion payload (pure; runs on any worker thread).
+    /// One synopsis' part, built by the static index's own work unit with
+    /// seed id `handle`, for a repository of `n` live datasets.
     fn dataset_part<S: PercentileSynopsis>(
-        params: &PtileBuildParams,
-        dim: usize,
-        handle: SynopsisHandle,
-        budget_n: usize,
+        &self,
         synopsis: &S,
-    ) -> DynPart {
-        assert_eq!(synopsis.dim(), dim, "synopsis dimension mismatch");
-        let mut rng = StdRng::seed_from_u64(mix_seed(params.seed, handle));
-        let cs = build_coreset(synopsis, params, budget_n, &mut rng);
-        let eps_i = super::params::effective_eps(cs.eps_i, params.eps_override);
-        let c_i = eps_i + params.delta;
-        let rects = cs.grid.enumerate_rects();
-        let weights = rect_weights(&cs.sample, &rects);
-        let mut batch: Vec<Vec<f64>> = Vec::with_capacity(rects.len());
-        for (rect, w) in rects.iter().zip(weights) {
-            let hat = cs.grid.one_step_expansion(rect);
-            let mut coords = Vec::with_capacity(4 * dim + 2);
-            coords.extend_from_slice(rect.lo());
-            coords.extend_from_slice(hat.lo());
-            coords.extend_from_slice(rect.hi());
-            coords.extend_from_slice(hat.hi());
-            coords.push(w + c_i);
-            coords.push(w - c_i);
-            batch.push(coords);
-        }
-        let slabs = (0..dim)
-            .map(|h| {
-                cs.grid
-                    .empty_slabs(h)
-                    .into_iter()
-                    .map(|(lo, hi)| vec![lo, hi, c_i])
-                    .collect()
-            })
-            .collect();
-        DynPart {
-            batch,
-            slabs,
-            eps_i,
-        }
+        handle: SynopsisHandle,
+        n: usize,
+    ) -> RangePart {
+        assert_eq!(synopsis.dim(), self.dim, "synopsis dimension mismatch");
+        let phi_n = match self.params.phi_datasets {
+            Some(_) => n,
+            None => n.max(16),
+        };
+        PtileRangeIndex::dataset_part(synopsis, handle, self.params.delta, &self.params, phi_n)
     }
 
-    /// Applies one payload to the log-structured buckets (serial, in handle
-    /// order — this is where the structure actually mutates).
-    fn apply_part(&mut self, part: DynPart) -> SynopsisHandle {
-        let handle = self.next_handle;
-        self.next_handle += 1;
-        self.eps_max = self.eps_max.max(part.eps_i);
-        let gids = self.main.insert_batch(part.batch);
-        for &g in &gids {
-            self.owner_main.insert(g, handle);
-        }
-        self.groups_main.insert(handle, gids);
-        for (h, slabs) in part.slabs.into_iter().enumerate() {
-            let gids = self.aux[h].insert_batch(slabs);
-            for &g in &gids {
-                self.owner_aux[h].insert(g, handle);
-            }
-            self.groups_aux[h].insert(handle, gids);
-        }
+    /// Issues the next handle to `part` and merges it into the levels like
+    /// a binary counter: the carry absorbs every occupied level below the
+    /// first empty one that can hold it, dropping retired parts, and that
+    /// level is rebuilt from the carried parts (serial, in handle order —
+    /// this is where the structure actually mutates).
+    fn push(&mut self, part: RangePart, threads: usize) -> SynopsisHandle {
+        let handle = self.retired.len() as u64;
+        self.retired.push(false);
         self.n_alive += 1;
+        self.eps_max = self.eps_max.max(part.eps_i);
+        let mut carry = vec![(handle, part)];
+        let mut level = 0;
+        loop {
+            if level == self.levels.len() {
+                self.levels.push(None);
+            }
+            match self.levels[level].take() {
+                None if carry.len() <= 1 << level => break,
+                None => {}
+                Some(l) => carry.extend(
+                    l.parts
+                        .into_iter()
+                        .filter(|(h, _)| !self.retired[*h as usize]),
+                ),
+            }
+            level += 1;
+        }
+        carry.sort_unstable_by_key(|&(h, _)| h);
+        let parts = carry.iter().map(|(_, p)| p.clone()).collect();
+        let index = PtileRangeIndex::from_parts(self.dim, parts, threads);
+        self.levels[level] = Some(Level {
+            index,
+            parts: carry,
+        });
         handle
     }
 
-    /// Removes a synopsis. Returns `false` for unknown handles.
+    /// Removes a synopsis by setting its retired flag. Returns `false` for
+    /// unknown and already removed handles.
     pub fn remove_synopsis(&mut self, handle: SynopsisHandle) -> bool {
-        let Some(gids) = self.groups_main.remove(&handle) else {
-            return false;
-        };
-        for g in gids {
-            self.main.delete(g);
-            self.owner_main.remove(&g);
-        }
-        for h in 0..self.dim {
-            if let Some(gids) = self.groups_aux[h].remove(&handle) {
-                for g in gids {
-                    self.aux[h].delete(g);
-                    self.owner_aux[h].remove(&g);
-                }
+        let slot = usize::try_from(handle).ok();
+        match slot.and_then(|h| self.retired.get_mut(h)) {
+            Some(retired) if !*retired => {
+                *retired = true;
+                self.n_alive -= 1;
+                true
             }
+            _ => false,
         }
-        self.n_alive -= 1;
-        true
     }
 
     /// Answers `Π = Pred_{M_R, θ}` over the live synopses; same guarantees
@@ -249,45 +217,15 @@ impl DynamicPtileIndex {
     /// may run against one index between mutations.
     pub fn query(&self, r: &Rect, theta: Interval) -> Vec<SynopsisHandle> {
         assert_eq!(r.dim(), self.dim, "query rectangle dimension mismatch");
-        let d = self.dim;
-        let mut region = Region::all(4 * d + 2);
-        for h in 0..d {
-            region = region.with_lo(h, r.lo_at(h), false);
-            region = region.with_hi(d + h, r.lo_at(h), true);
-            region = region.with_hi(2 * d + h, r.hi_at(h), false);
-            region = region.with_lo(3 * d + h, r.hi_at(h), true);
-        }
-        region = region
-            .with_lo(4 * d, theta.lo, false)
-            .with_hi(4 * d + 1, theta.hi, false);
-
         let mut out = Vec::new();
-        let mut reported: std::collections::HashSet<SynopsisHandle> =
-            std::collections::HashSet::new();
-        let owner_main = &self.owner_main;
-        self.main.report_while(&region, &mut |g| {
-            let handle = owner_main[&g];
-            if reported.insert(handle) {
-                out.push(handle);
-            }
-            true
-        });
-        if theta.lo <= self.margin() {
-            let mut seen = reported;
-            for h in 0..d {
-                let slab_region = Region::all(3)
-                    .with_hi(0, r.lo_at(h), true)
-                    .with_lo(1, r.hi_at(h), true)
-                    .with_lo(2, theta.lo, false);
-                let mut hits = Vec::new();
-                self.aux[h].report(&slab_region, &mut hits);
-                for g in hits {
-                    let handle = self.owner_aux[h][&g];
-                    if seen.insert(handle) {
-                        out.push(handle);
-                    }
+        let mut scratch = QueryScratch::new();
+        for level in self.levels.iter().flatten() {
+            level.index.query_cb_with(r, theta, &mut scratch, &mut |j| {
+                let h = level.parts[j].0;
+                if !self.retired[h as usize] {
+                    out.push(h);
                 }
-            }
+            });
         }
         out
     }
@@ -364,5 +302,36 @@ mod tests {
             .query(&Rect::interval(3.0, 6.0), Interval::new(0.0, 0.2))
             .is_empty());
         let _ = h2;
+    }
+
+    #[test]
+    fn levels_count_in_binary_and_merges_drop_retired_parts() {
+        let mut idx = DynamicPtileIndex::new(1, PtileBuildParams::exact_centralized());
+        let level_handles = |idx: &DynamicPtileIndex| -> Vec<Vec<SynopsisHandle>> {
+            idx.levels
+                .iter()
+                .map(|l| l.iter().flat_map(|l| l.parts.iter().map(|p| p.0)).collect())
+                .collect()
+        };
+        for i in 0..7 {
+            idx.insert_synopsis(&syn(&[i as f64]));
+        }
+        // 7 = 0b111: levels of 1, 2 and 4 datasets, oldest highest.
+        assert_eq!(
+            level_handles(&idx),
+            vec![vec![6], vec![4, 5], vec![0, 1, 2, 3]]
+        );
+        assert!(idx.remove_synopsis(1));
+        assert!(idx.remove_synopsis(5));
+        // The eighth dataset carries through every level; the two retired
+        // parts are dropped and the six live ones fit the 8-slot level.
+        idx.insert_synopsis(&syn(&[7.0]));
+        assert_eq!(
+            level_handles(&idx),
+            vec![vec![], vec![], vec![], vec![0, 2, 3, 4, 6, 7]]
+        );
+        assert_eq!(idx.len(), 6);
+        assert!(!idx.remove_synopsis(5), "a dropped part stays retired");
+        assert!(!idx.remove_synopsis(8), "unknown handle");
     }
 }

@@ -6,7 +6,7 @@
 //! | [`PtileRangeIndex`] | Theorem 4.11 (Algorithms 3–4) | one `M_R(P) ∈ [a_θ, b_θ]` |
 //! | [`PtileMultiIndex`] | Theorem C.8 | conjunctions (and, via DNF, any logical expression) of `m` range predicates |
 //! | [`ExactCPtile1D`] | Theorem C.5 | exact answers in `R¹` for a θ fixed at build time |
-//! | [`DynamicPtileIndex`] | Remark 1 after Theorem 4.11 | range predicates with synopsis insertion/deletion |
+//! | [`DynamicPtileIndex`] | Remark 1 after Theorem 4.11 | range predicates with synopsis insertion/deletion: a Bentley–Saxe log of frozen [`PtileRangeIndex`] levels |
 //!
 //! All approximate structures share the guarantee shape: no false negatives
 //! (with probability `1 − φ`), and every reported dataset satisfies the

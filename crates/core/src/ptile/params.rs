@@ -131,20 +131,24 @@ impl PtileBuildParams {
         self
     }
 
-    /// Dataset `i`'s sampling-RNG seed: stable identity when
-    /// [`Self::seed_ids`] is set, positional otherwise.
+    /// Dataset `i`'s seed identity: `seed_ids[i]` when [`Self::seed_ids`]
+    /// is set, `i` otherwise.
     ///
     /// # Panics
     /// Panics if `seed_ids` is set but shorter than `i + 1`.
-    pub(crate) fn dataset_seed(&self, i: usize) -> u64 {
-        let id = match &self.seed_ids {
+    pub(crate) fn seed_id(&self, i: usize) -> u64 {
+        match &self.seed_ids {
             Some(ids) => {
                 assert!(ids.len() > i, "seed_ids must cover every dataset");
                 ids[i]
             }
             None => i as u64,
-        };
-        mix_seed(self.seed, id)
+        }
+    }
+
+    /// Dataset `i`'s sampling-RNG seed, `mix_seed(seed, seed_id(i))`.
+    pub(crate) fn dataset_seed(&self, i: usize) -> u64 {
+        mix_seed(self.seed, self.seed_id(i))
     }
 
     /// The denominator of the φ split for a build of `n` datasets.

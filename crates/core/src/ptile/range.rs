@@ -35,7 +35,7 @@ use super::coreset::{build_coreset, rect_weights};
 use super::routing::{sorted_sample_axes, RoutingSynopsis};
 use super::PtileBuildParams;
 use crate::framework::Interval;
-use crate::pool::{par_map, BuildOptions};
+use crate::pool::{mix_seed, par_map, BuildOptions};
 use crate::scratch::QueryScratch;
 use dds_geom::Rect;
 use dds_rangetree::{KdTree, OrthoIndex, Region};
@@ -46,13 +46,15 @@ use rand::SeedableRng;
 /// Per-dataset build output: the lifted pair points, the per-dimension
 /// empty-slab triples and the achieved budget. Computed independently per
 /// dataset (own RNG stream), so datasets can build on worker threads in any
-/// order and merge back deterministically.
-struct RangePart {
+/// order and merge back deterministically. The dynamic index keeps its
+/// parts and rebuilds merged levels from them.
+#[derive(Clone, Debug)]
+pub(crate) struct RangePart {
     /// Lifted pairs, row-major (`4d + 2` coordinates each).
     lifted: Vec<f64>,
     /// `slabs[h]` = row-major `(lo, hi, ε_i + δ_i)` triples for dimension `h`.
     slabs: Vec<Vec<f64>>,
-    eps_i: f64,
+    pub(super) eps_i: f64,
     delta_i: f64,
     /// Per-axis sorted weight-sample coordinates, feeding the build-wide
     /// [`RoutingSynopsis`]; `None` when the sample carries a `NaN`.
@@ -138,7 +140,8 @@ impl PtileRangeIndex {
         let n = synopses.len();
         let params = &params;
         let parts = par_map(opts, synopses, |i, syn| {
-            Self::dataset_part(i, syn, deltas, params, n)
+            let delta_i = deltas.map_or(params.delta, |d| d[i]);
+            Self::dataset_part(syn, params.seed_id(i), delta_i, params, n)
         });
         Self::from_parts(synopses[0].dim(), parts, opts.threads)
     }
@@ -155,21 +158,21 @@ impl PtileRangeIndex {
         }
     }
 
-    /// One dataset's build work unit (Algorithm 3 lines 3–7): pure function
-    /// of `(i, synopsis, params)` — its RNG is seeded per dataset, so the
-    /// unit computes the same part on any thread in any order.
-    fn dataset_part<S: PercentileSynopsis>(
-        i: usize,
+    /// One dataset's build work unit (Algorithm 3 lines 3–7), its RNG seeded
+    /// by `mix_seed(params.seed, seed_id)`: a pure function of its inputs,
+    /// so it computes the same part on any thread in any order. The φ split
+    /// assumes `phi_n` datasets.
+    pub(crate) fn dataset_part<S: PercentileSynopsis>(
         syn: &S,
-        deltas: Option<&[f64]>,
+        seed_id: u64,
+        delta_i: f64,
         params: &PtileBuildParams,
-        n: usize,
+        phi_n: usize,
     ) -> RangePart {
         let dim = syn.dim();
-        let mut rng = StdRng::seed_from_u64(params.dataset_seed(i));
-        let cs = build_coreset(syn, params, n, &mut rng);
+        let mut rng = StdRng::seed_from_u64(mix_seed(params.seed, seed_id));
+        let cs = build_coreset(syn, params, phi_n, &mut rng);
         let eps_i = super::params::effective_eps(cs.eps_i, params.eps_override);
-        let delta_i = deltas.map_or(params.delta, |d| d[i]);
         let c_i = eps_i + delta_i;
         let rects = cs.grid.enumerate_rects();
         let weights = rect_weights(&cs.sample, &rects);
@@ -202,7 +205,7 @@ impl PtileRangeIndex {
     /// Deterministic merge: parts are concatenated in dataset order, so the
     /// lifted array, its dataset labels and the aux structures match the
     /// serial build exactly regardless of which worker produced which part.
-    fn from_parts(dim: usize, parts: Vec<RangePart>, threads: usize) -> Self {
+    pub(crate) fn from_parts(dim: usize, parts: Vec<RangePart>, threads: usize) -> Self {
         let n = parts.len();
         let lifted_dim = 4 * dim + 2;
         let mut lifted: Vec<f64> = Vec::new();

@@ -41,13 +41,15 @@
 //!
 //! # Tombstones
 //!
-//! The eager Algorithm-2 loop, [`crate::LogStructured`] and the ablations
-//! delete and restore points ([`DeletableIndex`]). Their bookkeeping (alive
-//! flags, label → position, leaf of a position, parent links, per-node alive
-//! counts) lives in a side table that is **allocated by the first `delete`**
-//! and kept from then on; a tree that is never deleted from carries no such
-//! arrays and its queries never look for them. Deleting is by label, so it
-//! needs the default labels (or any permutation of `0..len`).
+//! The eager Algorithm-2 loop (`PtileThresholdIndex::query_eager`) and the
+//! A3 ablation delete and restore points ([`DeletableIndex`]); the dynamic
+//! Ptile index retires whole datasets by a bit at report time instead.
+//! Their bookkeeping (alive flags, label → position, leaf of a position,
+//! parent links, per-node alive counts) lives in a side table that is
+//! **allocated by the first `delete`** and kept from then on; a tree that
+//! is never deleted from carries no such arrays and its queries never look
+//! for them. Deleting is by label, so it needs the default labels (or any
+//! permutation of `0..len`).
 
 use crate::region::Overlap;
 use crate::{BuildableIndex, DeletableIndex, OrthoIndex, Region};

@@ -27,12 +27,14 @@
 //! * [`RangeTree`] — a faithful static multi-level range tree (De Berg et
 //!   al., as cited by the paper) used for low-dimensional exact structures
 //!   and as an ablation backend.
-//! * [`LogStructured`] — a Bentley–Saxe logarithmic-method wrapper that adds
-//!   batched insertion (plus tombstone deletion) on top of any
-//!   [`BuildableIndex`], realizing the paper's dynamic-synopsis remarks.
 //! * [`SortedScores`] / [`DynScores`] — the 1-dimensional structures used by
 //!   the Pref index (Algorithms 5–6): threshold reporting over static or
 //!   dynamic score sets.
+//!
+//! The orthogonal backends take no point insertion: the paper needs it only
+//! for Remark 1's dynamic synopses, and `dds-core` realizes those one level
+//! up, as a Bentley–Saxe log of frozen indexes over whole datasets
+//! (`DynamicPtileIndex`).
 //!
 //! All query shapes are [`Region`]s: axis-parallel boxes with *per-bound
 //! strictness*, because the paper's orthants mix closed and open bounds
@@ -43,14 +45,12 @@
 
 mod brute;
 mod kdtree;
-mod logstructured;
 mod rangetree;
 mod region;
 mod scores;
 
 pub use brute::BruteForce;
 pub use kdtree::KdTree;
-pub use logstructured::{GlobalId, LogStructured};
 pub use rangetree::RangeTree;
 pub use region::Region;
 pub use scores::{DynScores, SortedScores, TotalF64};

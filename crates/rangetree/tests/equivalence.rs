@@ -3,8 +3,7 @@
 //! ReportFirst exhaustion pattern used by the paper's query procedures.
 
 use dds_rangetree::{
-    BruteForce, BuildableIndex, DeletableIndex, KdTree, LogStructured, OrthoIndex, RangeTree,
-    Region,
+    BruteForce, BuildableIndex, DeletableIndex, KdTree, OrthoIndex, RangeTree, Region,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -199,40 +198,6 @@ fn report_while_visits_exactly_the_answer_set() {
                 assert_eq!(count, usize::from(!want.is_empty()));
             }
         }
-    }
-}
-
-#[test]
-fn logstructured_matches_bruteforce_under_churn() {
-    let mut rng = StdRng::seed_from_u64(5);
-    let dim = 2;
-    let mut ls: LogStructured<KdTree> = LogStructured::new(dim);
-    // Mirror of alive points: gid -> coords.
-    let mut mirror: Vec<(usize, Vec<f64>)> = Vec::new();
-    for _ in 0..30 {
-        let batch_len = rng.gen_range(1..40);
-        let batch = gridded_points(&mut rng, batch_len, dim);
-        let gids = ls.insert_batch(batch.clone());
-        mirror.extend(gids.into_iter().zip(batch));
-        // Random deletions.
-        for _ in 0..rng.gen_range(0..10) {
-            if mirror.is_empty() {
-                break;
-            }
-            let k = rng.gen_range(0..mirror.len());
-            let (gid, _) = mirror.swap_remove(k);
-            assert!(ls.delete(gid));
-        }
-        let region = random_region(&mut rng, dim);
-        let mut got = vec![];
-        ls.report(&region, &mut got);
-        let want: Vec<usize> = mirror
-            .iter()
-            .filter(|(_, p)| region.contains(p))
-            .map(|(g, _)| *g)
-            .collect();
-        assert_eq!(sorted(got), sorted(want));
-        assert_eq!(ls.alive(), mirror.len());
     }
 }
 

@@ -366,20 +366,8 @@ fn dynamic_insert_batch_matches_serial_inserts() {
         assert_eq!(batched.eps().to_bits(), serial.eps().to_bits());
         for (rect, theta) in &queries {
             assert_eq!(
-                sorted(
-                    batched
-                        .query(rect, *theta)
-                        .iter()
-                        .map(|&h| h as usize)
-                        .collect()
-                ),
-                sorted(
-                    serial
-                        .query(rect, *theta)
-                        .iter()
-                        .map(|&h| h as usize)
-                        .collect()
-                ),
+                sorted(batched.query(rect, *theta)),
+                sorted(serial.query(rect, *theta)),
                 "threads = {t}"
             );
         }

@@ -21,7 +21,7 @@ pub fn point_sets(repo: &Repository) -> Vec<Vec<Point>> {
 }
 
 /// Sorted copy.
-pub fn sorted(mut v: Vec<usize>) -> Vec<usize> {
+pub fn sorted<T: Ord>(mut v: Vec<T>) -> Vec<T> {
     v.sort_unstable();
     v
 }

@@ -37,11 +37,11 @@ fn dynamic_ptile_tracks_static_rebuild() {
         let (a, b) = queries::random_theta(&mut rng, 0.1);
         let theta = Interval::new(a, b);
         let s = sorted(static_idx.query(&r, theta));
-        let d = sorted(
+        let d: Vec<usize> = sorted(
             dynamic
                 .query(&r, theta)
-                .into_iter()
-                .map(|h| h as usize)
+                .iter()
+                .map(|&h| h as usize)
                 .collect(),
         );
         assert_eq!(s, d, "dynamic vs static disagreement");
@@ -67,15 +67,122 @@ fn dynamic_ptile_tracks_static_rebuild() {
                 .map(|j| keep[j]) // map back to original ids = handles
                 .collect(),
         );
-        let got = sorted(
+        let got: Vec<usize> = sorted(
             dynamic
                 .query(&r, theta)
-                .into_iter()
-                .map(|h| h as usize)
+                .iter()
+                .map(|&h| h as usize)
                 .collect(),
         );
         assert_eq!(got, want, "after deletions");
     }
+}
+
+#[test]
+fn anchored_dynamic_index_splits_phi_over_its_anchor() {
+    // A declared φ anchor is the split's denominator from the first insert
+    // on; only outgrowing it with live datasets panics, as in a static
+    // build of that many datasets.
+    let repo = mixed_repo(9, 80, 1, 405);
+    let synopses = repo.exact_synopses();
+    let params = PtileBuildParams::exact_centralized().with_phi_datasets(8);
+    let mut dynamic = DynamicPtileIndex::new(1, params);
+    let first = dynamic.insert_synopsis(&synopses[0]);
+    dynamic.insert_batch(&synopses[1..8], &BuildOptions::with_threads(2));
+    assert_eq!(dynamic.len(), 8);
+    assert!(dynamic.remove_synopsis(first));
+    dynamic.insert_synopsis(&synopses[8]);
+    assert_eq!(dynamic.len(), 8);
+    let past_anchor = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        dynamic.insert_synopsis(&synopses[0]);
+    }));
+    assert!(past_anchor.is_err(), "nine live datasets");
+}
+
+/// One step of the churn script below.
+enum Step {
+    Insert(usize),
+    Batch(std::ops::Range<usize>),
+    Remove(u64),
+}
+
+#[test]
+fn anchored_sampled_churn_tracks_static_builds() {
+    // Each step's answers must equal a static build over the live synopses
+    // whose seed ids are their handles: a handle's part is sampled once,
+    // from the stream a static build gives that seed id, and merges rebuild
+    // levels from the retained parts without resampling.
+    const ANCHOR: usize = 16;
+    let repo = mixed_repo(12, 900, 1, 441);
+    let synopses = repo.exact_synopses();
+    let params = PtileBuildParams::default()
+        .with_rect_budget(200)
+        .with_phi_datasets(ANCHOR);
+    let queries: Vec<(dds_geom::Rect, Interval)> = (0..8)
+        .map(|q| {
+            let lo = q as f64 * 11.0;
+            (
+                dds_geom::Rect::interval(lo, lo + 20.0),
+                Interval::new(0.03 * q as f64, 0.12 + 0.1 * q as f64),
+            )
+        })
+        .collect();
+    // Level contents (handles) after each step, oldest level last.
+    let script = [
+        Step::Insert(0),     // [0]
+        Step::Insert(1),     // merge: [], [0 1]
+        Step::Batch(2..5),   // merge: [4], [], [0 1 2 3]
+        Step::Remove(1),     // a retired bit; levels unchanged
+        Step::Remove(3),     // likewise
+        Step::Batch(5..8),   // merges: [], [], [], [0 2 4 5 6 7] — drops 1, 3
+        Step::Remove(6),     // retired inside the level of six
+        Step::Insert(8),     // [8], [], [], [0 2 4 5 6 7]
+        Step::Insert(9),     // merge: [], [8 9], [], [0 2 4 5 6 7]
+        Step::Remove(0),     // retired inside the level of six
+        Step::Batch(10..12), // merge: [], [], [8 9 10 11], [0 2 4 5 6 7]
+        Step::Remove(10),    // retired inside the level of four
+        Step::Remove(9),     // likewise
+    ];
+    let mut dynamic = DynamicPtileIndex::new(1, params.clone());
+    // Live handles, ascending; handle h indexes synopses[h].
+    let mut live: Vec<u64> = Vec::new();
+    let mut hits = 0;
+    for step in &script {
+        match step {
+            Step::Insert(i) => live.push(dynamic.insert_synopsis(&synopses[*i])),
+            Step::Batch(range) => live.extend(
+                dynamic.insert_batch(&synopses[range.clone()], &BuildOptions::with_threads(3)),
+            ),
+            Step::Remove(h) => {
+                assert!(dynamic.remove_synopsis(*h));
+                assert!(!dynamic.remove_synopsis(*h), "retired handle {h}");
+                live.retain(|l| l != h);
+            }
+        }
+        assert_eq!(dynamic.len(), live.len());
+        assert!(!dynamic.remove_synopsis(99), "unknown handle");
+        let live_synopses: Vec<ExactSynopsis> =
+            live.iter().map(|&h| synopses[h as usize].clone()).collect();
+        let reference = PtileRangeIndex::build_opts(
+            &live_synopses,
+            params.clone().with_seed_ids(live.clone()),
+            &BuildOptions::serial(),
+        );
+        for (r, theta) in &queries {
+            let want = sorted(
+                reference
+                    .query(r, *theta)
+                    .iter()
+                    .map(|&j| live[j])
+                    .collect(),
+            );
+            let got = sorted(dynamic.query(r, *theta));
+            assert_eq!(got, want, "{r:?} {theta:?} with live {live:?}");
+            hits += got.len();
+        }
+    }
+    assert!(hits > 0, "the queries must report something");
+    assert!(dynamic.eps() > 0.0, "sampling path must be engaged");
 }
 
 #[test]
