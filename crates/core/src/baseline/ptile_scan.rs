@@ -85,17 +85,6 @@ impl<S: PercentileSynopsis> SynopsisScanPtile<S> {
             .map(|(i, _)| i)
             .collect()
     }
-
-    /// Point-estimate answer (no widening): may miss qualifying datasets —
-    /// the "heuristic" failure mode the paper's introduction warns about.
-    pub fn query_point_estimate(&self, r: &Rect, theta: Interval) -> Vec<usize> {
-        self.synopses
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| theta.contains(s.mass(r)))
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -162,13 +151,10 @@ mod tests {
         let scan = SynopsisScanPtile::new(syns, 0.08);
         let r = Rect::interval(3.0, 8.0);
         // True masses 1/3 and 1/2; estimates +0.08 off. θ = [0.45, 0.55]
-        // truly matches only dataset 1; the point estimate (0.58) misses it,
-        // the widened band keeps it.
+        // truly matches only dataset 1; its estimate (0.58) falls outside
+        // θ, but inside the widened band, which keeps it.
         let truth = LinearScanPtile::build(&repo()).query(&r, Interval::new(0.45, 0.55));
         assert_eq!(truth, vec![1]);
-        assert!(scan
-            .query_point_estimate(&r, Interval::new(0.45, 0.55))
-            .is_empty());
         assert!(scan.query(&r, Interval::new(0.45, 0.55)).contains(&1));
     }
 }

@@ -40,12 +40,6 @@ impl Interval {
     pub fn widened(&self, slack: f64) -> Interval {
         Interval::new(self.lo - slack, self.hi + slack)
     }
-
-    /// True if this is a one-sided threshold (`hi` is `+∞` or `≥ 1` for
-    /// percentile measures).
-    pub fn is_threshold_for_percentile(&self) -> bool {
-        self.hi >= 1.0
-    }
 }
 
 /// A measure function `M(P) ∈ R` (Section 1.1).
@@ -329,7 +323,5 @@ mod tests {
         let w = t.widened(0.05);
         assert!(w.contains(0.16) && w.contains(0.44));
         assert!(!w.contains(0.46));
-        assert!(Interval::new(0.3, 1.0).is_threshold_for_percentile());
-        assert!(!Interval::new(0.3, 0.9).is_threshold_for_percentile());
     }
 }

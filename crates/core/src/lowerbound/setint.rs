@@ -116,11 +116,6 @@ impl SetIntersectionCPtile {
         out.sort_unstable();
         out
     }
-
-    /// Number of sets `g`.
-    pub fn num_sets(&self) -> usize {
-        self.g
-    }
 }
 
 #[cfg(test)]

@@ -221,19 +221,6 @@ impl PrefIndex {
             f(j as usize);
         }
     }
-
-    /// Batch variant of [`query`](Self::query): answers every `(u, a_θ)`
-    /// pair on the `opts` worker pool. Results come back in input order and
-    /// are **bit-identical** to sequential one-at-a-time queries, for every
-    /// thread count — the index is read-only, so threads share it without
-    /// coordination.
-    pub fn query_batch_opts(
-        &self,
-        queries: &[(Vec<f64>, f64)],
-        opts: &BuildOptions,
-    ) -> Vec<Vec<usize>> {
-        par_map(opts, queries, |_, (u, a)| self.query(u, *a))
-    }
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@ use super::coreset::{build_coreset, rect_weights};
 use super::{PtileBuildParams, PtileRangeIndex};
 use crate::bitset::BitSet;
 use crate::framework::{Interval, LogicalExpr, MeasureFunction, Predicate};
-use crate::pool::{par_map, par_map_with, BuildOptions};
+use crate::pool::{par_map, BuildOptions};
 use crate::scratch::QueryScratch;
 use dds_geom::Rect;
 use dds_rangetree::{KdTree, OrthoIndex, Region};
@@ -404,21 +404,6 @@ impl PtileMultiIndex {
         }
         scratch.seen = seen;
         result.map(|()| out)
-    }
-
-    /// Batch variant of [`query_expr`](Self::query_expr): answers every
-    /// expression on the `opts` worker pool, one reusable scratch per
-    /// worker thread. Results come back in input order and are
-    /// **bit-identical** to calling [`query_expr`](Self::query_expr) on
-    /// each expression sequentially, for every thread count.
-    pub fn query_expr_batch_opts(
-        &self,
-        exprs: &[LogicalExpr],
-        opts: &BuildOptions,
-    ) -> Vec<Result<Vec<usize>, MultiQueryError>> {
-        par_map_with(opts, exprs, QueryScratch::new, |scratch, _, expr| {
-            self.query_expr_with(expr, scratch)
-        })
     }
 
     /// The query orthant over all `m` slots, written into a reused region

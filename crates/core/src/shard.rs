@@ -51,10 +51,10 @@
 //! one shard in two (the datasets whose ids are in the assignment move to
 //! a new shard),
 //! [`try_merge_shards_opts`](ShardedEngine::try_merge_shards_opts)
-//! coalesces two into one, and
-//! [`rebalance_plan_with`](ShardedEngine::rebalance_plan_with) proposes a
-//! list of such transitions from per-shard size and query-load counters. All
-//! three follow the validate→build→commit discipline of ingest: a failing
+//! coalesces two into one. Which shard to split or merge is the
+//! caller's call; [`shard_loads`](ShardedEngine::shard_loads) reports
+//! each shard's size and query load to decide it by. Both transitions
+//! follow the validate→build→commit discipline of ingest: a failing
 //! transition leaves the service untouched, and because global ids are
 //! stable and sampling is seeded by global id, **no transition can change
 //! any answer** — pinned by the split ≡ rebuilt / merge ≡ rebuilt
@@ -283,8 +283,8 @@ pub struct ShardedStats {
     pub merges: u64,
 }
 
-/// One shard's size and query load — the per-shard counters behind
-/// [`ShardedEngine::rebalance_plan_with`].
+/// One shard's size and query load, as reported by
+/// [`ShardedEngine::shard_loads`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardLoad {
     /// The shard's index.
@@ -296,55 +296,6 @@ pub struct ShardLoad {
     /// rebuilds; reset to zero by a split or merge, so a transitioned
     /// shard re-measures its load.
     pub queries: u64,
-}
-
-/// Thresholds steering [`ShardedEngine::rebalance_plan_with`].
-#[derive(Clone, Copy, Debug)]
-pub struct RebalanceConfig {
-    /// A shard holding more datasets than this proposes a split.
-    pub max_datasets: usize,
-    /// Two shards whose combined dataset count stays within this bound
-    /// propose a merge.
-    pub merge_under: usize,
-    /// A shard whose evaluated scatter-unit count exceeds this multiple
-    /// of the per-shard mean proposes a split even within
-    /// `max_datasets` (query-load skew, not size skew).
-    pub hot_factor: f64,
-}
-
-impl Default for RebalanceConfig {
-    fn default() -> Self {
-        RebalanceConfig {
-            max_datasets: 128,
-            merge_under: 32,
-            hot_factor: 4.0,
-        }
-    }
-}
-
-/// One proposed lifecycle transition. A plan (`Vec<RebalanceAction>`) is
-/// applied **in order** — the planner emits indices that stay valid under
-/// sequential application (splits never disturb existing indices; merges
-/// are ordered so no earlier merge shifts a later action's indices).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RebalanceAction {
-    /// Split `shard`, moving the datasets named by `move_ids` to a new
-    /// shard (appended at the end of the shard list).
-    Split {
-        /// The shard to divide.
-        shard: usize,
-        /// Ids moving to the new shard — the upper half of the shard's
-        /// ids in ascending order.
-        move_ids: Vec<GlobalId>,
-    },
-    /// Merge shard `b` into shard `a` (`a < b`; the merged shard lands at
-    /// `a`, shards past `b` shift down by one).
-    Merge {
-        /// The surviving slot.
-        a: usize,
-        /// The absorbed shard.
-        b: usize,
-    },
 }
 
 /// One repository shard: its engine plus the shard map back to global ids.
@@ -367,9 +318,9 @@ struct Shard {
     /// re-supplying data.
     datasets: Vec<Dataset>,
     /// (expression, shard) scatter units this shard evaluated — the load
-    /// signal behind `rebalance_plan_with`. Carried across rebuilds (the
-    /// shard keeps its identity), reset by split/merge (a transitioned
-    /// shard re-measures).
+    /// signal `shard_loads` reports. Carried across rebuilds (the shard
+    /// keeps its identity), reset by split/merge (a transitioned shard
+    /// re-measures).
     queries: AtomicU64,
 }
 
@@ -718,8 +669,8 @@ impl ShardedEngine {
         Ok(lo)
     }
 
-    /// Per-shard size and query-load counters — the measurement side of
-    /// [`rebalance_plan_with`](Self::rebalance_plan_with).
+    /// Per-shard size and query-load counters: the signal a caller
+    /// reads to decide which shards to split or merge.
     pub fn shard_loads(&self) -> Vec<ShardLoad> {
         self.shards
             .iter()
@@ -730,91 +681,6 @@ impl ShardedEngine {
                 queries: s.queries.load(Ordering::Relaxed),
             })
             .collect()
-    }
-
-    /// Proposes lifecycle transitions from the current [`ShardLoad`]
-    /// counters: oversized or query-hot shards propose a [`Split`]
-    /// (moving the upper half of their ascending ids), and pairs of small
-    /// non-splitting shards propose a [`Merge`]. The plan only *proposes*
-    /// — the caller applies it (see
-    /// [`apply_rebalance_opts`](Self::apply_rebalance_opts)), typically after
-    /// policy checks of its own. Actions are ordered for sequential
-    /// application: splits first (they never disturb existing indices),
-    /// then merges in descending index order (removing the highest
-    /// absorbed shard first never shifts a later pair).
-    ///
-    /// [`Split`]: RebalanceAction::Split
-    /// [`Merge`]: RebalanceAction::Merge
-    pub fn rebalance_plan_with(&self, cfg: &RebalanceConfig) -> Vec<RebalanceAction> {
-        let loads = self.shard_loads();
-        if loads.is_empty() {
-            return Vec::new();
-        }
-        let total_q: u64 = loads.iter().map(|l| l.queries).sum();
-        let mean_q = total_q as f64 / loads.len() as f64;
-        let mut plan = Vec::new();
-        let mut splitting = vec![false; loads.len()];
-        for l in &loads {
-            if l.datasets < 2 {
-                continue; // nothing to divide
-            }
-            let hot = total_q > 0 && (l.queries as f64) > cfg.hot_factor * mean_q;
-            if l.datasets > cfg.max_datasets || hot {
-                let mut ids = self.shards[l.shard].global_ids.clone();
-                ids.sort_unstable();
-                let move_ids = ids.split_off(ids.len() / 2);
-                plan.push(RebalanceAction::Split {
-                    shard: l.shard,
-                    move_ids,
-                });
-                splitting[l.shard] = true;
-            }
-        }
-        // Merge candidates: small, non-splitting shards, paired greedily
-        // smallest-first (deterministic: ties break on shard index).
-        let mut small: Vec<&ShardLoad> = loads
-            .iter()
-            .filter(|l| !splitting[l.shard] && l.datasets <= cfg.merge_under)
-            .collect();
-        small.sort_by_key(|l| (l.datasets, l.shard));
-        let mut merges: Vec<(usize, usize)> = Vec::new();
-        for pair in small.chunks_exact(2) {
-            if pair[0].datasets + pair[1].datasets <= cfg.merge_under {
-                let (x, y) = (pair[0].shard, pair[1].shard);
-                merges.push((x.min(y), x.max(y)));
-            }
-        }
-        // Descending by absorbed index: each removal leaves every
-        // remaining pair's (smaller) indices intact.
-        merges.sort_by_key(|pair| std::cmp::Reverse(pair.1));
-        plan.extend(
-            merges
-                .into_iter()
-                .map(|(a, b)| RebalanceAction::Merge { a, b }),
-        );
-        plan
-    }
-
-    /// Applies a rebalance plan in order, stopping at (and returning) the
-    /// first rejection — by construction
-    /// [`rebalance_plan_with`](Self::rebalance_plan_with)'s output applies
-    /// cleanly against the state it was computed from.
-    pub fn apply_rebalance_opts(
-        &mut self,
-        plan: &[RebalanceAction],
-        opts: &BuildOptions,
-    ) -> Result<(), IngestError> {
-        for action in plan {
-            match action {
-                RebalanceAction::Split { shard, move_ids } => {
-                    self.try_split_shard_opts(*shard, move_ids, opts)?;
-                }
-                RebalanceAction::Merge { a, b } => {
-                    self.try_merge_shards_opts(*a, *b, opts)?;
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Number of shards currently served.
@@ -2103,97 +1969,5 @@ mod tests {
             .expect("valid split");
         assert_eq!(svc.shard_loads()[0].queries, 0);
         assert_eq!(svc.shard_loads()[2].queries, 0);
-    }
-
-    #[test]
-    fn rebalance_plan_splits_hot_and_big_merges_small() {
-        let mut svc = ShardedEngine::new(
-            &[1],
-            PtileBuildParams::exact_centralized(),
-            PrefBuildParams::exact_centralized(),
-        )
-        .with_routing(Routing::Off);
-        // Shard 0: 4 datasets (oversized for the config below); shards
-        // 1 and 2: one tiny dataset each (merge candidates).
-        add(
-            &mut svc,
-            vec![
-                dataset("a", &[1.0]),
-                dataset("b", &[2.0]),
-                dataset("c", &[3.0]),
-                dataset("d", &[4.0]),
-            ],
-            &[10, 11, 12, 13],
-        );
-        add(&mut svc, vec![dataset("e", &[5.0])], &[20]);
-        add(&mut svc, vec![dataset("f", &[6.0])], &[21]);
-        let cfg = RebalanceConfig {
-            max_datasets: 3,
-            merge_under: 2,
-            hot_factor: 4.0,
-        };
-        let plan = svc.rebalance_plan_with(&cfg);
-        assert_eq!(
-            plan,
-            vec![
-                RebalanceAction::Split {
-                    shard: 0,
-                    move_ids: vec![12, 13],
-                },
-                RebalanceAction::Merge { a: 1, b: 2 },
-            ]
-        );
-        let all = LogicalExpr::Pred(Predicate::percentile_at_least(
-            Rect::interval(0.0, 100.0),
-            0.9,
-        ));
-        let before = query(&svc, &all);
-        svc.apply_rebalance_opts(&plan, &BuildOptions::default())
-            .expect("plan applies cleanly");
-        assert_eq!(svc.n_shards(), 3, "0 split into {{0, 3}}, 2 merged into 1");
-        assert_eq!(svc.n_datasets(), 6, "transitions conserve the catalog");
-        assert_eq!(query(&svc, &all), before);
-        // With balanced shards and no query skew, the next plan is empty.
-        assert_eq!(svc.rebalance_plan_with(&cfg), vec![]);
-    }
-
-    #[test]
-    fn rebalance_plan_detects_query_hot_shards() {
-        let mut svc = ShardedEngine::new(
-            &[1],
-            PtileBuildParams::exact_centralized(),
-            PrefBuildParams::exact_centralized(),
-        );
-        // Two same-sized shards with value-separated data, so routing
-        // concentrates load on shard 0.
-        add(
-            &mut svc,
-            vec![dataset("a", &[1.0, 2.0]), dataset("b", &[3.0, 4.0])],
-            &[0, 1],
-        );
-        add(
-            &mut svc,
-            vec![dataset("c", &[90.0, 91.0]), dataset("d", &[92.0, 93.0])],
-            &[2, 3],
-        );
-        for _ in 0..20 {
-            let _ = query(&svc, &low_expr());
-        }
-        let loads = svc.shard_loads();
-        assert_eq!((loads[0].queries, loads[1].queries), (20, 0));
-        let cfg = RebalanceConfig {
-            max_datasets: 100,
-            merge_under: 0,
-            hot_factor: 1.5,
-        };
-        // Shard 0 carries all the load: > 1.5× the mean of 10.
-        let plan = svc.rebalance_plan_with(&cfg);
-        assert_eq!(
-            plan,
-            vec![RebalanceAction::Split {
-                shard: 0,
-                move_ids: vec![1],
-            }]
-        );
     }
 }

@@ -273,6 +273,9 @@ struct Ring {
     buf: Vec<QueryTrace>,
     /// Index the next trace is written at.
     next: usize,
+    /// The seq the next kept trace gets. Drawn under the same lock as
+    /// the insert, so ring order and seq order agree.
+    seq: u64,
 }
 
 /// A bounded ring-buffer log of [`QueryTrace`] records for requests whose
@@ -286,7 +289,6 @@ struct Ring {
 pub struct SlowQueryLog {
     threshold_ns: u64,
     capacity: usize,
-    seq: AtomicU64,
     ring: Mutex<Ring>,
 }
 
@@ -297,17 +299,12 @@ impl SlowQueryLog {
         Self {
             threshold_ns,
             capacity,
-            seq: AtomicU64::new(0),
             ring: Mutex::new(Ring {
                 buf: Vec::with_capacity(capacity),
                 next: 0,
+                seq: 0,
             }),
         }
-    }
-
-    /// The nanosecond threshold a trace's `total_ns` must meet.
-    pub fn threshold_ns(&self) -> u64 {
-        self.threshold_ns
     }
 
     /// Record `trace` if it is slow enough; returns whether it was kept.
@@ -316,8 +313,9 @@ impl SlowQueryLog {
         if self.capacity == 0 || trace.total_ns < self.threshold_ns {
             return false;
         }
-        trace.seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let mut ring = self.ring.lock().expect("slow-query log poisoned");
+        trace.seq = ring.seq;
+        ring.seq += 1;
         let next = ring.next;
         if ring.buf.len() < self.capacity {
             ring.buf.push(trace);
@@ -477,6 +475,28 @@ mod tests {
             recent.iter().map(|t| t.total_ns).collect::<Vec<_>>(),
             vec![3, 4, 5]
         );
+    }
+
+    /// Offers racing from several threads still come back oldest first
+    /// with strictly ascending seqs: a seq is drawn under the ring lock,
+    /// so no thread can insert seq n + 1 before another inserts seq n.
+    #[test]
+    fn slow_log_seqs_ascend_under_contention() {
+        const THREADS: u64 = 4;
+        const PER_THREAD: u64 = 5_000;
+        let log = SlowQueryLog::new(0, (THREADS * PER_THREAD) as usize);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    for _ in 0..PER_THREAD {
+                        assert!(log.offer(QueryTrace::default()));
+                    }
+                });
+            }
+        });
+        let seqs: Vec<u64> = log.recent().iter().map(|t| t.seq).collect();
+        assert_eq!(seqs.len() as u64, THREADS * PER_THREAD);
+        assert!(seqs.windows(2).all(|w| w[0] < w[1]), "seqs out of order");
     }
 
     #[test]

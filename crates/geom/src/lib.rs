@@ -28,10 +28,3 @@ pub use epsnet::EpsNet;
 pub use grid::CoordGrid;
 pub use point::Point;
 pub use rect::Rect;
-
-/// Returns `true` if two floating point values are equal up to `1e-12`
-/// absolute tolerance. Used by tests and degenerate-geometry checks.
-#[inline]
-pub fn approx_eq(a: f64, b: f64) -> bool {
-    (a - b).abs() <= 1e-12 || (a.is_infinite() && b.is_infinite() && a.signum() == b.signum())
-}

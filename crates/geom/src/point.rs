@@ -49,11 +49,6 @@ impl Point {
         &self.coords
     }
 
-    /// Consumes the point and returns its coordinate vector.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.coords
-    }
-
     /// Inner product `⟨self, v⟩` — the *score* `ω(p, v)` of the paper
     /// (Section 1.2, preference measure functions).
     ///

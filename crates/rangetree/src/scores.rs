@@ -74,16 +74,6 @@ impl SortedScores {
         &self.ids[self.keys.partition_point(|k| *k < t)..]
     }
 
-    /// Appends every dataset index with score in the closed interval
-    /// `[lo, hi]`.
-    pub fn report_in(&self, lo: f64, hi: f64, out: &mut Vec<usize>) {
-        let start = self.keys.partition_point(|k| *k < lo);
-        let end = self.keys.partition_point(|k| *k <= hi);
-        if start < end {
-            out.extend(self.ids[start..end].iter().map(|&i| i as usize));
-        }
-    }
-
     /// Counts scores `≥ t`.
     pub fn count_at_least(&self, t: f64) -> usize {
         self.keys.len() - self.keys.partition_point(|k| *k < t)
@@ -160,15 +150,6 @@ mod tests {
         s.report_at_least(0.7, &mut out2);
         out2.sort_unstable();
         assert_eq!(out2, vec![1, 3]);
-    }
-
-    #[test]
-    fn sorted_scores_interval_reporting() {
-        let s = SortedScores::build(&[0.5, 0.9, 0.1, 0.7]);
-        let mut out = vec![];
-        s.report_in(0.4, 0.8, &mut out);
-        out.sort_unstable();
-        assert_eq!(out, vec![0, 3]);
     }
 
     #[test]

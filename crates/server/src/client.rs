@@ -30,7 +30,6 @@
 //! budget surfaces [`ClientError::DeadlineExceeded`] wrapping the last
 //! underlying failure.
 
-use crate::fault::{ConnPlan, FaultPlan, FaultStream};
 use crate::protocol::{MetricsReport, Request, Response, RetrySafety, ServerError, ServerStats};
 use crate::wire::{
     encode_frame_into, read_frame_into, FrameReadError, WireError, DEFAULT_MAX_FRAME_LEN,
@@ -306,24 +305,19 @@ fn request_id_seed(stream: &TcpStream) -> u64 {
     seed
 }
 
-/// A blocking connection to a [`DdsServer`](crate::DdsServer).
+/// A blocking connection to a [`DdsServer`](crate::DdsServer) over a
+/// plain `TcpStream`.
 ///
-/// The transport is always a [`FaultStream`]: under a clean plan (the
-/// normal case) it is a transparent passthrough; under
-/// [`with_faults`](Self::with_faults) each successive connection suffers
-/// its seeded [`ConnPlan`] — the client-side half of the fault-injection
-/// story, letting tests drive the *production* retry loop through
-/// deterministic chaos.
+/// To drive the retry loop through deterministic chaos, connect through
+/// a [`ChaosProxy`](crate::ChaosProxy) instead of to the server: the
+/// proxy's faults reach the client as dead or stalled connections.
 #[derive(Debug)]
 pub struct DdsClient {
-    conn: Option<FaultStream>,
+    conn: Option<TcpStream>,
     /// The resolved peer, kept for reconnects.
     peer: SocketAddr,
     cfg: ClientConfig,
     retry: Option<RetryPolicy>,
-    faults: Option<FaultPlan>,
-    /// Connections dialed so far — indexes [`FaultPlan::conn`].
-    conn_seq: u64,
     /// splitmix64 state for backoff jitter (seeded by
     /// [`RetryPolicy::jitter_seed`]).
     rng: u64,
@@ -362,8 +356,6 @@ impl DdsClient {
             peer,
             cfg,
             retry: None,
-            faults: None,
-            conn_seq: 1,
             rng: 0x5EED_5EED,
             id_rng,
             retries: 0,
@@ -371,14 +363,8 @@ impl DdsClient {
             scratch_in: Vec::new(),
         };
         client.configure(&stream)?;
-        client.conn = Some(FaultStream::new(stream, ConnPlan::CLEAN));
+        client.conn = Some(stream);
         Ok(client)
-    }
-
-    /// Lowers (or raises) the frame bound this client accepts and emits.
-    pub fn with_max_frame_len(mut self, max_frame_len: u32) -> Self {
-        self.cfg.max_frame_len = max_frame_len;
-        self
     }
 
     /// Installs a [`RetryPolicy`]: calls reconnect and retry around
@@ -387,19 +373,6 @@ impl DdsClient {
     pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
         self.rng = policy.jitter_seed;
         self.retry = Some(policy);
-        self
-    }
-
-    /// Injects client-side faults: connection `i` (dial order, the
-    /// eager connect from [`connect_with`](Self::connect_with) counts as
-    /// `0`) suffers `plan.conn(i)`. The current connection is dropped so
-    /// the very first faulty plan applies from the next call. Testing
-    /// aid — this is how the suite drives the retry loop through
-    /// deterministic chaos without a proxy.
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.conn = None;
-        self.conn_seq = 0;
-        self.faults = Some(plan);
         self
     }
 
@@ -447,21 +420,12 @@ impl DdsClient {
         Ok(())
     }
 
-    /// Dials the remembered peer, applying the next fault plan if one is
-    /// installed. The dial itself is bounded by the per-attempt timeout
-    /// clipped to `remaining` (what is left of the retry deadline): a
-    /// black-holed peer that silently drops SYNs fails this attempt
-    /// within budget instead of blocking for the OS connect timeout.
+    /// Dials the remembered peer. The dial is bounded by the per-attempt
+    /// timeout clipped to `remaining` (what is left of the retry
+    /// deadline): a black-holed peer that silently drops SYNs fails this
+    /// attempt within budget instead of blocking for the OS connect
+    /// timeout.
     fn reconnect(&mut self, remaining: Option<Duration>) -> Result<(), ClientError> {
-        let plan = match self.faults {
-            Some(f) => f.conn(self.conn_seq),
-            None => ConnPlan::CLEAN,
-        };
-        self.conn_seq += 1;
-        if plan.connect_delay_ms > 0 {
-            // The delayed-connect fault: dialing takes its time.
-            std::thread::sleep(Duration::from_millis(u64::from(plan.connect_delay_ms)));
-        }
         let budget = match (self.attempt_timeout(), remaining) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -474,7 +438,7 @@ impl DdsClient {
             None => TcpStream::connect(self.peer)?,
         };
         self.configure(&stream)?;
-        self.conn = Some(FaultStream::new(stream, plan));
+        self.conn = Some(stream);
         Ok(())
     }
 

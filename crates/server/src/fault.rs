@@ -1,5 +1,5 @@
-//! Deterministic fault injection: seeded plans, a faulting stream
-//! wrapper, and a chaos proxy.
+//! Deterministic fault injection: a seeded plan and the chaos proxy that
+//! applies it.
 //!
 //! Networks fail in a handful of characteristic ways — a write torn
 //! mid-frame, a read that stalls, an abrupt reset, a connect that takes
@@ -7,21 +7,19 @@
 //! *reproducible* to be debuggable. This module makes chaos a pure
 //! function of a seed:
 //!
-//! * [`FaultPlan`] is a seed plus a fault rate; [`FaultPlan::conn`] maps a
-//!   connection index to that connection's [`ConnPlan`] deterministically
-//!   (an inline splitmix64, no RNG dependency), so a failing soak run is
-//!   re-run exactly from its printed seed.
-//! * [`FaultStream`] wraps a `TcpStream` and applies one [`ConnPlan`] at
-//!   exact byte offsets: a torn write really puts the first `k` bytes on
-//!   the wire before failing, a reset really cuts the read at byte `k`,
-//!   a trickle caps every transfer. A plan with no fault delegates
-//!   straight through — [`crate::DdsClient`] wraps every connection in
-//!   one, clean or not.
-//! * [`ChaosProxy`] is the server-side harness: a loopback listener that
-//!   forwards every accepted connection to an upstream [`crate::DdsServer`]
-//!   with the connection's plan applied on the client-facing socket, so a
-//!   fault soak exercises the *real* server over real sockets while the
-//!   client's retry policy heals around the chaos.
+//! * [`FaultPlan`] is a seed plus a fault rate. Connection `i`'s fate
+//!   (at most one fault plus an optional connect delay) is a pure
+//!   function of (seed, `i`) — an inline splitmix64, no RNG dependency —
+//!   so a failing soak run is re-run exactly from its printed seed.
+//! * [`ChaosProxy`] is the one way to inject faults: a loopback listener
+//!   that forwards every accepted connection to an upstream
+//!   [`crate::DdsServer`] with that connection's fault applied at exact
+//!   byte offsets on the client-facing socket. A torn write really puts
+//!   the first `k` response bytes on the wire before cutting, a reset
+//!   really cuts the request stream at byte `k`, a trickle caps every
+//!   transfer. A fault soak thus exercises the *real* server over real
+//!   sockets — torn request frames included — while a [`crate::DdsClient`]
+//!   pointed at the proxy heals around the chaos with its retry policy.
 //!
 //! Everything here is deterministic except thread scheduling; the fault
 //! *positions* never depend on timing.
@@ -46,7 +44,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 /// One concrete fault a connection suffers, at an exact byte offset.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Fault {
+enum Fault {
     /// The first `at` bytes of the write direction reach the wire; the
     /// next write fails `BrokenPipe` and the socket is shut down — the
     /// peer sees a frame cut mid-body.
@@ -85,30 +83,20 @@ pub enum Fault {
 
 /// What one connection suffers: an optional connect delay plus at most
 /// one [`Fault`]. Applied by [`FaultStream`]; the connect delay is the
-/// *dialer's* business (the client and the proxy sleep before
-/// establishing the upstream connection).
+/// proxy's business (it sleeps before dialing upstream).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ConnPlan {
+struct ConnPlan {
     /// Milliseconds to wait before the connection is usable.
-    pub connect_delay_ms: u32,
+    connect_delay_ms: u32,
     /// The fault this connection suffers, if any.
-    pub fault: Option<Fault>,
-}
-
-impl ConnPlan {
-    /// A connection with no faults at all — [`FaultStream`] under this
-    /// plan is a transparent passthrough.
-    pub const CLEAN: ConnPlan = ConnPlan {
-        connect_delay_ms: 0,
-        fault: None,
-    };
+    fault: Option<Fault>,
 }
 
 /// A seeded schedule of per-connection faults.
 ///
-/// The plan itself is two words; [`conn`](Self::conn) derives connection
-/// `i`'s [`ConnPlan`] on demand. Most connections are clean (default
-/// fault rate 400‰) so a retrying client always finds a working path —
+/// The plan itself is two words; connection `i`'s fate is derived from
+/// them on demand. Most connections are clean (default fault rate
+/// 400‰) so a retrying client always finds a working path —
 /// chaos that faults *every* connection proves nothing except that
 /// nothing works.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -140,7 +128,7 @@ impl FaultPlan {
     }
 
     /// Connection `conn`'s fate, a pure function of (seed, conn).
-    pub fn conn(&self, conn: u64) -> ConnPlan {
+    fn conn(&self, conn: u64) -> ConnPlan {
         let mut s = self
             .seed
             .wrapping_add(conn.wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -188,10 +176,10 @@ impl FaultPlan {
 ///
 /// Positions are tracked per direction; faults trip at exact byte
 /// offsets, so a torn write puts precisely `at` bytes on the wire before
-/// the `BrokenPipe`. Under [`ConnPlan::CLEAN`] every call delegates
+/// the `BrokenPipe`. Under a plan with no fault every call delegates
 /// straight to the inner stream.
 #[derive(Debug)]
-pub struct FaultStream {
+struct FaultStream {
     inner: TcpStream,
     plan: ConnPlan,
     read_pos: u64,
@@ -202,10 +190,10 @@ pub struct FaultStream {
 
 impl FaultStream {
     /// Wraps `inner` under `plan`. The plan's connect delay is **not**
-    /// applied here — the dialer sleeps before establishing the
-    /// connection, so wrapping an accepted socket twice (one wrapper per
-    /// pump direction, as the proxy does) doesn't double the delay.
-    pub fn new(inner: TcpStream, plan: ConnPlan) -> FaultStream {
+    /// applied here — the proxy sleeps before dialing upstream, so
+    /// wrapping an accepted socket twice (one wrapper per pump direction)
+    /// doesn't double the delay.
+    fn new(inner: TcpStream, plan: ConnPlan) -> FaultStream {
         FaultStream {
             inner,
             plan,
@@ -216,9 +204,8 @@ impl FaultStream {
         }
     }
 
-    /// The wrapped stream (for `shutdown`, peer addresses, socket
-    /// options).
-    pub fn get_ref(&self) -> &TcpStream {
+    /// The wrapped stream (for `shutdown`).
+    fn get_ref(&self) -> &TcpStream {
         &self.inner
     }
 }
@@ -290,10 +277,10 @@ impl Write for FaultStream {
 }
 
 /// A loopback TCP proxy that forwards every connection to an upstream
-/// server through a [`FaultStream`] — the chaos harness the fault soak
-/// puts in front of a real [`crate::DdsServer`].
+/// server under a [`FaultPlan`] — the chaos harness the fault soak puts
+/// in front of a real [`crate::DdsServer`].
 ///
-/// Connection `i` (in accept order) gets `plan.conn(i)` applied on the
+/// Connection `i` (in accept order) gets its seeded fate applied on the
 /// **client-facing** socket: its request bytes suffer the read-side
 /// faults on the way in, its response bytes the write-side faults on the
 /// way out, while the upstream leg stays clean — the server under test
@@ -525,7 +512,11 @@ mod tests {
     #[test]
     fn clean_plan_is_a_passthrough() {
         let (a, mut b) = pair();
-        let mut fs = FaultStream::new(a, ConnPlan::CLEAN);
+        let clean = ConnPlan {
+            connect_delay_ms: 0,
+            fault: None,
+        };
+        let mut fs = FaultStream::new(a, clean);
         fs.write_all(b"hello").expect("clean write");
         let mut buf = [0u8; 5];
         b.read_exact(&mut buf).expect("peer reads");

@@ -40,9 +40,9 @@
 //!   so retried ingests cannot double-apply).
 //! * [`fault`] — deterministic fault injection: a seeded
 //!   [`fault::FaultPlan`] (torn writes, resets, stalls, trickle,
-//!   delayed connects) applied by a [`fault::FaultStream`] wrapper and a
-//!   [`fault::ChaosProxy`] harness, so every network failure a test
-//!   exercises is reproducible from its seed.
+//!   delayed connects) applied by the [`fault::ChaosProxy`] harness, so
+//!   every network failure a test exercises is reproducible from its
+//!   seed.
 //!
 //! Served answers are **byte-identical** to in-process `ShardedEngine`
 //! answers — `EngineError`s included — under concurrent clients; the
@@ -81,7 +81,7 @@ pub mod server;
 pub mod wire;
 
 pub use client::{ClientConfig, ClientError, DdsClient, EngineResult, RetryPolicy};
-pub use fault::{ChaosProxy, ConnPlan, Fault, FaultPlan, FaultStream};
+pub use fault::{ChaosProxy, FaultPlan};
 pub use protocol::{
     MetricsReport, Request, Response, RetrySafety, ServerError, ServerErrorKind, ServerStats,
 };

@@ -82,6 +82,10 @@ pub struct RateLimit {
 }
 
 /// Server tuning knobs.
+///
+/// The worker pool queries and ingest builds run on is not one of them:
+/// the server resolves `BuildOptions::default()` (all cores, or
+/// `DDS_THREADS` when set) once at start-up.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Admission-queue depth: at most this many requests wait for an
@@ -93,11 +97,6 @@ pub struct ServerConfig {
     /// the connections, so this bounds I/O parallelism, **not** the
     /// connection count — two threads serve thousands of idle sessions.
     pub io_threads: usize,
-    /// Worker threads each executed query fans out over
-    /// (`ShardedEngine::try_query_batch_opts`); `None` uses the engine
-    /// default (`DDS_THREADS` / all cores), resolved once when the server
-    /// starts. Builds triggered by ingest use the same setting.
-    pub query_threads: Option<usize>,
     /// Upper bound on a frame body, both directions.
     pub max_frame_len: u32,
     /// Whether [`Request::Sleep`] is honoured. Off by default: it exists
@@ -134,7 +133,6 @@ impl Default for ServerConfig {
             queue_depth: 64,
             executors: 2,
             io_threads: 2,
-            query_threads: None,
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
             allow_sleep: false,
             rate_limit: None,
@@ -317,10 +315,10 @@ struct Shared {
     engine: RwLock<ShardedEngine>,
     counters: Counters,
     cfg: ServerConfig,
-    /// The worker pool every query and build runs on, resolved from
-    /// `cfg.query_threads` once at start-up: resolving the default reads
-    /// `DDS_THREADS` and the cgroup files, microseconds a request must not
-    /// pay.
+    /// The worker pool every query and build runs on:
+    /// `BuildOptions::default()`, resolved once at start-up because
+    /// resolving it reads `DDS_THREADS` and the cgroup files,
+    /// microseconds a request must not pay.
     opts: BuildOptions,
     /// The bound listener address (signal_shutdown pokes it to unblock
     /// accept).
@@ -478,9 +476,7 @@ impl DdsServer {
             u64::try_from(cfg.slow_query_threshold.as_nanos()).unwrap_or(u64::MAX),
             cfg.slow_log_capacity,
         );
-        let opts = cfg
-            .query_threads
-            .map_or_else(BuildOptions::default, BuildOptions::with_threads);
+        let opts = BuildOptions::default();
         let shared = Arc::new(Shared {
             engine: RwLock::new(engine),
             counters: Counters::default(),

@@ -175,13 +175,6 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
-impl Frame {
-    /// Total bytes this frame occupies on the wire (prefix included).
-    pub fn wire_len(&self) -> u64 {
-        4 + FRAME_HEADER_LEN as u64 + self.payload.len() as u64
-    }
-}
-
 /// Writes one frame. `max_len` bounds the body exactly like the reader's
 /// bound, so an over-large *outgoing* frame fails fast locally instead of
 /// being rejected by the peer. Returns the bytes put on the wire.

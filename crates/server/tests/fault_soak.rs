@@ -21,7 +21,7 @@ use dds_server::{
     ChaosProxy, ClientConfig, ClientError, DdsClient, DdsServer, FaultPlan, Request, Response,
     RetryPolicy, ServerConfig,
 };
-use dds_workload::{FaultScheduleSpec, RepoSpec, RequestStreamSpec};
+use dds_workload::{RepoSpec, RequestStreamSpec};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -93,11 +93,7 @@ fn soak_one_seed(seed: u64) {
     println!("fault soak: seed {seed:#x}");
     // Heavier than the 400‰ default so most dialed connections carry a
     // fault — the soak exists to watch the retry loop actually fire.
-    let schedule = FaultScheduleSpec {
-        seed,
-        fault_per_mille: 850,
-    };
-    let plan = FaultPlan::seeded(schedule.seed).with_fault_per_mille(schedule.fault_per_mille);
+    let plan = FaultPlan::seeded(seed).with_fault_per_mille(850);
 
     let mut mirror = empty_engine();
     let mut scratch = QueryScratch::new();
@@ -136,7 +132,6 @@ fn soak_one_seed(seed: u64) {
     // survive the chaos byte-identically too.
     let exprs = RequestStreamSpec::new(10, seed)
         .with_missing_rank_every(5, 9)
-        .with_faults(schedule)
         .exprs(&spec);
     for (j, e) in exprs.iter().enumerate() {
         let got = query_until_answered(&mut client, e, seed);
@@ -307,17 +302,21 @@ fn client_side_faults_heal_transparently_with_retries_counted() {
             .expect("valid ingest");
     }
     let server = DdsServer::serve(served, "127.0.0.1:0", ServerConfig::default()).expect("bind");
-    // EVERY connection this client dials suffers a fault plan; the retry
-    // loop must still deliver clean answers.
-    let mut client = DdsClient::connect(server.local_addr())
+    // EVERY connection this client dials suffers a fault on its way
+    // through the proxy; the retry loop must still deliver clean answers.
+    let proxy = ChaosProxy::spawn(
+        server.local_addr(),
+        FaultPlan::seeded(0xFA17).with_fault_per_mille(1000),
+    )
+    .expect("proxy");
+    let mut client = DdsClient::connect(proxy.local_addr())
         .expect("connect")
         .with_retry(RetryPolicy {
             deadline: Duration::from_secs(20),
             max_attempts: 16,
             base_backoff: Duration::from_millis(2),
             jitter_seed: 0xFA17,
-        })
-        .with_faults(FaultPlan::seeded(0xFA17).with_fault_per_mille(1000));
+        });
     let exprs = RequestStreamSpec::new(12, 0xFA17).exprs(&spec);
     for (j, e) in exprs.iter().enumerate() {
         let got = query_until_answered(&mut client, e, 0xFA17);
@@ -328,6 +327,8 @@ fn client_side_faults_heal_transparently_with_retries_counted() {
         "an all-faulty dial sequence must have healed at least once (got {})",
         client.retries()
     );
+    drop(client);
+    proxy.shutdown();
     server.shutdown();
 }
 

@@ -6,8 +6,7 @@
 //! Experiment E11 sweeps histogram resolution and shows the end-to-end
 //! ε + 2δ band tracking this measured δ.
 
-use crate::exact::ExactSynopsis;
-use crate::{PercentileSynopsis, PrefSynopsis};
+use crate::PercentileSynopsis;
 use dds_geom::{Point, Rect};
 use dds_pool::{mix_seed, par_map, BuildOptions};
 use rand::rngs::StdRng;
@@ -80,43 +79,10 @@ pub fn estimate_percentile_errors<S: PercentileSynopsis + Sync>(
     })
 }
 
-/// Estimates `Err_{S_P}(F_k^d) = max_v |ω_k(P, v) − Score(v, k)|` by probing
-/// `trials` random unit directions.
-pub fn estimate_pref_error<S: PrefSynopsis + ?Sized>(
-    synopsis: &S,
-    data: &[Point],
-    k: usize,
-    trials: usize,
-    rng: &mut dyn RngCore,
-) -> f64 {
-    assert!(!data.is_empty(), "need raw data to measure against");
-    let exact = ExactSynopsis::new(data.to_vec());
-    let d = data[0].dim();
-    let mut worst: f64 = 0.0;
-    for _ in 0..trials {
-        // Random unit direction via normalized Gaussian-ish rejection.
-        let v: Vec<f64> = loop {
-            let v: Vec<f64> = (0..d).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let n: f64 = v.iter().map(|x| x * x).sum::<f64>().sqrt();
-            if n > 1e-3 {
-                break v.iter().map(|x| x / n).collect();
-            }
-        };
-        let truth = exact.exact_score(&v, k);
-        let est = synopsis.score(&v, k);
-        if truth.is_finite() && est.is_finite() {
-            worst = worst.max((truth - est).abs());
-        } else if truth.is_finite() != est.is_finite() {
-            worst = f64::INFINITY;
-        }
-    }
-    worst
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GridHistogram, UniformSampleSynopsis};
+    use crate::{ExactSynopsis, GridHistogram, UniformSampleSynopsis};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -133,7 +99,6 @@ mod tests {
         let syn = ExactSynopsis::new(data.clone());
         let mut rng = StdRng::seed_from_u64(2);
         assert_eq!(estimate_percentile_error(&syn, &data, 50, &mut rng), 0.0);
-        assert_eq!(estimate_pref_error(&syn, &data, 5, 20, &mut rng), 0.0);
     }
 
     #[test]

@@ -60,11 +60,6 @@ impl UniformSampleSynopsis {
         }
     }
 
-    /// The retained sample.
-    pub fn sample_points(&self) -> &[Point] {
-        &self.sample
-    }
-
     /// Size of the summarized dataset.
     pub fn original_len(&self) -> usize {
         self.original_len

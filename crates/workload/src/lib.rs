@@ -18,6 +18,9 @@
 //! * [`requests`] — served-request streams: popular mixed-expression
 //!   shapes repeating across many requests, optionally salted with
 //!   unindexed-rank errors (the traffic a `dds-server` instance sees).
+//!   A stream describes *what* is asked, never the network it crosses:
+//!   fault injection is `dds-server`'s `FaultPlan` behind its
+//!   `ChaosProxy`.
 //! * [`setint`] — uniform set-intersection instances for the lower-bound
 //!   reduction (Section 3.1 / Appendix B.1).
 
@@ -32,6 +35,6 @@ pub mod scenario;
 pub mod setint;
 
 pub use repository::{RepoFlavor, RepoShard, RepoSpec};
-pub use requests::{FaultScheduleSpec, RequestStreamSpec, SelectiveShape};
+pub use requests::{RequestStreamSpec, SelectiveShape};
 pub use scenario::CityScenario;
 pub use setint::UniformSetInstance;

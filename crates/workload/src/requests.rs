@@ -13,32 +13,6 @@ use dds_core::framework::{Interval, LogicalExpr, Predicate};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A deterministic fault schedule to drive a request stream through:
-/// consumers map it onto `dds_server::FaultPlan::seeded(seed)` (adjusted
-/// to `fault_per_mille`) and run the stream behind a chaos proxy or a
-/// fault-injecting client. Kept as a plain spec here so the workload
-/// crate stays server-agnostic — it describes *what chaos*, not *how*.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FaultScheduleSpec {
-    /// Seed every injected fault derives from (same seed ⇒ same faults,
-    /// connection by connection).
-    pub seed: u64,
-    /// Per-mille of connections that suffer a fault (`0..=1000`).
-    pub fault_per_mille: u32,
-}
-
-impl FaultScheduleSpec {
-    /// A schedule faulting roughly 40% of connections — aggressive
-    /// enough that soaks exercise every fault kind, sparse enough that
-    /// retries find clean connections.
-    pub fn seeded(seed: u64) -> Self {
-        FaultScheduleSpec {
-            seed,
-            fault_per_mille: 400,
-        }
-    }
-}
-
 /// Shape parameters of a *selective* request stream: narrow interior
 /// rectangles with a threshold lower bound chosen well above typical
 /// sampling margins. This is the regime where the routing synopsis earns
@@ -81,10 +55,6 @@ pub struct RequestStreamSpec {
     pub missing_rank: usize,
     /// RNG seed for the shape pool.
     pub seed: u64,
-    /// Optional fault schedule for consumers that serve this stream over
-    /// a faulty transport; `None` (the default) means a clean network.
-    /// Purely descriptive — [`exprs`](Self::exprs) ignores it.
-    pub faults: Option<FaultScheduleSpec>,
     /// `Some` switches the shape pool to pure narrow-rectangle
     /// percentile shapes (see [`SelectiveShape`]); `None` (the default)
     /// keeps the mixed `(percentile ∧ top-k) ∨ percentile` pool.
@@ -102,7 +72,6 @@ impl RequestStreamSpec {
             missing_rank_every: 0,
             missing_rank: 7,
             seed,
-            faults: None,
             selective: None,
         }
     }
@@ -132,13 +101,6 @@ impl RequestStreamSpec {
             "theta_lo must be in [0, 1]"
         );
         self.selective = Some(shape);
-        self
-    }
-
-    /// Attaches a fault schedule (builder-style): consumers serving this
-    /// stream over the network inject `schedule`'s seeded chaos.
-    pub fn with_faults(mut self, schedule: FaultScheduleSpec) -> Self {
-        self.faults = Some(schedule);
         self
     }
 
@@ -263,21 +225,6 @@ mod tests {
         // Shape cycle: request 0 and 4 share a shape, 0 and 1 do not.
         assert_eq!(format!("{:?}", a[0]), format!("{:?}", a[4]));
         assert_ne!(format!("{:?}", a[0]), format!("{:?}", a[1]));
-    }
-
-    #[test]
-    fn fault_schedules_are_value_types_and_do_not_perturb_the_stream() {
-        let repo = RepoSpec::mixed(4, 30, 1, 5);
-        let clean = RequestStreamSpec::new(12, 7);
-        let faulty = RequestStreamSpec::new(12, 7).with_faults(FaultScheduleSpec::seeded(42));
-        // Attaching a schedule never changes the expressions themselves.
-        assert_eq!(
-            format!("{:?}", clean.exprs(&repo)),
-            format!("{:?}", faulty.exprs(&repo))
-        );
-        assert_eq!(faulty.faults, Some(FaultScheduleSpec::seeded(42)));
-        assert_eq!(FaultScheduleSpec::seeded(42), FaultScheduleSpec::seeded(42));
-        assert_ne!(FaultScheduleSpec::seeded(42), FaultScheduleSpec::seeded(43));
     }
 
     #[test]

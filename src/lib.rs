@@ -120,9 +120,7 @@ pub mod prelude {
         ExactCPtile1D, PtileBuildParams, PtileMultiIndex, PtileRangeIndex, PtileThresholdIndex,
     };
     pub use dds_core::scratch::QueryScratch;
-    pub use dds_core::shard::{
-        GlobalId, RebalanceAction, RebalanceConfig, Routing, ShardLoad, ShardedEngine, ShardedStats,
-    };
+    pub use dds_core::shard::{GlobalId, Routing, ShardLoad, ShardedEngine, ShardedStats};
     pub use dds_core::telemetry::{HistogramSnapshot, LatencyHistogram, QueryTrace, SlowQueryLog};
     pub use dds_geom::{Point, Rect};
     pub use dds_server::{
@@ -130,5 +128,5 @@ pub mod prelude {
         RateLimit, RetryPolicy, ServerConfig, ServerStats,
     };
     pub use dds_synopsis::{PercentileSynopsis, PrefSynopsis};
-    pub use dds_workload::{FaultScheduleSpec, RepoShard, RepoSpec, RequestStreamSpec};
+    pub use dds_workload::{RepoShard, RepoSpec, RequestStreamSpec};
 }

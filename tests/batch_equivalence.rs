@@ -1,6 +1,5 @@
 //! Batch-query equivalence layer: the parallel batch APIs
 //! (`MixedQueryEngine::try_query_batch_opts`,
-//! `PtileMultiIndex::query_expr_batch_opts`, `PrefIndex::query_batch_opts`,
 //! `DynamicPtileIndex::insert_batch`) must be **bit-identical** to
 //! sequential one-at-a-time execution for every thread count — same
 //! answers, same order, same errors. This is the contract that lets callers
@@ -66,22 +65,6 @@ fn mixed_expr(lo: f64, w: f64, a: f64, bw: f64) -> LogicalExpr {
     ])
 }
 
-/// A percentile-only expression (for the multi-predicate structure).
-fn ptile_expr(lo: f64, w: f64, a: f64, bw: f64) -> LogicalExpr {
-    let rect = Rect::interval(lo, lo + w);
-    let wide = Rect::interval(lo - 3.0, lo + w + 3.0);
-    LogicalExpr::Or(vec![
-        LogicalExpr::And(vec![
-            LogicalExpr::Pred(Predicate::percentile(
-                rect,
-                Interval::new(a, (a + bw).min(1.0)),
-            )),
-            LogicalExpr::Pred(Predicate::percentile_at_least(wide.clone(), a / 2.0)),
-        ]),
-        LogicalExpr::Pred(Predicate::percentile_at_least(wide, (a + bw).min(1.0))),
-    ])
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -119,48 +102,6 @@ proptest! {
             prop_assert_eq!(&batch, &sequential, "threads = {}", t);
         }
     }
-
-    /// `PtileMultiIndex::query_expr_batch_opts` ≡ sequential `query_expr`.
-    #[test]
-    fn multi_index_batch_matches_sequential((sets, shapes) in repo_and_batch()) {
-        let syns = synopses_1d(&sets);
-        let idx = PtileMultiIndex::build_opts(&syns, 2, PtileBuildParams::exact_centralized(), &BuildOptions::serial());
-        let exprs: Vec<LogicalExpr> = shapes
-            .iter()
-            .map(|&(lo, w, a, bw)| ptile_expr(lo, w, a, bw))
-            .collect();
-        let sequential: Vec<_> = exprs.iter().map(|e| idx.query_expr(e)).collect();
-        for t in THREADS {
-            let batch = idx.query_expr_batch_opts(&exprs, &BuildOptions::with_threads(t));
-            prop_assert_eq!(&batch, &sequential, "threads = {}", t);
-        }
-    }
-}
-
-#[test]
-fn pref_batch_matches_sequential() {
-    let repo = common::ball_repo(40, 60, 2, 0xBA7C);
-    let syns = repo.exact_synopses();
-    let idx = PrefIndex::build_opts(
-        &syns,
-        2,
-        PrefBuildParams::exact_centralized(),
-        &BuildOptions::serial(),
-    );
-    let queries: Vec<(Vec<f64>, f64)> = (0..25)
-        .map(|i| {
-            let angle = i as f64 * 0.251;
-            (vec![angle.cos(), angle.sin()], -0.9 + 0.07 * i as f64)
-        })
-        .collect();
-    let sequential: Vec<Vec<usize>> = queries.iter().map(|(u, a)| idx.query(u, *a)).collect();
-    for t in THREADS {
-        assert_eq!(
-            idx.query_batch_opts(&queries, &BuildOptions::with_threads(t)),
-            sequential,
-            "threads = {t}"
-        );
-    }
 }
 
 /// Degenerate empty clauses (`And([])`, `Or([])`) are handled, not
@@ -178,18 +119,8 @@ fn empty_clauses_are_benign_in_sequential_and_batch() {
     );
     let empty_and = LogicalExpr::And(vec![]);
     let empty_or = LogicalExpr::Or(vec![]);
-    let real = ptile_expr(3.0, 5.0, 0.2, 0.8);
     assert_eq!(idx.query_expr(&empty_and), Ok(vec![]));
     assert_eq!(idx.query_expr(&empty_or), Ok(vec![]));
-    let exprs = vec![empty_and.clone(), real.clone(), empty_or.clone()];
-    let sequential: Vec<_> = exprs.iter().map(|e| idx.query_expr(e)).collect();
-    for t in THREADS {
-        assert_eq!(
-            idx.query_expr_batch_opts(&exprs, &BuildOptions::with_threads(t)),
-            sequential,
-            "threads = {t}"
-        );
-    }
     // The mixed engine agrees (it skips empty clauses the same way).
     let repo = Repository::new(vec![
         Dataset::from_rows("a", vec![vec![1.0], vec![7.0]]),

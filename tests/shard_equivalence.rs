@@ -583,8 +583,8 @@ proptest! {
     /// positional sampling seeds would break it): split-then-query and
     /// merge-then-query stay bit-identical to the unsharded sampled
     /// reference and to the post-transition layout rebuilt from scratch —
-    /// and so does a head-heavy layout after `rebalance_plan_with` →
-    /// `apply_rebalance_opts`.
+    /// and so does a head-heavy layout after its head is split and its
+    /// tail pair merged.
     #[test]
     fn sampled_split_and_merge_match_rebuilt_from_scratch(salt in 0usize..1000) {
         let n = 6usize;
@@ -665,27 +665,19 @@ proptest! {
             }
             check(&svc, &format!("round-robin over {k} shards"));
         }
-        // A head-heavy start: one oversized shard and a small tail. The
-        // planner must split the head (here it also merges the tail
-        // pair); the applied plan changes no answer.
+        // A head-heavy start: one oversized shard and a small tail. Split
+        // the upper half of the head off, then merge the two one-dataset
+        // shards; neither transition changes an answer.
         let head_heavy: Vec<Vec<GlobalId>> = vec![vec![0, 1, 2, 3], vec![4], vec![5]];
         let mut svc = engine_with_layout(&sets, &head_heavy, &ptile, &pref);
         prop_assert_eq!(
             &svc.try_query_batch_opts(&exprs, &BuildOptions::serial()), &expected,
-            "head-heavy layout vs unsharded before the rebalance"
+            "head-heavy layout vs unsharded before the transitions"
         );
-        let plan = svc.rebalance_plan_with(&RebalanceConfig {
-            max_datasets: 2,
-            merge_under: 2,
-            hot_factor: 4.0,
-        });
-        prop_assert!(
-            plan.iter().any(|a| matches!(a, RebalanceAction::Split { .. })),
-            "the head shard must propose a split: {:?}", plan
-        );
-        svc.apply_rebalance_opts(&plan, &BuildOptions::serial())
-            .expect("a freshly computed plan applies cleanly");
-        check(&svc, "head-heavy, rebalanced");
+        svc.try_split_shard_opts(0, &[2, 3], &BuildOptions::serial()).expect("valid split");
+        svc.try_merge_shards_opts(1, 2, &BuildOptions::serial()).expect("valid merge");
+        prop_assert_eq!(svc.n_shards(), 3);
+        check(&svc, "head-heavy, split and merged");
     }
 }
 
