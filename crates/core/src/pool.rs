@@ -3,7 +3,9 @@
 //! Every `*_opts` build path in this crate fans its per-dataset /
 //! per-direction work units out over [`par_map`], a deterministic
 //! work-stealing parallel map on scoped std threads (see `dds-pool` for the
-//! mechanism). Three invariants make the thread count unobservable:
+//! mechanism). `threads` counts the calling thread: caller plus
+//! `threads − 1` helpers, so a build never parks an idle thread in `join`.
+//! Three invariants make the thread count unobservable:
 //!
 //! 1. each work unit draws from its own `StdRng` seeded with
 //!    [`mix_seed`]`(params.seed, unit_index)` — no shared sequential stream;

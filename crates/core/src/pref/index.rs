@@ -93,8 +93,8 @@ pub struct PrefIndex {
 impl PrefIndex {
     /// Builds the index over one synopsis per dataset (Algorithm 5). The
     /// per-net-direction score tables (the `O(ε^{-d+1})` structures `T_v`)
-    /// are computed on `opts.threads` scoped threads, with bit-identical
-    /// results for every thread count.
+    /// are computed on `opts.threads` threads (caller included), with
+    /// bit-identical results for every thread count.
     ///
     /// # Panics
     /// Panics if `synopses` is empty, dimensions differ, or `k == 0`.

@@ -121,8 +121,8 @@ impl DynamicPtileIndex {
 
     /// Bulk insertion on the worker pool: the per-synopsis parts (coreset
     /// sampling, canonical-rectangle pair enumeration, empty slabs) are
-    /// computed on `opts.threads` scoped threads and applied in handle
-    /// order. The resulting structure — handles, level contents, query
+    /// computed on `opts.threads` threads (caller included) and applied in
+    /// handle order. The resulting structure — handles, level contents, query
     /// answers, quoted `eps()` — is **bit-identical** to calling
     /// [`insert_synopsis`](Self::insert_synopsis) once per synopsis in
     /// order, for every thread count.

@@ -87,8 +87,8 @@ impl PtileMultiIndex {
     /// The per-dataset rectangle budget is re-split as `budget^(1/m)` so the
     /// `|R_i|^m` tuple blow-up stays within `params.max_rects_per_dataset`.
     /// Datasets × canonical rectangle tuples are enumerated on
-    /// `opts.threads` scoped threads, with bit-identical results for every
-    /// thread count.
+    /// `opts.threads` threads (caller included), with bit-identical results
+    /// for every thread count.
     ///
     /// # Panics
     /// Panics if `synopses` is empty or `m == 0`.

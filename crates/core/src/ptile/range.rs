@@ -110,9 +110,9 @@ pub struct PtileRangeIndex {
 impl PtileRangeIndex {
     /// Builds the index (Algorithm 3 with one-step-expansion pairs) with a
     /// uniform synopsis error bound `params.delta`. Per-dataset work units
-    /// run on `opts.threads` scoped threads, with bit-identical results for
-    /// every thread count; [`BuildOptions::serial`] builds on the calling
-    /// thread.
+    /// run on `opts.threads` threads (caller included), with bit-identical
+    /// results for every thread count; [`BuildOptions::serial`] builds on
+    /// the calling thread.
     ///
     /// # Panics
     /// Panics if `synopses` is empty or dimensions are inconsistent.

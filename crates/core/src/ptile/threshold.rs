@@ -62,8 +62,8 @@ pub struct PtileThresholdIndex {
 
 impl PtileThresholdIndex {
     /// Builds the index with a uniform synopsis error bound `params.delta`
-    /// (Algorithm 1). Per-dataset work units run on `opts.threads` scoped
-    /// threads, with bit-identical results for every thread count;
+    /// (Algorithm 1). Per-dataset work units run on `opts.threads` threads
+    /// (caller included), with bit-identical results for every thread count;
     /// [`BuildOptions::serial`] builds on the calling thread.
     ///
     /// # Panics

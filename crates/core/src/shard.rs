@@ -841,9 +841,12 @@ impl ShardedEngine {
     /// in the shard's cache (one counted lookup, then the bitset algebra).
     /// The remaining units — the ones that must walk an index — run on the
     /// `opts` worker pool via `dds_pool::par_map_with` (per-worker scratch;
-    /// a single remaining unit runs inline). Cache counters come out as a
-    /// sequential run's: a resident unit counts the hits its lookups would
-    /// have, and a declined one counts nothing before it fans out.
+    /// a single remaining unit runs inline). `threads` counts the calling
+    /// thread: caller plus `threads − 1` helpers, so the caller walks
+    /// indexes too rather than waiting on the helpers. Cache counters come
+    /// out as a sequential run's: a resident unit counts the hits its
+    /// lookups would have, and a declined one counts nothing before it fans
+    /// out.
     pub fn try_query_batch_opts(
         &self,
         exprs: &[LogicalExpr],

@@ -8,6 +8,9 @@
 //! [`std::thread::scope`]:
 //!
 //! * the input is cut into contiguous chunks of indexes;
+//! * `threads` counts the calling thread: caller plus `threads − 1`
+//!   helpers — the caller is worker 0 and runs the same loop as the
+//!   scoped helpers instead of parking in `join`;
 //! * workers *steal* chunks from a shared atomic cursor (no static
 //!   partitioning — a worker that lands on cheap datasets just takes more
 //!   chunks);
@@ -39,8 +42,9 @@ const CHUNKS_PER_WORKER: usize = 4;
 /// safely exploit all available cores.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BuildOptions {
-    /// Number of worker threads (≥ 1). `1` means build serially on the
-    /// calling thread.
+    /// Number of threads that do work (≥ 1). `threads` counts the calling
+    /// thread: caller plus `threads − 1` helpers. `1` means build serially
+    /// on the calling thread.
     pub threads: usize,
 }
 
@@ -94,12 +98,14 @@ pub fn mix_seed(seed: u64, index: u64) -> u64 {
 }
 
 /// Deterministic parallel map: `out[i] = f(i, &items[i])`, computed on up to
-/// `opts.threads` scoped workers stealing contiguous index chunks.
+/// `opts.threads` workers stealing contiguous index chunks — the calling
+/// thread plus `opts.threads − 1` scoped helpers.
 ///
 /// Guarantees, for any thread count:
 /// * the output is exactly `items.iter().enumerate().map(f).collect()`;
 /// * `f` is called exactly once per item;
-/// * a panic in any worker propagates to the caller after the scope joins.
+/// * a panic in any work unit propagates to the caller, with the unit's own
+///   payload, after the scope joins.
 pub fn par_map<T, U, F>(opts: &BuildOptions, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
@@ -109,9 +115,10 @@ where
     par_map_with(opts, items, || (), |(), i, t| f(i, t))
 }
 
-/// [`par_map`] with **per-worker reusable state**: every worker thread calls
-/// `init()` exactly once and threads the resulting value through all the
-/// work units it claims (`out[i] = f(&mut state, i, &items[i])`).
+/// [`par_map`] with **per-worker reusable state**: every worker thread (the
+/// caller included) calls `init()` exactly once and threads the resulting
+/// value through all the work units it claims
+/// (`out[i] = f(&mut state, i, &items[i])`).
 ///
 /// This is the primitive behind the batch *query* APIs: the state is a query
 /// scratch (bitsets, hit buffers, memo maps) that would otherwise be
@@ -147,36 +154,36 @@ where
     let chunk = (n / (threads * CHUNKS_PER_WORKER)).max(1);
     let n_chunks = n.div_ceil(chunk);
     let cursor = AtomicUsize::new(0);
-    let f = &f;
-    let cursor = &cursor;
-    let init = &init;
+    // One worker's loop: claim chunks from the shared cursor until none
+    // are left, keeping each chunk's results together with its index.
+    let work = || {
+        let mut state = init();
+        let mut local: Vec<(usize, Vec<U>)> = Vec::new();
+        loop {
+            let c = cursor.fetch_add(1, Ordering::Relaxed);
+            if c >= n_chunks {
+                break;
+            }
+            let start = c * chunk;
+            let end = (start + chunk).min(n);
+            let mut out = Vec::with_capacity(end - start);
+            for (j, item) in items[start..end].iter().enumerate() {
+                out.push(f(&mut state, start + j, item));
+            }
+            local.push((c, out));
+        }
+        local
+    };
+    // The calling thread is worker 0, so `threads − 1` helpers suffice.
     let mut by_chunk: Vec<(usize, Vec<U>)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(move || {
-                    let mut state = init();
-                    let mut local: Vec<(usize, Vec<U>)> = Vec::new();
-                    loop {
-                        let c = cursor.fetch_add(1, Ordering::Relaxed);
-                        if c >= n_chunks {
-                            break;
-                        }
-                        let start = c * chunk;
-                        let end = (start + chunk).min(n);
-                        let mut out = Vec::with_capacity(end - start);
-                        for (j, item) in items[start..end].iter().enumerate() {
-                            out.push(f(&mut state, start + j, item));
-                        }
-                        local.push((c, out));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("pool worker panicked"))
-            .collect()
+        let helpers: Vec<_> = (1..threads).map(|_| s.spawn(work)).collect();
+        let mut all = work();
+        for h in helpers {
+            // Re-raise a helper's panic with its own payload, so a unit's
+            // panic reads the same whichever thread ran it.
+            all.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        }
+        all
     });
     // Deterministic merge: chunks back into index order, then flatten.
     by_chunk.sort_unstable_by_key(|(c, _)| *c);
@@ -300,14 +307,24 @@ mod tests {
                 "fast path must not leave the calling thread"
             );
         }
-        // Control: the pooled path really does use other threads (so the
-        // assertion above is meaningful).
-        let (out, ids) = observe(&(0..4096).collect::<Vec<u64>>(), 8);
-        assert_eq!(out.len(), 4096);
-        assert!(
-            ids.iter().any(|&id| id != caller),
-            "pooled path should recruit workers"
-        );
+        // Control: the pooled path runs on exactly `t` threads, the caller
+        // among them (so the assertion above is meaningful). `t` units that
+        // each wait on a `Barrier(t)` finish only if `t` threads run them at
+        // once, so which threads ran them is deterministic.
+        for t in [2, 4, 8] {
+            let barrier = std::sync::Barrier::new(t);
+            let units: Vec<usize> = (0..t).collect();
+            let ids = par_map(&BuildOptions::with_threads(t), &units, |_, _| {
+                barrier.wait();
+                std::thread::current().id()
+            });
+            let distinct: std::collections::HashSet<_> = ids.iter().collect();
+            assert_eq!(distinct.len(), t, "threads = {t}: one thread per unit");
+            assert!(
+                distinct.contains(&caller),
+                "threads = {t}: the calling thread must be worker 0"
+            );
+        }
     }
 
     #[test]
@@ -320,18 +337,27 @@ mod tests {
         assert_ne!(mix_seed(1, 0), mix_seed(2, 0));
     }
 
+    /// A unit's panic reaches the caller with the unit's own payload, at
+    /// every thread count and whichever thread ran the unit.
     #[test]
     fn worker_panics_propagate() {
         let items: Vec<usize> = (0..64).collect();
-        let result = std::panic::catch_unwind(|| {
-            par_map(&BuildOptions::with_threads(4), &items, |i, _| {
-                if i == 33 {
-                    panic!("boom");
-                }
-                i
-            })
-        });
-        assert!(result.is_err());
+        for threads in [1, 2, 4, 8] {
+            let result = std::panic::catch_unwind(|| {
+                par_map(&BuildOptions::with_threads(threads), &items, |i, _| {
+                    if i == 33 {
+                        panic!("boom at unit {i}");
+                    }
+                    i
+                })
+            });
+            let payload = result.expect_err("the unit's panic must propagate");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("boom at unit 33"),
+                "threads = {threads}"
+            );
+        }
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //! * a fixed pool of **executors** drains the queue and runs jobs against
 //!   the shared [`ShardedEngine`] — queries under a read lock (the
 //!   engine's `&self` paths fan out over `dds_pool` internally via
-//!   `try_query_batch_opts`), ingests under a write lock through the typed
+//!   `try_query_batch_opts`; `threads` counts the calling thread, so the
+//!   executor is worker 0 of its read's fan-out, plus `threads − 1`
+//!   scoped helpers), ingests under a write lock through the typed
 //!   `try_*_opts` paths. Results travel back to the owning I/O thread through
 //!   its completion queue plus a waker.
 //!
