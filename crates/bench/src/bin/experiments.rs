@@ -82,11 +82,6 @@ const EXPERIMENTS: &[Experiment] = &[
     ),
     ("--a2", "Ablation: search backend", ablations::a2_backend),
     (
-        "--a3",
-        "Ablation: lazy vs eager deletion",
-        ablations::a3_lazy_vs_eager,
-    ),
-    (
         "--a4",
         "Ablation: eps vs space budget",
         ablations::a4_eps_budget,

@@ -1,7 +1,9 @@
-//! A1–A5 — ablations of the design choices argued in the module docs of
-//! `dds_core::ptile` and `dds_rangetree`.
+//! A1, A2, A4, A5 — ablations of the design choices argued in the module
+//! docs of `dds_core::ptile` and `dds_rangetree`. A3 (lazy reported-dataset
+//! mask vs the paper's eager delete-and-restore loop) is answered and gone;
+//! its measurements are in the README.
 
-use super::setup::{clustered_workload, mixed_workload, ptile_queries};
+use super::setup::{mixed_workload, ptile_queries};
 use super::Scale;
 use crate::table::{fmt_bytes, fmt_duration, Table};
 use crate::timing::{median_duration, time};
@@ -147,51 +149,6 @@ pub fn a2_backend(scale: Scale) -> Table {
             fmt_duration(median_duration(q_rt)),
             fmt_bytes(rt.memory_bytes()),
             fmt_duration(median_duration(q_b)),
-        ]);
-    }
-    table
-}
-
-/// A3 — lazy tombstoning vs the paper's eager group deletion in the
-/// threshold query loop.
-pub fn a3_lazy_vs_eager(scale: Scale) -> Table {
-    let mut table = Table::new(
-        "A3 — query enumeration strategy: lazy tombstones vs eager group deletion",
-        &["N", "avg OUT", "lazy/q", "eager/q", "disagreements"],
-    );
-    let sweep = if scale.quick {
-        vec![500usize]
-    } else {
-        vec![1000usize, 4000, 16000]
-    };
-    for n in sweep {
-        let wl = clustered_workload(n, 300, 1, 0xA3);
-        let params = PtileBuildParams::default().with_rect_budget(496);
-        let mut idx =
-            PtileThresholdIndex::build_opts(&wl.synopses, params, &BuildOptions::serial());
-        let queries = ptile_queries(&wl, scale.queries(), 15, idx.margin(), 0xA3 + 1);
-        let mut t_lazy = Vec::new();
-        let mut t_eager = Vec::new();
-        let mut out_total = 0usize;
-        let mut disagreements = 0usize;
-        for q in &queries {
-            let (mut lazy, d) = time(|| idx.query(&q.rect, q.a));
-            t_lazy.push(d);
-            let (mut eager, d) = time(|| idx.query_eager(&q.rect, q.a));
-            t_eager.push(d);
-            out_total += lazy.len();
-            lazy.sort_unstable();
-            eager.sort_unstable();
-            if lazy != eager {
-                disagreements += 1;
-            }
-        }
-        table.row(vec![
-            n.to_string(),
-            format!("{:.1}", out_total as f64 / queries.len() as f64),
-            fmt_duration(median_duration(t_lazy)),
-            fmt_duration(median_duration(t_eager)),
-            disagreements.to_string(),
         ]);
     }
     table

@@ -91,17 +91,6 @@ impl BitSet {
         }
     }
 
-    /// Word-wise union: `self |= other`.
-    ///
-    /// # Panics
-    /// Panics on universe mismatch.
-    pub fn or_assign(&mut self, other: &BitSet) {
-        assert_eq!(self.len, other.len, "bitset universe mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
     /// Number of set indexes.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -158,14 +147,6 @@ mod tests {
         assert_eq!(
             and.iter_ones().collect::<Vec<_>>(),
             (0..100).filter(|i| i % 6 == 0).collect::<Vec<_>>()
-        );
-        let mut or = a.clone();
-        or.or_assign(&b);
-        assert_eq!(
-            or.iter_ones().collect::<Vec<_>>(),
-            (0..100)
-                .filter(|i| i % 2 == 0 || i % 3 == 0)
-                .collect::<Vec<_>>()
         );
     }
 

@@ -17,7 +17,7 @@
 //! `(−∞, +∞, −∞, p_1)`.
 
 use crate::framework::{Interval, Repository};
-use dds_rangetree::{BuildableIndex, KdTree, OrthoIndex, Region};
+use dds_rangetree::{KdTree, OrthoIndex, Region};
 
 /// Exact 1-d percentile index with fixed θ (Theorem C.5).
 ///
@@ -36,16 +36,19 @@ use dds_rangetree::{BuildableIndex, KdTree, OrthoIndex, Region};
 #[derive(Clone, Debug)]
 pub struct ExactCPtile1D {
     theta: Interval,
+    /// Lifted points in `R^4`, each labelled with its dataset.
     tree: KdTree,
-    owner: Vec<u32>,
     n_datasets: usize,
 }
 
 impl ExactCPtile1D {
     /// Builds the structure over a 1-dimensional repository.
     ///
+    /// A `θ.hi` above 1 is read as 1.
+    ///
     /// # Panics
-    /// Panics if the repository is not 1-dimensional or θ ⊄ [0, 1].
+    /// Panics if the repository is not 1-dimensional, `θ.lo ∉ [0, 1]` or
+    /// `θ.hi < θ.lo`.
     pub fn build(repo: &Repository, theta: Interval) -> Self {
         assert_eq!(repo.dim(), 1, "the exact structure is for R^1");
         assert!(
@@ -53,7 +56,7 @@ impl ExactCPtile1D {
             "theta must satisfy 0 <= a <= b"
         );
         let b_hi = theta.hi.min(1.0);
-        let mut lifted: Vec<Vec<f64>> = Vec::new();
+        let mut lifted: Vec<f64> = Vec::new();
         let mut owner: Vec<u32> = Vec::new();
         for (i, ds) in repo.datasets().iter().enumerate() {
             let mut xs: Vec<f64> = ds.points().iter().map(|p| p[0]).collect();
@@ -71,7 +74,7 @@ impl ExactCPtile1D {
             if ca == 0 {
                 // Sentinel for "no point ≤ R⁺" (count 0 qualifies).
                 let s0 = xs[0];
-                lifted.push(vec![
+                lifted.extend_from_slice(&[
                     f64::NEG_INFINITY,
                     f64::INFINITY,
                     f64::NEG_INFINITY,
@@ -99,14 +102,13 @@ impl ExactCPtile1D {
                 } else {
                     f64::NEG_INFINITY
                 };
-                lifted.push(vec![q, r, p, s]);
+                lifted.extend_from_slice(&[q, r, p, s]);
                 owner.push(i as u32);
             }
         }
         ExactCPtile1D {
             theta,
-            tree: KdTree::build(4, lifted),
-            owner,
+            tree: KdTree::build_labeled(4, lifted, owner, 1),
             n_datasets: repo.len(),
         }
     }
@@ -123,12 +125,12 @@ impl ExactCPtile1D {
 
     /// Number of lifted points (`𝒩` plus sentinels).
     pub fn lifted_points(&self) -> usize {
-        self.owner.len()
+        self.tree.len()
     }
 
     /// Approximate heap footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.tree.memory_bytes() + self.owner.len() * 4
+        self.tree.memory_bytes()
     }
 
     /// Exact `q_Π(P)` for `Π = Pred_{M_[lo,hi]}, θ` — every returned index
@@ -147,9 +149,9 @@ impl ExactCPtile1D {
             .with_lo(1, lo, false) // r ≥ R⁻
             .with_hi(2, hi, false) // p ≤ R⁺
             .with_lo(3, hi, true); // s > R⁺
-        let mut ids = Vec::new();
-        self.tree.report(&region, &mut ids);
-        ids.into_iter().map(|id| self.owner[id] as usize).collect()
+        let mut hits = Vec::new();
+        self.tree.report(&region, &mut hits);
+        hits
     }
 }
 
@@ -157,6 +159,8 @@ impl ExactCPtile1D {
 mod tests {
     use super::*;
     use crate::framework::Dataset;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn repo() -> Repository {
         Repository::new(vec![
@@ -195,6 +199,42 @@ mod tests {
                 got.sort_unstable();
                 let want = brute(&repo, theta, lo, hi);
                 assert_eq!(got, want, "theta=[{a},{b}] R=[{lo},{hi}]");
+            }
+        }
+        // A seeded catalog of 240 datasets: coordinates on a coarse integer
+        // grid (so ties are common), query bounds on and between grid
+        // points, and θ with fractions of 20 (so a·n and b·n hit integer
+        // counts exactly), covering a = 0 (the sentinel path) and
+        // ⌈a·n⌉ > ⌊b·n⌋ (a dataset that can never qualify).
+        let mut rng = StdRng::seed_from_u64(0xC5);
+        let catalog = Repository::new(
+            (0..240)
+                .map(|i| {
+                    let n = rng.gen_range(1..13);
+                    let rows = (0..n)
+                        .map(|_| vec![f64::from(rng.gen_range(0..9))])
+                        .collect();
+                    Dataset::from_rows(format!("d{i}"), rows)
+                })
+                .collect(),
+        );
+        let mut thetas = vec![(0.0, 0.0), (0.0, 0.25), (0.35, 0.4), (0.3, 0.3), (0.5, 1.5)];
+        for _ in 0..12 {
+            let a = f64::from(rng.gen_range(0..21)) / 20.0;
+            let b = f64::from(rng.gen_range(0..21)) / 20.0;
+            thetas.push((a.min(b), a.max(b)));
+        }
+        for (a, b) in thetas {
+            let theta = Interval::new(a, b);
+            let idx = ExactCPtile1D::build(&catalog, theta);
+            for _ in 0..30 {
+                let x = f64::from(rng.gen_range(-2..20)) / 2.0;
+                let y = f64::from(rng.gen_range(-2..20)) / 2.0;
+                let (lo, hi) = (x.min(y), x.max(y));
+                let mut got = idx.query(lo, hi);
+                got.sort_unstable();
+                let want = brute(&catalog, theta, lo, hi);
+                assert_eq!(got, want, "catalog theta=[{a},{b}] R=[{lo},{hi}]");
             }
         }
     }

@@ -16,19 +16,18 @@
 //! iff its rectangle fits inside `R` with weight at least
 //! `a_θ − ε_i − δ_i`. Datasets whose combined budget reaches `a_θ` are
 //! reported unconditionally (their sample may legitimately be empty inside
-//! `R`). Distinct dataset indexes are enumerated output-sensitively with a
-//! single filtered traversal and a reported-dataset mask; the eager
-//! Algorithm-2 deletion loop is kept as
-//! [`PtileThresholdIndex::query_eager`] (`experiments --a3` compares the
-//! two).
+//! `R`). Where Algorithm 2 takes one point, deletes every lifted point of
+//! its dataset and repeats, distinct dataset indexes are enumerated
+//! output-sensitively with a single filtered traversal over points labelled
+//! by their dataset and a reported-dataset mask: the same answers, with a
+//! tree that never changes after the build.
 
 use super::coreset::{build_coreset, rect_weights};
 use super::PtileBuildParams;
-use crate::bitset::BitSet;
 use crate::pool::{par_map, BuildOptions};
 use crate::scratch::QueryScratch;
 use dds_geom::Rect;
-use dds_rangetree::{DeletableIndex, KdTree, OrthoIndex, Region, SortedScores};
+use dds_rangetree::{KdTree, OrthoIndex, Region, SortedScores};
 use dds_synopsis::PercentileSynopsis;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -36,7 +35,8 @@ use rand::SeedableRng;
 /// Per-dataset build output of Algorithm 1 (see `RangePart` in `range.rs`
 /// for the merging discipline).
 struct ThresholdPart {
-    lifted: Vec<Vec<f64>>,
+    /// Lifted points, row-major in `R^{2d+1}`.
+    lifted: Vec<f64>,
     eps_i: f64,
     delta_i: f64,
 }
@@ -52,12 +52,9 @@ pub struct PtileThresholdIndex {
     combined: Vec<f64>,
     /// The same budgets, ordered, for the degenerate-band lookup.
     degenerate: SortedScores,
-    /// Lifted points in `R^{2d+1}` (last coordinate = `w + ε_i + δ_i`).
+    /// Lifted points in `R^{2d+1}` (last coordinate = `w + ε_i + δ_i`),
+    /// each labelled with its dataset.
     tree: KdTree,
-    /// Dataset → lifted point ids (`Q_i`).
-    groups: Vec<Vec<usize>>,
-    /// Lifted point id → dataset.
-    owner: Vec<u32>,
 }
 
 impl PtileThresholdIndex {
@@ -125,13 +122,11 @@ impl PtileThresholdIndex {
         let delta_i = deltas.map_or(params.delta, |d| d[i]);
         let rects = cs.grid.enumerate_rects();
         let weights = rect_weights(&cs.sample, &rects);
-        let mut lifted = Vec::with_capacity(rects.len());
+        let mut lifted = Vec::with_capacity(rects.len() * (2 * dim + 1));
         for (rect, w) in rects.iter().zip(weights) {
-            let mut coords = Vec::with_capacity(2 * dim + 1);
-            coords.extend_from_slice(rect.lo());
-            coords.extend_from_slice(rect.hi());
-            coords.push(w + eps_i + delta_i);
-            lifted.push(coords);
+            lifted.extend_from_slice(rect.lo());
+            lifted.extend_from_slice(rect.hi());
+            lifted.push(w + eps_i + delta_i);
         }
         ThresholdPart {
             lifted,
@@ -143,9 +138,9 @@ impl PtileThresholdIndex {
     /// Deterministic dataset-order merge (see `RangePart`).
     fn from_parts(dim: usize, parts: Vec<ThresholdPart>, threads: usize) -> Self {
         let n = parts.len();
-        let mut lifted: Vec<Vec<f64>> = Vec::new();
+        let lifted_dim = 2 * dim + 1;
+        let mut lifted: Vec<f64> = Vec::new();
         let mut owner: Vec<u32> = Vec::new();
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut combined: Vec<f64> = Vec::with_capacity(n);
         let mut eps_max: f64 = 0.0;
         let mut delta_max: f64 = 0.0;
@@ -153,11 +148,13 @@ impl PtileThresholdIndex {
             eps_max = eps_max.max(part.eps_i);
             delta_max = delta_max.max(part.delta_i);
             combined.push(part.eps_i + part.delta_i);
-            groups[i].extend(lifted.len()..lifted.len() + part.lifted.len());
-            owner.extend(std::iter::repeat_n(i as u32, part.lifted.len()));
+            owner.extend(std::iter::repeat_n(
+                i as u32,
+                part.lifted.len() / lifted_dim,
+            ));
             lifted.append(&mut part.lifted);
         }
-        let tree = KdTree::build_par(2 * dim + 1, lifted, threads);
+        let tree = KdTree::build_labeled(lifted_dim, lifted, owner, threads);
         let degenerate = SortedScores::build(&combined);
         PtileThresholdIndex {
             dim,
@@ -167,8 +164,6 @@ impl PtileThresholdIndex {
             combined,
             degenerate,
             tree,
-            groups,
-            owner,
         }
     }
 
@@ -213,15 +208,12 @@ impl PtileThresholdIndex {
 
     /// Number of lifted points `|Q| = Σ_i |R_i|` (space accounting, E8).
     pub fn lifted_points(&self) -> usize {
-        self.owner.len()
+        self.tree.len()
     }
 
     /// Approximate heap footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.tree.memory_bytes()
-            + self.owner.len() * 4
-            + self.combined.len() * 8
-            + self.groups.iter().map(|g| g.len() * 8 + 24).sum::<usize>()
+        self.tree.memory_bytes() + self.combined.len() * 8
     }
 
     /// Answers `Π = Pred_{M_R, [a_θ, 1]}` (Algorithm 2): returns dataset
@@ -274,9 +266,7 @@ impl PtileThresholdIndex {
             f(j);
         }
         self.orthant_into(r, a_theta, region);
-        let owner = &self.owner;
-        self.tree.report_while(region, &mut |q| {
-            let j = owner[q] as usize;
+        self.tree.report_while(region, &mut |j| {
             if reported.insert(j) {
                 f(j);
             }
@@ -284,60 +274,9 @@ impl PtileThresholdIndex {
         });
     }
 
-    /// Algorithm 2 exactly as written: on each report, eagerly delete every
-    /// lifted point of the reported dataset. Same answers as
-    /// [`query_cb`](Self::query_cb) (which tombstones rejected points
-    /// lazily); kept for the ablation experiment A3. This is the one query
-    /// path that takes `&mut self` — it is not read-only (it tombstones and
-    /// restores tree points), so it stays off the shared-read contract.
-    pub fn query_eager(&mut self, r: &Rect, a_theta: f64) -> Vec<usize> {
-        assert_eq!(r.dim(), self.dim, "query rectangle dimension mismatch");
-        let mut reported = BitSet::new(self.n_datasets);
-        let mut out = Vec::new();
-        let mut degenerate_hits = Vec::new();
-        self.degenerate
-            .report_at_least(a_theta, &mut degenerate_hits);
-        for j in degenerate_hits {
-            reported.insert(j);
-            out.push(j);
-        }
-        let region = self.orthant(r, a_theta);
-        let mut deleted: Vec<usize> = Vec::new();
-        while let Some(id) = self.tree.report_first(&region) {
-            let j = self.owner[id] as usize;
-            if reported.insert(j) {
-                out.push(j);
-            }
-            for &q in &self.groups[j] {
-                if self.tree.delete(q) {
-                    deleted.push(q);
-                }
-            }
-        }
-        self.restore(deleted);
-        out
-    }
-
-    /// Restores query-session tombstones, in bulk when they are plentiful.
-    fn restore(&mut self, deleted: Vec<usize>) {
-        if deleted.len() * 8 > self.tree.len() {
-            self.tree.restore_all();
-        } else {
-            for q in deleted {
-                self.tree.restore(q);
-            }
-        }
-    }
-
-    /// The lifted orthant `R'` of Algorithm 2 line 1 plus the weight bound
-    /// (per-dataset margins are already folded into the weight coordinate).
-    fn orthant(&self, r: &Rect, w_lo: f64) -> Region {
-        let mut region = Region::all(2 * self.dim + 1);
-        self.orthant_into(r, w_lo, &mut region);
-        region
-    }
-
-    /// [`orthant`](Self::orthant) written into a reused region buffer.
+    /// Writes the lifted orthant `R'` of Algorithm 2 line 1 plus the weight
+    /// bound into a reused region buffer (per-dataset margins are already
+    /// folded into the weight coordinate).
     fn orthant_into(&self, r: &Rect, w_lo: f64, region: &mut Region) {
         let d = self.dim;
         region.reset(2 * d + 1);
@@ -432,23 +371,6 @@ mod tests {
     fn empty_region_with_real_threshold_reports_nothing() {
         let idx = exact_index();
         assert!(idx.query(&Rect::interval(500.0, 600.0), 0.2).is_empty());
-    }
-
-    #[test]
-    fn eager_and_lazy_strategies_agree() {
-        let mut idx = exact_index();
-        for (lo, hi, a) in [
-            (3.0, 8.0, 0.2),
-            (0.0, 20.0, 0.5),
-            (5.0, 6.0, 0.1),
-            (0.0, 2.0, 0.3),
-        ] {
-            let mut lazy = idx.query(&Rect::interval(lo, hi), a);
-            let mut eager = idx.query_eager(&Rect::interval(lo, hi), a);
-            lazy.sort_unstable();
-            eager.sort_unstable();
-            assert_eq!(lazy, eager, "R=[{lo},{hi}] a={a}");
-        }
     }
 
     #[test]

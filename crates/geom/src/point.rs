@@ -70,18 +70,6 @@ impl Point {
         self.coords.iter().map(|c| c * c).sum::<f64>().sqrt()
     }
 
-    /// Euclidean distance to another point.
-    #[inline]
-    pub fn dist(&self, other: &Point) -> f64 {
-        assert_eq!(self.dim(), other.dim(), "dimension mismatch in distance");
-        self.coords
-            .iter()
-            .zip(&other.coords)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt()
-    }
-
     /// Returns the point scaled by `s`.
     pub fn scaled(&self, s: f64) -> Point {
         Point {
@@ -153,14 +141,6 @@ mod tests {
         assert_eq!(p.norm(), 5.0);
         let u = p.normalized();
         assert!((u.norm() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn distance_is_symmetric() {
-        let a = Point::two(0.0, 0.0);
-        let b = Point::two(3.0, 4.0);
-        assert_eq!(a.dist(&b), 5.0);
-        assert_eq!(b.dist(&a), 5.0);
     }
 
     #[test]

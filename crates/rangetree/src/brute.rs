@@ -3,15 +3,13 @@
 //! Used as ground truth in tests and as the Ω(N)-style baseline in
 //! micro-benchmarks of the substrate itself.
 
-use crate::{BuildableIndex, DeletableIndex, OrthoIndex, Region};
+use crate::{BuildableIndex, OrthoIndex, Region};
 
 /// A brute-force orthogonal "index": stores the points and scans them.
 #[derive(Clone, Debug)]
 pub struct BruteForce {
     dim: usize,
     points: Vec<Vec<f64>>,
-    alive: Vec<bool>,
-    n_alive: usize,
 }
 
 impl BuildableIndex for BruteForce {
@@ -19,13 +17,7 @@ impl BuildableIndex for BruteForce {
         for p in &points {
             assert_eq!(p.len(), dim, "point dimension mismatch");
         }
-        let n = points.len();
-        BruteForce {
-            dim,
-            points,
-            alive: vec![true; n],
-            n_alive: n,
-        }
+        BruteForce { dim, points }
     }
 }
 
@@ -40,52 +32,14 @@ impl OrthoIndex for BruteForce {
 
     fn report(&self, region: &Region, out: &mut Vec<usize>) {
         for (i, p) in self.points.iter().enumerate() {
-            if self.alive[i] && region.contains(p) {
+            if region.contains(p) {
                 out.push(i);
             }
         }
     }
 
-    fn report_first(&self, region: &Region) -> Option<usize> {
-        self.points
-            .iter()
-            .enumerate()
-            .find(|(i, p)| self.alive[*i] && region.contains(p))
-            .map(|(i, _)| i)
-    }
-
     fn count(&self, region: &Region) -> usize {
-        self.points
-            .iter()
-            .enumerate()
-            .filter(|(i, p)| self.alive[*i] && region.contains(p))
-            .count()
-    }
-}
-
-impl DeletableIndex for BruteForce {
-    fn delete(&mut self, id: usize) -> bool {
-        if self.alive[id] {
-            self.alive[id] = false;
-            self.n_alive -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn restore(&mut self, id: usize) -> bool {
-        if !self.alive[id] {
-            self.alive[id] = true;
-            self.n_alive += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn alive(&self) -> usize {
-        self.n_alive
+        self.points.iter().filter(|p| region.contains(p)).count()
     }
 }
 
@@ -94,19 +48,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scan_and_tombstones() {
+    fn scan_reports_and_counts() {
         let pts = vec![vec![1.0], vec![2.0], vec![3.0]];
-        let mut b = BruteForce::build(1, pts);
+        let b = BruteForce::build(1, pts);
         let region = Region::closed(vec![1.5], vec![3.5]);
         let mut out = vec![];
         b.report(&region, &mut out);
         assert_eq!(out, vec![1, 2]);
         assert_eq!(b.count(&region), 2);
-        assert!(b.delete(1));
-        assert!(!b.delete(1));
-        assert_eq!(b.report_first(&region), Some(2));
-        assert!(b.restore(1));
-        assert_eq!(b.count(&region), 2);
-        assert_eq!(b.alive(), 3);
     }
 }

@@ -1,9 +1,9 @@
 //! Frozen, flat, tree-ordered bounding-box kd-tree.
 //!
 //! This is the default backend behind the paper's `DRangeTreeConstruct` /
-//! `Report` / `ReportFirst` interface (Section 2), laid out for the one
-//! thing the served indexes do with it: `report_while` over a structure that
-//! never changes after the build.
+//! `Report` interface (Section 2), laid out for the one thing the served
+//! indexes do with it: `report_while` over a structure that never changes
+//! after the build (stopping it at the first hit is `ReportFirst`).
 //!
 //! # Layout
 //!
@@ -38,21 +38,9 @@
 //! power, and only for coordinates that need more than 24 significant bits
 //! *and* a query bound that falls inside the rounding gap (±1e300 rounds to
 //! `f32::MAX` / ∞ and prunes like an unbounded facet).
-//!
-//! # Tombstones
-//!
-//! The eager Algorithm-2 loop (`PtileThresholdIndex::query_eager`) and the
-//! A3 ablation delete and restore points ([`DeletableIndex`]); the dynamic
-//! Ptile index retires whole datasets by a bit at report time instead.
-//! Their bookkeeping (alive flags, label → position, leaf of a position,
-//! parent links, per-node alive counts) lives in a side table that is
-//! **allocated by the first `delete`** and kept from then on; a tree that
-//! is never deleted from carries no such arrays and its queries never look
-//! for them. Deleting is by label, so it needs the default labels (or any
-//! permutation of `0..len`).
 
 use crate::region::Overlap;
-use crate::{BuildableIndex, DeletableIndex, OrthoIndex, Region};
+use crate::{BuildableIndex, OrthoIndex, Region};
 
 const LEAF_SIZE: usize = 8;
 const NONE: u32 = u32::MAX;
@@ -98,94 +86,6 @@ fn round_up(x: f64) -> f32 {
         f.next_up()
     } else {
         f
-    }
-}
-
-/// Deletion bookkeeping, built by the first `delete`.
-#[derive(Clone, Debug)]
-struct Tombstones {
-    /// Alive flag per position.
-    alive: Vec<bool>,
-    /// Position of the point labelled `l`.
-    pos_of_label: Vec<u32>,
-    /// Leaf node per position.
-    leaf_of_pos: Vec<u32>,
-    /// Parent per node (`NONE` at the root).
-    parent: Vec<u32>,
-    /// Alive points below each node, so exhausted subtrees are skipped in
-    /// `O(1)` and a delete is `O(depth)` count updates.
-    node_alive: Vec<u32>,
-    n_alive: usize,
-}
-
-impl Tombstones {
-    fn new(arena: &[Line], lines_per_node: usize, labels: &[u32]) -> Self {
-        let n = labels.len();
-        let mut pos_of_label = vec![NONE; n];
-        for (pos, &label) in labels.iter().enumerate() {
-            match pos_of_label.get_mut(label as usize) {
-                Some(slot) if *slot == NONE => *slot = pos as u32,
-                _ => panic!(
-                    "KdTree::delete requires unique labels (a permutation of 0..len, as \
-                     `build` and `build_par` assign); label {label} is repeated or out of range"
-                ),
-            }
-        }
-        let n_nodes = arena.len() / lines_per_node;
-        let mut leaf_of_pos = vec![NONE; n];
-        let mut parent = vec![NONE; n_nodes];
-        let mut node_alive = Vec::with_capacity(n_nodes);
-        for (ni, node) in arena.iter().step_by(lines_per_node).enumerate() {
-            node_alive.push(node.end - node.start);
-            if node.left == NONE {
-                leaf_of_pos[node.start as usize..node.end as usize].fill(ni as u32);
-            } else {
-                parent[node.left as usize] = ni as u32;
-                parent[node.right as usize] = ni as u32;
-            }
-        }
-        Tombstones {
-            alive: vec![true; n],
-            pos_of_label,
-            leaf_of_pos,
-            parent,
-            node_alive,
-            n_alive: n,
-        }
-    }
-
-    /// Flips the point labelled `id` to `alive`, adjusting the counts on its
-    /// leaf-to-root path. Returns `false` if it already was.
-    fn set_alive(&mut self, id: usize, alive: bool) -> bool {
-        let pos = self.pos_of_label[id] as usize;
-        if self.alive[pos] == alive {
-            return false;
-        }
-        self.alive[pos] = alive;
-        let mut ni = self.leaf_of_pos[pos];
-        while ni != NONE {
-            let count = &mut self.node_alive[ni as usize];
-            if alive {
-                *count += 1;
-            } else {
-                *count -= 1;
-            }
-            ni = self.parent[ni as usize];
-        }
-        if alive {
-            self.n_alive += 1;
-        } else {
-            self.n_alive -= 1;
-        }
-        true
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.alive.len()
-            + 4 * (self.pos_of_label.len()
-                + self.leaf_of_pos.len()
-                + self.parent.len()
-                + self.node_alive.len())
     }
 }
 
@@ -311,8 +211,8 @@ impl Build<'_> {
     }
 }
 
-/// A read-only kd-tree over points in `R^D`, with tombstone deletion on
-/// demand (see the module docs for the layout).
+/// A read-only kd-tree over points in `R^D` (see the module docs for the
+/// layout).
 #[derive(Clone, Debug)]
 pub struct KdTree {
     dim: usize,
@@ -324,7 +224,6 @@ pub struct KdTree {
     coords: Vec<f64>,
     /// `labels[pos]` = what a hit at `pos` reports.
     labels: Vec<u32>,
-    tombstones: Option<Box<Tombstones>>,
 }
 
 impl KdTree {
@@ -332,7 +231,7 @@ impl KdTree {
     /// buffer (`coords.len() == labels.len() * dim`), with up to `threads`
     /// scoped worker threads splitting the subtree recursion. A query
     /// reports `labels[i]` where a default build would report `i`; labels
-    /// may repeat, but [`DeletableIndex::delete`] then panics.
+    /// may repeat.
     ///
     /// The arena, point order and every query answer are **bit-identical**
     /// for every `threads` (the parallel path splices subtrees back in
@@ -372,7 +271,6 @@ impl KdTree {
             arena,
             coords: tree_coords,
             labels: tree_labels,
-            tombstones: None,
         }
     }
 
@@ -395,26 +293,22 @@ impl KdTree {
     }
 
     /// The traversal behind every query. Classifies each node once against
-    /// `region` and calls `visit(node index, header, contained)` for every
-    /// node whose points must be looked at: subtrees wholly inside the
-    /// region (`contained`) and partially overlapping leaves. Subtrees are
-    /// visited in DFS order; `visit` returning `false` aborts.
+    /// `region` and calls `visit(header, contained)` for every node whose
+    /// points must be looked at: subtrees wholly inside the region
+    /// (`contained`) and partially overlapping leaves. Subtrees are visited
+    /// in DFS order; `visit` returning `false` aborts.
     #[inline]
-    fn walk(&self, region: &Region, mut visit: impl FnMut(usize, &Line, bool) -> bool) {
+    fn walk(&self, region: &Region, mut visit: impl FnMut(&Line, bool) -> bool) {
         assert_eq!(region.dim(), self.dim, "region dimension mismatch");
         if self.arena.is_empty() {
             return;
         }
         let lines_per_node = self.lines_per_node;
-        let dead = self.tombstones.as_deref();
         let mut stack = [0u32; STACK_SLOTS];
         let mut top = 1;
         while top > 0 {
             top -= 1;
             let ni = stack[top] as usize;
-            if dead.is_some_and(|t| t.node_alive[ni] == 0) {
-                continue;
-            }
             let record = &self.arena[ni * lines_per_node..][..lines_per_node];
             let mut overlap = Overlap::Contained;
             for (c, line) in record.iter().enumerate() {
@@ -438,7 +332,7 @@ impl KdTree {
                     top += 2;
                 }
                 _ => {
-                    if !visit(ni, node, overlap == Overlap::Contained) {
+                    if !visit(node, overlap == Overlap::Contained) {
                         return;
                     }
                 }
@@ -446,31 +340,11 @@ impl KdTree {
         }
     }
 
-    /// Marks every point alive again and recomputes all subtree counts in
-    /// one `O(n + #nodes)` pass — much cheaper than per-point restores when
-    /// a query session tombstoned a large fraction of the structure.
-    pub fn restore_all(&mut self) {
-        let Some(t) = self.tombstones.as_deref_mut() else {
-            return;
-        };
-        t.alive.fill(true);
-        t.n_alive = t.alive.len();
-        let headers = self.arena.iter().step_by(self.lines_per_node);
-        for (count, node) in t.node_alive.iter_mut().zip(headers) {
-            *count = node.end - node.start;
-        }
-    }
-
-    /// Heap footprint in bytes: arena, coordinates and labels, plus the
-    /// tombstone side table once a `delete` has allocated it.
+    /// Heap footprint in bytes: arena, coordinates and labels.
     pub fn memory_bytes(&self) -> usize {
         self.arena.len() * std::mem::size_of::<Line>()
             + self.coords.len() * 8
             + self.labels.len() * 4
-            + self
-                .tombstones
-                .as_deref()
-                .map_or(0, Tombstones::memory_bytes)
     }
 }
 
@@ -496,47 +370,31 @@ impl OrthoIndex for KdTree {
         });
     }
 
-    fn report_first(&self, region: &Region) -> Option<usize> {
-        let mut first = None;
-        self.report_while(region, &mut |id| {
-            first = Some(id);
-            false
-        });
-        first
-    }
-
     fn count(&self, region: &Region) -> usize {
-        let dead = self.tombstones.as_deref();
         let mut total = 0;
-        self.walk(region, |ni, node, contained| {
+        self.walk(region, |node, contained| {
             let range = node.start as usize..node.end as usize;
-            total += match (contained, dead) {
-                (true, None) => range.len(),
-                (true, Some(t)) => t.node_alive[ni] as usize,
-                (false, _) => range
-                    .filter(|&pos| {
-                        dead.is_none_or(|t| t.alive[pos]) && region.contains(self.point(pos))
-                    })
-                    .count(),
+            total += if contained {
+                range.len()
+            } else {
+                range
+                    .filter(|&pos| region.contains(self.point(pos)))
+                    .count()
             };
             true
         });
         total
     }
 
-    /// Single-pass filtered reporting: calls `f(label)` for every alive
-    /// point inside `region`, in DFS order, aborting the whole traversal if
-    /// `f` returns `false`. Visits every tree node at most once per call, so
-    /// a whole query session costs one traversal — the enumeration loops of
-    /// Algorithms 2 and 4 use this with a reported-dataset mask instead of
-    /// physical deletions (same answers; `experiments --a3` compares the two).
+    /// Single-pass filtered reporting: calls `f(label)` for every point
+    /// inside `region`, in DFS order, aborting the whole traversal if `f`
+    /// returns `false`. Visits every tree node at most once per call, so a
+    /// whole query session costs one traversal — the enumeration loops of
+    /// Algorithms 2 and 4 use this with a reported-dataset mask where the
+    /// paper deletes the reported dataset's points.
     fn report_while(&self, region: &Region, f: &mut dyn FnMut(usize) -> bool) {
-        let dead = self.tombstones.as_deref();
-        self.walk(region, |_, node, contained| {
+        self.walk(region, |node, contained| {
             for pos in node.start as usize..node.end as usize {
-                if dead.is_some_and(|t| !t.alive[pos]) {
-                    continue;
-                }
                 if !contained && !region.contains(self.point(pos)) {
                     continue;
                 }
@@ -546,39 +404,6 @@ impl OrthoIndex for KdTree {
             }
             true
         });
-    }
-}
-
-impl DeletableIndex for KdTree {
-    /// # Panics
-    /// Panics if the tree was built with labels that are not a permutation
-    /// of `0..len`.
-    fn delete(&mut self, id: usize) -> bool {
-        self.tombstones
-            .get_or_insert_with(|| {
-                Box::new(Tombstones::new(
-                    &self.arena,
-                    self.lines_per_node,
-                    &self.labels,
-                ))
-            })
-            .set_alive(id, false)
-    }
-
-    fn restore(&mut self, id: usize) -> bool {
-        match self.tombstones.as_deref_mut() {
-            Some(t) => t.set_alive(id, true),
-            None => {
-                assert!(id < self.labels.len(), "id out of range");
-                false
-            }
-        }
-    }
-
-    fn alive(&self) -> usize {
-        self.tombstones
-            .as_deref()
-            .map_or(self.labels.len(), |t| t.n_alive)
     }
 }
 
@@ -599,7 +424,6 @@ mod tests {
         let mut out = vec![];
         t.report(&region, &mut out);
         assert!(out.is_empty());
-        assert_eq!(t.report_first(&region), None);
         assert_eq!(t.count(&region), 0);
     }
 
@@ -619,42 +443,6 @@ mod tests {
             .collect();
         assert_eq!(got, want);
         assert_eq!(t.count(&region), want.len());
-    }
-
-    #[test]
-    fn delete_restore_roundtrip() {
-        let pts = grid_points_2d(50);
-        let mut t = KdTree::build(2, pts);
-        let region = Region::closed(vec![0.0, 0.0], vec![9.0, 9.0]);
-        assert_eq!(t.count(&region), 50);
-        for id in 0..25 {
-            assert!(t.delete(id));
-        }
-        assert!(!t.delete(3), "double delete must be a no-op");
-        assert_eq!(t.count(&region), 25);
-        assert_eq!(t.alive(), 25);
-        let mut out = vec![];
-        t.report(&region, &mut out);
-        assert!(out.iter().all(|&id| id >= 25));
-        for id in 0..25 {
-            assert!(t.restore(id));
-        }
-        assert_eq!(t.count(&region), 50);
-    }
-
-    #[test]
-    fn report_first_exhausts_without_duplicates() {
-        // The Algorithm-2 usage pattern: repeatedly take one point and
-        // delete it; every alive point must be produced exactly once.
-        let pts = grid_points_2d(40);
-        let mut t = KdTree::build(2, pts);
-        let region = Region::closed(vec![0.0, 0.0], vec![4.0, 3.0]); // 5 x 4 grid corner
-        let mut seen = std::collections::BTreeSet::new();
-        while let Some(id) = t.report_first(&region) {
-            assert!(seen.insert(id), "duplicate id {id}");
-            assert!(t.delete(id));
-        }
-        assert_eq!(seen.len(), 20);
     }
 
     #[test]
@@ -699,36 +487,6 @@ mod tests {
                 assert_eq!(got, want);
             }
         }
-    }
-
-    #[test]
-    fn tombstone_table_appears_on_first_delete() {
-        let pts = grid_points_2d(100);
-        let mut t = KdTree::build(2, pts);
-        let region = Region::closed(vec![2.0, 3.0], vec![5.0, 6.0]);
-        let frozen_bytes = t.arena.len() * 64 + t.coords.len() * 8 + t.labels.len() * 4;
-        let mut before = vec![];
-        t.report(&region, &mut before);
-        // Never deleted from: no side table, and nothing allocates one.
-        assert!(!t.restore(7));
-        t.restore_all();
-        assert_eq!(t.alive(), 100);
-        assert!(t.tombstones.is_none());
-        assert_eq!(t.memory_bytes(), frozen_bytes);
-        // One delete + restore: the table exists from now on, is accounted
-        // for, and the answers (and their order) have not moved.
-        assert!(t.delete(7));
-        assert!(t.restore(7));
-        let n_nodes = t.arena.len();
-        assert_eq!(
-            t.memory_bytes(),
-            frozen_bytes + 100 * (1 + 4 + 4) + n_nodes * (4 + 4)
-        );
-        let mut after = vec![];
-        t.report(&region, &mut after);
-        assert_eq!(after, before);
-        assert_eq!(t.count(&region), before.len());
-        assert_eq!(t.alive(), 100);
     }
 
     #[test]

@@ -14,14 +14,9 @@
 //!   coordinates needing more than 24 bits), the points row-major in tree
 //!   order, and a `u32` label per point that a hit reports (the input index
 //!   by default; [`KdTree::build_labeled`] stores the caller's). It supports
-//!   `report`, `report_first`, `count` and the single-pass `report_while`
-//!   the query loops of Algorithms 2 and 4 use. `O(depth)` tombstone
-//!   `delete`/`restore` — the literal enumeration pattern of those
-//!   algorithms (find one point, delete the reported dataset's points,
-//!   continue, re-insert at the end) — keep their bookkeeping in a side
-//!   table allocated by the first `delete`, so a tree that is only read
-//!   never carries it. This is the default backend, substituting for the
-//!   literal multi-level dynamic range tree (`log^{4md} N`
+//!   `report`, `count` and the single-pass `report_while` the query loops
+//!   of Algorithms 2 and 4 use. This is the default backend, substituting
+//!   for the literal multi-level dynamic range tree (`log^{4md} N`
 //!   associated-structure blowup is not laptop-viable in the lifted
 //!   dimensions; `experiments --a2` compares the backends).
 //! * [`RangeTree`] — a faithful static multi-level range tree (De Berg et
@@ -31,9 +26,14 @@
 //!   the Pref index (Algorithms 5–6): threshold reporting over static or
 //!   dynamic score sets.
 //!
-//! The orthogonal backends take no point insertion: the paper needs it only
-//! for Remark 1's dynamic synopses, and `dds-core` realizes those one level
-//! up, as a Bentley–Saxe log of frozen indexes over whole datasets
+//! The orthogonal backends ([`OrthoIndex`]) are frozen after their build.
+//! A [`report_while`](OrthoIndex::report_while) whose callback returns
+//! `false` is `ReportFirst`. The paper deletes points only in the query loops of
+//! Algorithms 2 and 4 (delete a reported dataset's points, keep querying,
+//! re-insert them at the end); `dds-core` runs each loop as one filtered
+//! `report_while` pass with a reported-dataset mask. It inserts points only
+//! for Remark 1's dynamic synopses, which `dds-core` realizes one level up,
+//! as a Bentley–Saxe log of frozen indexes over whole datasets
 //! (`DynamicPtileIndex`).
 //!
 //! All query shapes are [`Region`]s: axis-parallel boxes with *per-bound
@@ -59,7 +59,7 @@ pub use scores::{DynScores, SortedScores, TotalF64};
 /// the indexes of the points in the build input (`0..n`), unless the
 /// structure was built with caller-chosen labels ([`KdTree::build_labeled`]).
 pub trait OrthoIndex {
-    /// Number of points the structure was built over (dead or alive).
+    /// Number of points the structure was built over.
     fn len(&self) -> usize;
 
     /// True if the structure holds no points.
@@ -70,17 +70,13 @@ pub trait OrthoIndex {
     /// Dimension of the indexed points.
     fn dim(&self) -> usize;
 
-    /// Appends the ids of all *alive* points inside `region` to `out`.
+    /// Appends the ids of all points inside `region` to `out`.
     fn report(&self, region: &Region, out: &mut Vec<usize>);
 
-    /// Returns the id of one arbitrary alive point inside `region`, or
-    /// `None`. This is the paper's `ReportFirst` (Section 2).
-    fn report_first(&self, region: &Region) -> Option<usize>;
-
-    /// Streaming filtered reporting: calls `f(id)` for every alive point
-    /// inside `region`, stopping early when `f` returns `false`. The
-    /// default materializes `report`; backends override with a single-pass
-    /// traversal.
+    /// Streaming filtered reporting: calls `f(id)` for every point inside
+    /// `region`, stopping early when `f` returns `false` (stopping at the
+    /// first call is the paper's `ReportFirst`). The default materializes
+    /// `report`; backends override with a single-pass traversal.
     fn report_while(&self, region: &Region, f: &mut dyn FnMut(usize) -> bool) {
         let mut ids = Vec::new();
         self.report(region, &mut ids);
@@ -91,22 +87,8 @@ pub trait OrthoIndex {
         }
     }
 
-    /// Counts alive points inside `region`.
+    /// Counts points inside `region`.
     fn count(&self, region: &Region) -> usize;
-}
-
-/// Orthogonal search with tombstone deletion, as required by the query
-/// procedures of Algorithms 2 and 4 (delete the reported dataset's points,
-/// keep querying, re-insert everything afterwards).
-pub trait DeletableIndex: OrthoIndex {
-    /// Marks a point dead. Returns `false` if it was already dead.
-    fn delete(&mut self, id: usize) -> bool;
-
-    /// Marks a point alive again. Returns `false` if it was already alive.
-    fn restore(&mut self, id: usize) -> bool;
-
-    /// Number of alive points.
-    fn alive(&self) -> usize;
 }
 
 /// Indexes constructible from a batch of points.

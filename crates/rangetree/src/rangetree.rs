@@ -198,36 +198,6 @@ impl RangeTree {
         self.report_bst(r, h, region, out);
     }
 
-    fn first_level(&self, level: &Level, region: &Region) -> Option<usize> {
-        match level {
-            Level::Last { h, keys, ids } => {
-                let b = DimBounds::of(region, *h);
-                let (s, e) = b.key_range(keys);
-                ids.get(s..e).and_then(|r| r.first()).map(|&i| i as usize)
-            }
-            Level::Inner { h, root } => self.first_bst(root, *h, region),
-        }
-    }
-
-    fn first_bst(&self, node: &BstNode, h: usize, region: &Region) -> Option<usize> {
-        let b = DimBounds::of(region, h);
-        if b.disjoint(node.min, node.max) {
-            return None;
-        }
-        if b.covers(node.min, node.max) {
-            return self.first_level(&node.assoc, region);
-        }
-        if let Some(ids) = &node.leaf_ids {
-            return ids
-                .iter()
-                .find(|&&i| region.contains(&self.points[i as usize]))
-                .map(|&i| i as usize);
-        }
-        let (l, r) = node.children.as_ref().expect("internal node has children");
-        self.first_bst(l, h, region)
-            .or_else(|| self.first_bst(r, h, region))
-    }
-
     fn count_level(&self, level: &Level, region: &Region) -> usize {
         match level {
             Level::Last { h, keys, .. } => {
@@ -317,11 +287,6 @@ impl OrthoIndex for RangeTree {
         }
     }
 
-    fn report_first(&self, region: &Region) -> Option<usize> {
-        assert_eq!(region.dim(), self.dim, "region dimension mismatch");
-        self.root.as_ref().and_then(|r| self.first_level(r, region))
-    }
-
     fn count(&self, region: &Region) -> usize {
         assert_eq!(region.dim(), self.dim, "region dimension mismatch");
         self.root
@@ -352,7 +317,6 @@ mod tests {
             .collect();
         assert_eq!(got, want);
         assert_eq!(t.count(&region), want.len());
-        assert!(t.report_first(&region).is_some());
     }
 
     #[test]
@@ -369,7 +333,6 @@ mod tests {
     #[test]
     fn empty_tree() {
         let t = RangeTree::build(4, vec![]);
-        assert_eq!(t.report_first(&Region::all(4)), None);
         assert_eq!(t.count(&Region::all(4)), 0);
     }
 }

@@ -74,15 +74,18 @@ impl SortedScores {
         &self.ids[self.keys.partition_point(|k| *k < t)..]
     }
 
-    /// Counts scores `≥ t`.
-    pub fn count_at_least(&self, t: f64) -> usize {
-        self.keys.len() - self.keys.partition_point(|k| *k < t)
-    }
-
     /// The scores in ascending order.
     pub fn keys(&self) -> &[f64] {
         &self.keys
     }
+}
+
+/// The set key of a score. `total_cmp` orders −0.0 below +0.0, so a −0.0
+/// score (a dot product summed from −0.0) would fall below a threshold of
+/// 0.0 that `<` admits; `+ 0.0` turns −0.0 into +0.0 and leaves every
+/// other value as it is, so the set agrees with [`SortedScores`].
+fn key(score: f64) -> TotalF64 {
+    TotalF64(score + 0.0)
 }
 
 /// Dynamic ordered score set supporting synopsis insertion/deletion.
@@ -113,22 +116,17 @@ impl DynScores {
     /// Panics on NaN.
     pub fn insert(&mut self, id: usize, score: f64) -> bool {
         assert!(!score.is_nan(), "NaN score");
-        self.set.insert((TotalF64(score), id))
+        self.set.insert((key(score), id))
     }
 
     /// Removes `(score, id)`. Returns `false` if absent.
     pub fn remove(&mut self, id: usize, score: f64) -> bool {
-        self.set.remove(&(TotalF64(score), id))
+        self.set.remove(&(key(score), id))
     }
 
     /// Appends every id with score `≥ t` in `O(log N + OUT)`.
     pub fn report_at_least(&self, t: f64, out: &mut Vec<usize>) {
         out.extend(self.set.range((TotalF64(t), 0)..).map(|&(_, id)| id));
-    }
-
-    /// Counts entries with score `≥ t` (linear tail walk; used in tests).
-    pub fn count_at_least(&self, t: f64) -> usize {
-        self.set.range((TotalF64(t), 0)..).count()
     }
 }
 
@@ -143,13 +141,14 @@ mod tests {
         s.report_at_least(0.6, &mut out);
         out.sort_unstable();
         assert_eq!(out, vec![1, 3]);
-        assert_eq!(s.count_at_least(0.6), 2);
-        assert_eq!(s.count_at_least(2.0), 0);
         // Closed boundary included.
         let mut out2 = vec![];
         s.report_at_least(0.7, &mut out2);
         out2.sort_unstable();
         assert_eq!(out2, vec![1, 3]);
+        let mut none = vec![];
+        s.report_at_least(2.0, &mut none);
+        assert!(none.is_empty());
     }
 
     #[test]
@@ -164,7 +163,26 @@ mod tests {
         d.report_at_least(0.5, &mut out);
         out.sort_unstable();
         assert_eq!(out, vec![0, 1]);
-        assert_eq!(d.count_at_least(0.0), 2);
+    }
+
+    #[test]
+    fn negative_zero_scores_meet_a_zero_threshold() {
+        // `Point::dot` of a point at the origin along a negative axis sums
+        // to −0.0; the sorted and the dynamic structure must both admit it
+        // at threshold 0.0, and the dynamic one must still remove it.
+        let mut sorted = vec![];
+        SortedScores::build(&[-0.0]).report_at_least(0.0, &mut sorted);
+        assert_eq!(sorted, vec![0]);
+        let mut d = DynScores::new();
+        assert!(d.insert(0, -0.0));
+        let mut out = vec![];
+        d.report_at_least(0.0, &mut out);
+        assert_eq!(out, vec![0]);
+        let mut at_neg_zero = vec![];
+        d.report_at_least(-0.0, &mut at_neg_zero);
+        assert_eq!(at_neg_zero, vec![0]);
+        assert!(d.remove(0, -0.0));
+        assert!(d.is_empty());
     }
 
     #[test]

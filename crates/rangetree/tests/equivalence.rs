@@ -1,10 +1,9 @@
 //! Randomized equivalence of all orthogonal-search backends against the
-//! brute-force reference, including strict bounds, tombstones and the
-//! ReportFirst exhaustion pattern used by the paper's query procedures.
+//! brute-force reference, including strict bounds, `f32`-hostile
+//! coordinates and the early-stopping `report_while` that stands in for the
+//! paper's `ReportFirst`.
 
-use dds_rangetree::{
-    BruteForce, BuildableIndex, DeletableIndex, KdTree, OrthoIndex, RangeTree, Region,
-};
+use dds_rangetree::{BruteForce, BuildableIndex, KdTree, OrthoIndex, RangeTree, Region};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -41,8 +40,9 @@ fn sorted(mut v: Vec<usize>) -> Vec<usize> {
     v
 }
 
-/// `report` (as a set), `count`, `report_first` membership and
-/// `report_while` (full pass and early stop) of `kd` against the scan.
+/// `report` (as a set), `count` and `report_while` (full pass, and an
+/// early stop that sees exactly the first reported id) of `kd` against the
+/// scan.
 fn assert_matches_brute(kd: &KdTree, brute: &BruteForce, region: &Region) {
     let mut want = vec![];
     brute.report(region, &mut want);
@@ -51,22 +51,18 @@ fn assert_matches_brute(kd: &KdTree, brute: &BruteForce, region: &Region) {
     kd.report(region, &mut got);
     assert_eq!(sorted(got.clone()), want, "report under {region:?}");
     assert_eq!(kd.count(region), want.len(), "count under {region:?}");
-    match kd.report_first(region) {
-        Some(id) => assert!(want.contains(&id), "report_first under {region:?}"),
-        None => assert!(want.is_empty(), "report_first under {region:?}"),
-    }
     let mut streamed = vec![];
     kd.report_while(region, &mut |id| {
         streamed.push(id);
         true
     });
     assert_eq!(streamed, got, "report_while order under {region:?}");
-    let mut calls = 0;
-    kd.report_while(region, &mut |_| {
-        calls += 1;
+    let mut first = vec![];
+    kd.report_while(region, &mut |id| {
+        first.push(id);
         false
     });
-    assert_eq!(calls, usize::from(!want.is_empty()), "early stop");
+    assert_eq!(first, got[..got.len().min(1)], "early stop");
 }
 
 #[test]
@@ -95,78 +91,9 @@ fn kdtree_and_rangetree_match_bruteforce() {
                 assert_eq!(sorted(got_rt), want, "rt report dim={dim}");
                 assert_eq!(kd.count(&region), want.len(), "kd count dim={dim}");
                 assert_eq!(rt.count(&region), want.len(), "rt count dim={dim}");
-                // report_first returns a member of the answer set.
-                match kd.report_first(&region) {
-                    Some(id) => assert!(want.contains(&id)),
-                    None => assert!(want.is_empty()),
-                }
-                match rt.report_first(&region) {
-                    Some(id) => assert!(want.contains(&id)),
-                    None => assert!(want.is_empty()),
-                }
             }
         }
     }
-}
-
-#[test]
-fn kdtree_tombstones_match_bruteforce() {
-    let mut rng = StdRng::seed_from_u64(7);
-    let dim = 3;
-    let pts = gridded_points(&mut rng, 400, dim);
-    let mut brute = BruteForce::build(dim, pts.clone());
-    let mut kd = KdTree::build(dim, pts.clone());
-    // Before the first delete the kd-tree has no tombstone table; every
-    // tombstone operation must already behave as if all points were alive.
-    assert_eq!(kd.alive(), brute.alive());
-    assert_eq!(kd.restore(17), brute.restore(17));
-    kd.restore_all();
-    assert_eq!(kd.alive(), pts.len());
-    assert_matches_brute(&kd, &brute, &random_region(&mut rng, dim));
-    for step in 0..600 {
-        let id = rng.gen_range(0..pts.len());
-        if rng.gen_bool(0.5) {
-            assert_eq!(brute.delete(id), kd.delete(id), "delete step {step}");
-        } else {
-            assert_eq!(brute.restore(id), kd.restore(id), "restore step {step}");
-        }
-        if step % 200 == 150 {
-            kd.restore_all();
-            for id in 0..pts.len() {
-                brute.restore(id);
-            }
-        }
-        if step % 50 == 0 {
-            assert_matches_brute(&kd, &brute, &random_region(&mut rng, dim));
-            assert_eq!(kd.alive(), brute.alive());
-        }
-    }
-}
-
-#[test]
-fn report_first_exhaustion_enumerates_answer_set_exactly() {
-    // The exact enumeration loop of Algorithm 2: ReportFirst + delete until
-    // empty must produce the answer set with no duplicates, on every backend.
-    let mut rng = StdRng::seed_from_u64(99);
-    let dim = 2;
-    let pts = gridded_points(&mut rng, 250, dim);
-    let region = random_region(&mut rng, dim);
-    let brute = BruteForce::build(dim, pts.clone());
-    let mut want = vec![];
-    brute.report(&region, &mut want);
-    let want = sorted(want);
-
-    let mut kd = KdTree::build(dim, pts.clone());
-    let mut got = vec![];
-    while let Some(id) = kd.report_first(&region) {
-        got.push(id);
-        assert!(kd.delete(id));
-    }
-    assert_eq!(sorted(got.clone()), want);
-    for id in got {
-        assert!(kd.restore(id));
-    }
-    assert_eq!(kd.alive(), pts.len());
 }
 
 #[test]
@@ -298,19 +225,15 @@ fn kdtree_matches_bruteforce_when_all_coordinates_are_equal() {
     }
 }
 
-/// A labeled build over `pts` where point `i` carries label `i % 5`.
-fn build_with_repeated_labels(dim: usize, pts: &[Vec<f64>]) -> KdTree {
-    let labels = (0..pts.len() as u32).map(|i| i % 5).collect();
-    KdTree::build_labeled(dim, pts.concat(), labels, 1)
-}
-
 #[test]
 fn labeled_build_reports_labels_in_dfs_order() {
     let mut rng = StdRng::seed_from_u64(31);
     let dim = 3;
     let pts = gridded_points(&mut rng, 300, dim);
     let by_id = KdTree::build(dim, pts.clone());
-    let by_label = build_with_repeated_labels(dim, &pts);
+    // Point `i` carries label `i % 5`.
+    let labels = (0..pts.len() as u32).map(|i| i % 5).collect();
+    let by_label = KdTree::build_labeled(dim, pts.concat(), labels, 1);
     assert_eq!(by_label.len(), pts.len());
     for _ in 0..25 {
         let region = random_region(&mut rng, dim);
@@ -322,14 +245,5 @@ fn labeled_build_reports_labels_in_dfs_order() {
         let want: Vec<usize> = ids.iter().map(|id| id % 5).collect();
         assert_eq!(labels, want);
         assert_eq!(by_label.count(&region), ids.len());
-        assert_eq!(by_label.report_first(&region), want.first().copied());
     }
-}
-
-#[test]
-#[should_panic(expected = "unique labels")]
-fn delete_on_repeated_labels_panics() {
-    let mut rng = StdRng::seed_from_u64(32);
-    let pts = gridded_points(&mut rng, 40, 2);
-    build_with_repeated_labels(2, &pts).delete(3);
 }

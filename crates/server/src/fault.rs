@@ -121,12 +121,6 @@ impl FaultPlan {
         self
     }
 
-    /// The seed this plan derives everything from — print it on failure;
-    /// re-running with the same seed replays the same faults.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Connection `conn`'s fate, a pure function of (seed, conn).
     fn conn(&self, conn: u64) -> ConnPlan {
         let mut s = self

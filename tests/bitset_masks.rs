@@ -176,7 +176,6 @@ fn bitset_primitive_word_boundaries() {
             s.iter_ones().collect::<Vec<_>>(),
             (0..n).step_by(2).collect::<Vec<_>>()
         );
-        s.or_assign(&evens);
         assert_eq!(s.count_ones(), n.div_ceil(2));
         assert!(!s.contains(n), "out of universe");
     }

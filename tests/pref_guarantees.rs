@@ -9,6 +9,8 @@ use dds_core::baseline::LinearScanPref;
 use dds_core::guarantee::check_pref;
 use dds_core::pool::BuildOptions;
 use dds_core::pref::{DynamicPrefIndex, PrefBuildParams, PrefIndex, PrefMultiIndex};
+use dds_geom::Point;
+use dds_synopsis::ExactSynopsis;
 use dds_workload::queries;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -182,6 +184,27 @@ fn dynamic_pref_tracks_static_answers() {
     let hits = dyn_idx.query(&v, -1.0);
     assert!(hits.iter().all(|&h| h % 2 == 1), "removed handles reported");
     assert_eq!(hits.len(), 20);
+}
+
+#[test]
+fn dynamic_pref_keeps_negative_zero_scores() {
+    // Along u = (−1), dataset 0's best point is the origin, and its score
+    // −1 · 0.0 sums to −0.0. At a_θ = margin() the reporting threshold is
+    // 0.0, which −0.0 meets: both indexes must report dataset 0 alone.
+    let synopses = [
+        ExactSynopsis::new(vec![Point::one(0.0), Point::one(0.5)]),
+        ExactSynopsis::new(vec![Point::one(0.3), Point::one(0.6)]),
+    ];
+    let params = PrefBuildParams::exact_centralized();
+    let static_idx = PrefIndex::build_opts(&synopses, 1, params.clone(), &BuildOptions::serial());
+    let mut dyn_idx = DynamicPrefIndex::new(1, 1, params);
+    for s in &synopses {
+        dyn_idx.insert_synopsis(s);
+    }
+    let a = static_idx.margin();
+    assert_eq!(a, dyn_idx.margin());
+    assert_eq!(static_idx.query(&[-1.0], a), vec![0]);
+    assert_eq!(dyn_idx.query(&[-1.0], a), vec![0]);
 }
 
 #[test]
