@@ -38,8 +38,27 @@
 //! power, and only for coordinates that need more than 24 significant bits
 //! *and* a query bound that falls inside the rounding gap (±1e300 rounds to
 //! `f32::MAX` / ∞ and prunes like an unbounded facet).
+//!
+//! The region side of each test is exact too: the [`Region`] keeps every
+//! bound in closed form (a strict `x > v` as `x ≥ v.next_up()`, a strict
+//! `x < v` as `x ≤ v.next_down()`, equivalent on every `f64`), so a box
+//! test is `lo ≤ box_hi` and `box_lo ≤ hi` (meets) and `lo ≤ box_lo`,
+//! `box_hi ≤ hi` (inside) on every axis, combined with `&` and no early
+//! exit, and a point test is `lo ≤ x ≤ hi` likewise. The one strict bound
+//! with no closed twin — `x > +∞` or `x < −∞`, the empty axis — is stored
+//! as `NaN`, which fails every comparison: the root box does not meet it,
+//! so the walk reports nothing without touching a point.
+//!
+//! # The kernel
+//!
+//! A query is one DFS over the arena. A node that does not meet the region
+//! is pruned; one inside it reports its whole range unchecked; a partial
+//! inner node pushes its children. A partial leaf (at most `LEAF_SIZE`
+//! points) is scanned with a branch-free append: every point's label is
+//! written to a stack buffer and the write position advances by the point
+//! test's outcome, and the buffer is reported afterwards, so the branch a
+//! hit costs is taken once per leaf, not once per point.
 
-use crate::region::Overlap;
 use crate::{BuildableIndex, OrthoIndex, Region};
 
 const LEAF_SIZE: usize = 8;
@@ -287,16 +306,12 @@ impl KdTree {
         Self::build_labeled(dim, coords, (0..n as u32).collect(), threads)
     }
 
-    #[inline]
-    fn point(&self, pos: usize) -> &[f64] {
-        &self.coords[pos * self.dim..][..self.dim]
-    }
-
     /// The traversal behind every query. Classifies each node once against
-    /// `region` and calls `visit(header, contained)` for every node whose
-    /// points must be looked at: subtrees wholly inside the region
-    /// (`contained`) and partially overlapping leaves. Subtrees are visited
-    /// in DFS order; `visit` returning `false` aborts.
+    /// `region`, testing every axis of every line of its record, and calls
+    /// `visit(header, contained)` for every node whose points must be looked
+    /// at: subtrees wholly inside the region (`contained`) and partially
+    /// overlapping leaves. Subtrees are visited in DFS order; `visit`
+    /// returning `false` aborts.
     #[inline]
     fn walk(&self, region: &Region, mut visit: impl FnMut(&Line, bool) -> bool) {
         assert_eq!(region.dim(), self.dim, "region dimension mismatch");
@@ -310,34 +325,49 @@ impl KdTree {
             top -= 1;
             let ni = stack[top] as usize;
             let record = &self.arena[ni * lines_per_node..][..lines_per_node];
-            let mut overlap = Overlap::Contained;
+            let mut meets = true;
+            let mut inside = true;
             for (c, line) in record.iter().enumerate() {
                 let at = c * LINE_DIMS;
                 let k = LINE_DIMS.min(self.dim - at);
-                match region.classify_bbox(at, &line.lo[..k], &line.hi[..k]) {
-                    Overlap::Disjoint => {
-                        overlap = Overlap::Disjoint;
-                        break;
-                    }
-                    Overlap::Partial => overlap = Overlap::Partial,
-                    Overlap::Contained => {}
-                }
+                let (m, i) = region.classify_bbox(at, &line.lo[..k], &line.hi[..k]);
+                meets &= m;
+                inside &= i;
             }
             let node = &record[0];
-            match overlap {
-                Overlap::Disjoint => {}
-                Overlap::Partial if node.left != NONE => {
-                    stack[top] = node.right;
-                    stack[top + 1] = node.left;
-                    top += 2;
-                }
-                _ => {
-                    if !visit(node, overlap == Overlap::Contained) {
-                        return;
-                    }
-                }
+            if !meets {
+                continue;
+            }
+            if !inside && node.left != NONE {
+                stack[top] = node.right;
+                stack[top + 1] = node.left;
+                top += 2;
+            } else if !visit(node, inside) {
+                return;
             }
         }
+    }
+
+    /// Tests the points of a partially overlapping leaf against `region`
+    /// and appends the labels of those inside to `hits`, in tree order,
+    /// with no branch on the outcome: every label is written, and the
+    /// write position advances only past those inside. Returns the number
+    /// of hits.
+    #[inline]
+    fn scan_leaf(&self, node: &Line, region: &Region, hits: &mut [u32; LEAF_SIZE]) -> usize {
+        let range = node.start as usize..node.end as usize;
+        debug_assert!(range.len() <= LEAF_SIZE, "only leaves overlap partially");
+        let mut n = 0;
+        for (p, &label) in self.coords[range.start * self.dim..range.end * self.dim]
+            .chunks_exact(self.dim)
+            .zip(&self.labels[range])
+        {
+            // `n` counts hits among the points before this one, so it is
+            // below LEAF_SIZE and the mask only spares a bounds check.
+            hits[n % LEAF_SIZE] = label;
+            n += usize::from(region.contains(p));
+        }
+        n
     }
 
     /// Heap footprint in bytes: arena, coordinates and labels.
@@ -372,14 +402,12 @@ impl OrthoIndex for KdTree {
 
     fn count(&self, region: &Region) -> usize {
         let mut total = 0;
+        let mut hits = [0; LEAF_SIZE];
         self.walk(region, |node, contained| {
-            let range = node.start as usize..node.end as usize;
             total += if contained {
-                range.len()
+                (node.end - node.start) as usize
             } else {
-                range
-                    .filter(|&pos| region.contains(self.point(pos)))
-                    .count()
+                self.scan_leaf(node, region, &mut hits)
             };
             true
         });
@@ -393,16 +421,15 @@ impl OrthoIndex for KdTree {
     /// Algorithms 2 and 4 use this with a reported-dataset mask where the
     /// paper deletes the reported dataset's points.
     fn report_while(&self, region: &Region, f: &mut dyn FnMut(usize) -> bool) {
+        let mut hits = [0; LEAF_SIZE];
         self.walk(region, |node, contained| {
-            for pos in node.start as usize..node.end as usize {
-                if !contained && !region.contains(self.point(pos)) {
-                    continue;
-                }
-                if !f(self.labels[pos] as usize) {
-                    return false;
-                }
-            }
-            true
+            let labels = if contained {
+                &self.labels[node.start as usize..node.end as usize]
+            } else {
+                let n = self.scan_leaf(node, region, &mut hits);
+                &hits[..n]
+            };
+            labels.iter().all(|&label| f(label as usize))
         });
     }
 }

@@ -38,7 +38,9 @@
 //!
 //! All query shapes are [`Region`]s: axis-parallel boxes with *per-bound
 //! strictness*, because the paper's orthants mix closed and open bounds
-//! (e.g. `R' = [R⁻,∞) × (−∞,R⁻) × (−∞,R⁺] × (R⁺,∞)` in Algorithm 4).
+//! (e.g. `R' = [R⁻,∞) × (−∞,R⁻) × (−∞,R⁺] × (R⁺,∞)` in Algorithm 4). A
+//! region stores each strict bound as the equivalent closed one (`x > v` as
+//! `x ≥ v.next_up()`), so every backend tests `lo ≤ x ≤ hi` alone.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

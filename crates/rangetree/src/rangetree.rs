@@ -45,76 +45,41 @@ struct BstNode {
     children: Option<(Box<BstNode>, Box<BstNode>)>,
 }
 
-/// Binary-search helpers over a region's single dimension with strictness.
+/// One dimension of a region, as the closed bounds it keeps (see
+/// [the closed form](Region#closed-form)): a key `x` satisfies it iff
+/// `lo ≤ x ≤ hi`, and a `NaN` (empty-axis) bound fails every comparison.
 struct DimBounds {
     lo: f64,
     hi: f64,
-    lo_strict: bool,
-    hi_strict: bool,
 }
 
 impl DimBounds {
     fn of(region: &Region, h: usize) -> Self {
-        // Region stores strictness internally; recover it via contains()
-        // probes would be fragile, so Region exposes bounds and we re-derive
-        // strictness from dedicated accessors below.
         DimBounds {
             lo: region.lo()[h],
             hi: region.hi()[h],
-            lo_strict: region.lo_strict(h),
-            hi_strict: region.hi_strict(h),
         }
-    }
-
-    #[inline]
-    fn admits(&self, x: f64) -> bool {
-        let lo_ok = if self.lo_strict {
-            x > self.lo
-        } else {
-            x >= self.lo
-        };
-        let hi_ok = if self.hi_strict {
-            x < self.hi
-        } else {
-            x <= self.hi
-        };
-        lo_ok && hi_ok
     }
 
     /// The whole closed interval `[min, max]` satisfies the bounds.
     #[inline]
     fn covers(&self, min: f64, max: f64) -> bool {
-        self.admits(min) && self.admits(max)
+        (self.lo <= min) & (max <= self.hi)
     }
 
     /// The closed interval `[min, max]` is disjoint from the bounds.
     #[inline]
     fn disjoint(&self, min: f64, max: f64) -> bool {
-        let below = if self.lo_strict {
-            max <= self.lo
-        } else {
-            max < self.lo
-        };
-        let above = if self.hi_strict {
-            min >= self.hi
-        } else {
-            min > self.hi
-        };
-        below || above
+        !((self.lo <= max) & (min <= self.hi))
     }
 
-    /// Index range of satisfying keys in a sorted array.
+    /// Index range of satisfying keys in a sorted, NaN-free array.
+    // `!(lo <= k)`, not `k < lo`: a NaN lower bound must put every key
+    // below it.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
     fn key_range(&self, keys: &[f64]) -> (usize, usize) {
-        let start = if self.lo_strict {
-            keys.partition_point(|k| *k <= self.lo)
-        } else {
-            keys.partition_point(|k| *k < self.lo)
-        };
-        let end = if self.hi_strict {
-            keys.partition_point(|k| *k < self.hi)
-        } else {
-            keys.partition_point(|k| *k <= self.hi)
-        };
+        let start = keys.partition_point(|&k| !(self.lo <= k));
+        let end = keys.partition_point(|&k| k <= self.hi);
         (start, end.max(start))
     }
 }

@@ -1,39 +1,67 @@
-//! Axis-parallel query regions with per-bound strictness.
+//! Axis-parallel query regions, each bound kept in closed form.
 
 /// An axis-parallel box query `∏_h (lo_h, hi_h)` where each bound is
-/// independently closed or open. Open bounds are required to express the
-/// paper's query orthants faithfully (Algorithm 4 uses `(−∞, R⁻_h)` and
-/// `(R⁺_h, ∞)` factors) without floating-point nudging.
+/// independently closed or strict. Strict bounds are required to express
+/// the paper's query orthants faithfully (Algorithm 4 uses `(−∞, R⁻_h)` and
+/// `(R⁺_h, ∞)` factors).
+///
+/// # Closed form
+///
+/// Every bound is stored once, closed: a strict `x > v` is kept as
+/// `x ≥ v.next_up()` and a strict `x < v` as `x ≤ v.next_down()`. No `f64`
+/// lies strictly between `v` and its neighbour, so the two predicates agree
+/// on every non-NaN coordinate, and every test in the crate is a plain
+/// `lo ≤ x ≤ hi` per axis, combined with `&` over all axes and no early
+/// exit. Signed zeros need no care: `0.0.next_up()` and `(-0.0).next_up()`
+/// are both the least positive subnormal, which `±0.0` both fail.
+///
+/// The one bound with no closed equivalent is the **empty axis**: a strict
+/// lower bound at `+∞` (or strict upper bound at `−∞`), which no value
+/// satisfies — `∞.next_up()` is `∞` again and would admit a `+∞`
+/// coordinate. Such a bound (and a `NaN` bound, which no literal comparison
+/// satisfies either) is stored as `NaN`: every `≤` against it is false, so
+/// the axis admits nothing and every box is disjoint from it. Algorithm 4
+/// reaches it: its orthant sets a strict upper bound at `R⁻`, which is `−∞`
+/// for an unbounded query rectangle.
+///
+/// A `NaN` coordinate satisfies no bound, as with the literal `>`/`≥`
+/// predicates; the trees refuse `NaN` at build, only
+/// [`BruteForce`](crate::BruteForce) can hold one.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Region {
+    /// Closed lower bounds: axis `h` admits `x` iff `lo[h] ≤ x ≤ hi[h]`.
     lo: Vec<f64>,
+    /// Closed upper bounds.
     hi: Vec<f64>,
-    lo_strict: Vec<bool>,
-    hi_strict: Vec<bool>,
+}
+
+/// The closed lower bound equivalent to `x ≥ v` or, if `strict`, `x > v`.
+fn closed_lo(v: f64, strict: bool) -> f64 {
+    match (strict, v) {
+        (false, _) => v,
+        (true, f64::INFINITY) => f64::NAN,
+        (true, _) => v.next_up(),
+    }
+}
+
+/// The closed upper bound equivalent to `x ≤ v` or, if `strict`, `x < v`.
+fn closed_hi(v: f64, strict: bool) -> f64 {
+    match (strict, v) {
+        (false, _) => v,
+        (true, f64::NEG_INFINITY) => f64::NAN,
+        (true, _) => v.next_down(),
+    }
 }
 
 impl Region {
-    /// Builds a region with explicit strictness flags.
+    /// A fully closed box `[lo_1, hi_1] × … × [lo_d, hi_d]`.
     ///
     /// # Panics
-    /// Panics on arity mismatches or empty dimension.
-    pub fn new(lo: Vec<f64>, hi: Vec<f64>, lo_strict: Vec<bool>, hi_strict: Vec<bool>) -> Self {
+    /// Panics on an arity mismatch or an empty dimension.
+    pub fn closed(lo: Vec<f64>, hi: Vec<f64>) -> Self {
         assert!(!lo.is_empty(), "regions must have dimension >= 1");
         assert_eq!(lo.len(), hi.len(), "bound arity mismatch");
-        assert_eq!(lo.len(), lo_strict.len(), "lo_strict arity mismatch");
-        assert_eq!(lo.len(), hi_strict.len(), "hi_strict arity mismatch");
-        Region {
-            lo,
-            hi,
-            lo_strict,
-            hi_strict,
-        }
-    }
-
-    /// A fully closed box `[lo_1, hi_1] × … × [lo_d, hi_d]`.
-    pub fn closed(lo: Vec<f64>, hi: Vec<f64>) -> Self {
-        let d = lo.len();
-        Region::new(lo, hi, vec![false; d], vec![false; d])
+        Region { lo, hi }
     }
 
     /// The unbounded region over `dim` dimensions.
@@ -47,28 +75,16 @@ impl Region {
         self.lo.len()
     }
 
-    /// Lower bounds.
+    /// Closed lower bounds (see [the closed form](Region#closed-form)).
     #[inline]
-    pub fn lo(&self) -> &[f64] {
+    pub(crate) fn lo(&self) -> &[f64] {
         &self.lo
     }
 
-    /// Upper bounds.
+    /// Closed upper bounds (see [the closed form](Region#closed-form)).
     #[inline]
-    pub fn hi(&self) -> &[f64] {
+    pub(crate) fn hi(&self) -> &[f64] {
         &self.hi
-    }
-
-    /// True if the lower bound of dimension `h` is strict (open).
-    #[inline]
-    pub fn lo_strict(&self, h: usize) -> bool {
-        self.lo_strict[h]
-    }
-
-    /// True if the upper bound of dimension `h` is strict (open).
-    #[inline]
-    pub fn hi_strict(&self, h: usize) -> bool {
-        self.hi_strict[h]
     }
 
     /// Restricts dimension `h` to the (closed or strict) lower bound `v`.
@@ -86,15 +102,13 @@ impl Region {
     /// In-place variant of [`with_lo`](Self::with_lo) for reused regions.
     #[inline]
     pub fn set_lo(&mut self, h: usize, v: f64, strict: bool) {
-        self.lo[h] = v;
-        self.lo_strict[h] = strict;
+        self.lo[h] = closed_lo(v, strict);
     }
 
     /// In-place variant of [`with_hi`](Self::with_hi) for reused regions.
     #[inline]
     pub fn set_hi(&mut self, h: usize, v: f64, strict: bool) {
-        self.hi[h] = v;
-        self.hi_strict[h] = strict;
+        self.hi[h] = closed_hi(v, strict);
     }
 
     /// Resets this region to [`Region::all`]`(dim)` **reusing its buffers**
@@ -107,82 +121,48 @@ impl Region {
         self.lo.resize(dim, f64::NEG_INFINITY);
         self.hi.clear();
         self.hi.resize(dim, f64::INFINITY);
-        self.lo_strict.clear();
-        self.lo_strict.resize(dim, false);
-        self.hi_strict.clear();
-        self.hi_strict.resize(dim, false);
     }
 
-    /// True if the point `p` satisfies every bound.
+    /// True if the point `p` satisfies every bound. Tests every axis, with
+    /// no early exit.
     #[inline]
     pub fn contains(&self, p: &[f64]) -> bool {
         debug_assert_eq!(p.len(), self.dim());
-        for (h, &x) in p.iter().enumerate() {
-            if self.lo_strict[h] {
-                if x <= self.lo[h] {
-                    return false;
-                }
-            } else if x < self.lo[h] {
-                return false;
-            }
-            if self.hi_strict[h] {
-                if x >= self.hi[h] {
-                    return false;
-                }
-            } else if x > self.hi[h] {
-                return false;
-            }
+        let mut inside = true;
+        for ((&x, &lo), &hi) in p.iter().zip(&self.lo).zip(&self.hi) {
+            inside &= (lo <= x) & (x <= hi);
         }
-        true
+        inside
     }
 
     /// Relates the closed box `[blo, bhi]` to dimensions `at..at + blo.len()`
-    /// of the region in one pass: [`Overlap::Disjoint`] when no point of the
-    /// box can satisfy the region (subtree pruning), [`Overlap::Contained`]
-    /// when every point of the box does (whole-subtree reporting without
-    /// per-point checks), [`Overlap::Partial`] otherwise.
+    /// of the region in one pass over every axis, returning
+    /// `(meets, inside)`: `meets` is false when no point of the box can
+    /// satisfy the region (subtree pruning), `inside` is true when every
+    /// point of the box does (whole-subtree reporting without per-point
+    /// checks). A box that meets the region but is not inside it overlaps
+    /// it partially.
     ///
     /// The box arrives as `f32` because that is how [`crate::KdTree`] stores
     /// node boxes; widening to `f64` is exact, so both decisions are exact
-    /// for the box given.
+    /// for the box given. The box must be NaN-free; a `NaN` (empty-axis)
+    /// bound fails both of its comparisons, so it meets nothing.
     #[inline]
-    pub(crate) fn classify_bbox(&self, at: usize, blo: &[f32], bhi: &[f32]) -> Overlap {
+    pub(crate) fn classify_bbox(&self, at: usize, blo: &[f32], bhi: &[f32]) -> (bool, bool) {
         let k = blo.len();
         debug_assert!(bhi.len() == k && at + k <= self.dim());
         let (rlo, rhi) = (&self.lo[at..at + k], &self.hi[at..at + k]);
-        let (slo, shi) = (&self.lo_strict[at..at + k], &self.hi_strict[at..at + k]);
-        let bhi = &bhi[..k];
-        let mut contained = true;
-        for h in 0..k {
-            let (lo, hi) = (f64::from(blo[h]), f64::from(bhi[h]));
+        let mut meets = true;
+        let mut inside = true;
+        for (((&blo, &bhi), &lo), &hi) in blo.iter().zip(bhi).zip(rlo).zip(rhi) {
+            let (blo, bhi) = (f64::from(blo), f64::from(bhi));
             // The highest value in the box must clear the lower bound and
-            // the lowest value the upper bound, else nothing below matches.
-            let below = if slo[h] { hi <= rlo[h] } else { hi < rlo[h] };
-            let above = if shi[h] { lo >= rhi[h] } else { lo > rhi[h] };
-            if below || above {
-                return Overlap::Disjoint;
-            }
-            let lo_in = if slo[h] { lo > rlo[h] } else { lo >= rlo[h] };
-            let hi_in = if shi[h] { hi < rhi[h] } else { hi <= rhi[h] };
-            contained &= lo_in && hi_in;
+            // the lowest value the upper bound, else nothing in it matches.
+            meets &= (lo <= bhi) & (blo <= hi);
+            inside &= (lo <= blo) & (bhi <= hi);
         }
-        if contained {
-            Overlap::Contained
-        } else {
-            Overlap::Partial
-        }
+        (meets, inside)
     }
-}
-
-/// How a closed box relates to a [`Region`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Overlap {
-    /// No point of the box satisfies the region.
-    Disjoint,
-    /// Some points of the box may satisfy the region.
-    Partial,
-    /// Every point of the box satisfies the region.
-    Contained,
 }
 
 #[cfg(test)]
@@ -208,28 +188,55 @@ mod tests {
 
     #[test]
     fn bbox_pruning_respects_strictness() {
-        use Overlap::{Contained, Disjoint, Partial};
+        const DISJOINT: (bool, bool) = (false, false);
+        const PARTIAL: (bool, bool) = (true, false);
+        const CONTAINED: (bool, bool) = (true, true);
         // Region: x > 5 (strict).
         let r = Region::all(1).with_lo(0, 5.0, true);
         // A box ending exactly at 5 cannot contain a satisfying point.
-        assert_eq!(r.classify_bbox(0, &[0.0], &[5.0]), Disjoint);
-        assert_eq!(r.classify_bbox(0, &[0.0], &[5.5]), Partial);
+        assert_eq!(r.classify_bbox(0, &[0.0], &[5.0]), DISJOINT);
+        assert_eq!(r.classify_bbox(0, &[0.0], &[5.5]), PARTIAL);
         // Containment: a box starting exactly at 5 is not fully inside.
-        assert_eq!(r.classify_bbox(0, &[5.0], &[9.0]), Partial);
-        assert_eq!(r.classify_bbox(0, &[5.5], &[9.0]), Contained);
+        assert_eq!(r.classify_bbox(0, &[5.0], &[9.0]), PARTIAL);
+        assert_eq!(r.classify_bbox(0, &[5.5], &[9.0]), CONTAINED);
         // Closed variant accepts the boundary.
         let rc = Region::all(1).with_lo(0, 5.0, false);
-        assert_eq!(rc.classify_bbox(0, &[0.0], &[5.0]), Partial);
-        assert_eq!(rc.classify_bbox(0, &[5.0], &[9.0]), Contained);
+        assert_eq!(rc.classify_bbox(0, &[0.0], &[5.0]), PARTIAL);
+        assert_eq!(rc.classify_bbox(0, &[5.0], &[9.0]), CONTAINED);
         // Upper bounds mirror that, and `at` selects the dimensions tested.
         let ru = Region::all(3).with_hi(2, 5.0, true);
-        assert_eq!(ru.classify_bbox(2, &[5.0], &[9.0]), Disjoint);
-        assert_eq!(ru.classify_bbox(2, &[0.0], &[5.0]), Partial);
-        assert_eq!(ru.classify_bbox(2, &[0.0], &[4.5]), Contained);
-        assert_eq!(ru.classify_bbox(0, &[5.0, 0.0], &[9.0, 1.0]), Contained);
+        assert_eq!(ru.classify_bbox(2, &[5.0], &[9.0]), DISJOINT);
+        assert_eq!(ru.classify_bbox(2, &[0.0], &[5.0]), PARTIAL);
+        assert_eq!(ru.classify_bbox(2, &[0.0], &[4.5]), CONTAINED);
+        assert_eq!(ru.classify_bbox(0, &[5.0, 0.0], &[9.0, 1.0]), CONTAINED);
         let rcu = Region::all(1).with_hi(0, 5.0, false);
-        assert_eq!(rcu.classify_bbox(0, &[5.0], &[9.0]), Partial);
-        assert_eq!(rcu.classify_bbox(0, &[0.0], &[5.0]), Contained);
+        assert_eq!(rcu.classify_bbox(0, &[5.0], &[9.0]), PARTIAL);
+        assert_eq!(rcu.classify_bbox(0, &[0.0], &[5.0]), CONTAINED);
+        // The empty axis meets no box, not even one at its infinite bound.
+        let empty = Region::all(1).with_hi(0, f64::NEG_INFINITY, true);
+        assert_eq!(
+            empty.classify_bbox(0, &[f32::NEG_INFINITY], &[0.0]),
+            DISJOINT
+        );
+        let empty = Region::all(1).with_lo(0, f64::INFINITY, true);
+        assert_eq!(empty.classify_bbox(0, &[0.0], &[f32::INFINITY]), DISJOINT);
+    }
+
+    #[test]
+    fn strict_bounds_are_stored_closed() {
+        let r = Region::all(2).with_lo(0, 1.0, true).with_hi(1, 1.0, true);
+        assert_eq!(r.lo(), [1.0f64.next_up(), f64::NEG_INFINITY]);
+        assert_eq!(r.hi(), [f64::INFINITY, 1.0f64.next_down()]);
+        // A strict bound at the far infinity admits nothing, ±∞ included.
+        let r = Region::all(2)
+            .with_lo(0, f64::INFINITY, true)
+            .with_hi(1, f64::NEG_INFINITY, true);
+        assert!(r.lo()[0].is_nan() && r.hi()[1].is_nan());
+        assert!(!r.contains(&[f64::INFINITY, 0.0]));
+        assert!(!r.contains(&[0.0, f64::NEG_INFINITY]));
+        // At the near infinity a strict bound excludes only that infinity.
+        let r = Region::all(1).with_lo(0, f64::NEG_INFINITY, true);
+        assert!(!r.contains(&[f64::NEG_INFINITY]) && r.contains(&[-f64::MAX]));
     }
 
     #[test]

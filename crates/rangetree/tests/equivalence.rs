@@ -247,3 +247,147 @@ fn labeled_build_reports_labels_in_dfs_order() {
         assert_eq!(by_label.count(&region), ids.len());
     }
 }
+
+/// A region as its caller states it — one `(value, strict)` pair per
+/// bound — tested with the literal `>`/`≥` and `<`/`≤` that each strict
+/// flag names. `Region` keeps its bounds in closed form instead, so this is
+/// the reference its normalisation is checked against (`BruteForce` calls
+/// `Region::contains` and cannot be).
+#[derive(Clone, Debug)]
+struct Literal {
+    lo: Vec<(f64, bool)>,
+    hi: Vec<(f64, bool)>,
+}
+
+impl Literal {
+    fn all(dim: usize) -> Self {
+        Literal {
+            lo: vec![(f64::NEG_INFINITY, false); dim],
+            hi: vec![(f64::INFINITY, false); dim],
+        }
+    }
+
+    fn contains(&self, p: &[f64]) -> bool {
+        p.iter()
+            .zip(&self.lo)
+            .zip(&self.hi)
+            .all(|((&x, &lo), &hi)| {
+                let above = match lo {
+                    (v, true) => x > v,
+                    (v, false) => x >= v,
+                };
+                let below = match hi {
+                    (v, true) => x < v,
+                    (v, false) => x <= v,
+                };
+                above && below
+            })
+    }
+
+    fn region(&self) -> Region {
+        let mut region = Region::all(self.lo.len());
+        for (h, (&(lo, lo_strict), &(hi, hi_strict))) in self.lo.iter().zip(&self.hi).enumerate() {
+            region.set_lo(h, lo, lo_strict);
+            region.set_hi(h, hi, hi_strict);
+        }
+        region
+    }
+
+    /// The ids of `pts` inside, ascending.
+    fn answer(&self, pts: &[Vec<f64>]) -> Vec<usize> {
+        (0..pts.len()).filter(|&i| self.contains(&pts[i])).collect()
+    }
+}
+
+/// `Region::contains` on every point, and report/count of the kd-tree and
+/// the range tree over the NaN-free points, against the literal predicate.
+fn assert_matches_literal(
+    literal: &Literal,
+    pts: &[Vec<f64>],
+    probes: &[Vec<f64>],
+    kd: &KdTree,
+    rt: &RangeTree,
+) {
+    let region = literal.region();
+    for p in probes.iter().chain(pts) {
+        assert_eq!(
+            region.contains(p),
+            literal.contains(p),
+            "contains({p:?}) under {literal:?}"
+        );
+    }
+    let want = literal.answer(pts);
+    for (name, index) in [("kd", kd as &dyn OrthoIndex), ("rt", rt as &dyn OrthoIndex)] {
+        let mut got = vec![];
+        index.report(&region, &mut got);
+        assert_eq!(sorted(got), want, "{name} report under {literal:?}");
+        assert_eq!(
+            index.count(&region),
+            want.len(),
+            "{name} count under {literal:?}"
+        );
+    }
+}
+
+/// The hostile values hold signed zeros, subnormals and ±∞, so the bounds
+/// include a strict lower bound at +∞ and a strict upper bound at −∞ (the
+/// empty axis) beside points at ±∞; a NaN bound and a NaN coordinate (which
+/// only `contains` can meet) satisfy nothing, as with the literal predicates.
+#[test]
+fn closed_form_matches_the_literal_strict_predicates() {
+    let mut rng = StdRng::seed_from_u64(0xC105ED);
+    let values = f32_hostile_values();
+    let mut bounds = bounds_around(&values);
+    bounds.push(f64::NAN);
+    // Single coordinates no tree can hold: NaN, probed through `contains`.
+    let probes: Vec<Vec<f64>> = values.iter().chain([&f64::NAN]).map(|&v| vec![v]).collect();
+    for dim in [1usize, 2, 7] {
+        let mut pts: Vec<Vec<f64>> = (0..240)
+            .map(|_| {
+                (0..dim)
+                    .map(|_| values[rng.gen_range(0..values.len())])
+                    .collect()
+            })
+            .collect();
+        // Every value on axis 0, so each bound meets its boundary point.
+        pts.extend(values.iter().map(|&v| {
+            let mut p = vec![0.5; dim];
+            p[0] = v;
+            p
+        }));
+        let kd = KdTree::build(dim, pts.clone());
+        let rt = RangeTree::build(dim, pts.clone());
+        let probes: Vec<Vec<f64>> = probes
+            .iter()
+            .map(|p| {
+                let mut q = vec![0.5; dim];
+                q[0] = p[0];
+                q
+            })
+            .collect();
+        // Every bound on axis 0, closed and strict, lower and upper.
+        for &b in &bounds {
+            for strict in [false, true] {
+                let mut lower = Literal::all(dim);
+                lower.lo[0] = (b, strict);
+                assert_matches_literal(&lower, &pts, &probes, &kd, &rt);
+                let mut upper = Literal::all(dim);
+                upper.hi[0] = (b, strict);
+                assert_matches_literal(&upper, &pts, &probes, &kd, &rt);
+            }
+        }
+        // Random boxes with faces drawn from the same bounds.
+        for _ in 0..200 {
+            let mut literal = Literal::all(dim);
+            for h in 0..dim {
+                if rng.gen_bool(0.6) {
+                    let a = bounds[rng.gen_range(0..bounds.len())];
+                    let b = bounds[rng.gen_range(0..bounds.len())];
+                    literal.lo[h] = (a.min(b), rng.gen_bool(0.5));
+                    literal.hi[h] = (a.max(b), rng.gen_bool(0.5));
+                }
+            }
+            assert_matches_literal(&literal, &pts, &probes, &kd, &rt);
+        }
+    }
+}
