@@ -1,7 +1,8 @@
 //! A1, A2, A4, A5 — ablations of the design choices argued in the module
 //! docs of `dds_core::ptile` and `dds_rangetree`. A3 (lazy reported-dataset
-//! mask vs the paper's eager delete-and-restore loop) is answered and gone;
-//! its measurements are in the README.
+//! mask vs the paper's eager delete-and-restore loop) is answered and gone,
+//! and so is A2's multi-level range tree; their measurements are in the
+//! README.
 
 use super::setup::{mixed_workload, ptile_queries};
 use super::Scale;
@@ -12,7 +13,7 @@ use dds_core::guarantee::check_ptile;
 use dds_core::pool::BuildOptions;
 use dds_core::ptile::{PtileBuildParams, PtileThresholdIndex};
 use dds_geom::{CoordGrid, Point, Rect};
-use dds_rangetree::{BruteForce, BuildableIndex, KdTree, OrthoIndex, RangeTree, Region};
+use dds_rangetree::{BruteForce, BuildableIndex, KdTree, OrthoIndex, Region};
 use dds_synopsis::{
     error, EquiDepthHistogram, GaussianMixtureSynopsis, GridHistogram, PercentileSynopsis,
     UniformSampleSynopsis,
@@ -96,14 +97,12 @@ pub fn a1_pair_enumeration(_scale: Scale) -> Table {
     table
 }
 
-/// A2 — orthogonal-search backend: kd-tree vs multi-level range tree vs
-/// brute force, on the 3-dim lifted points of the threshold structure.
+/// A2 — orthogonal-search backend: kd-tree vs brute force, on the 3-dim
+/// lifted points of the threshold structure.
 pub fn a2_backend(scale: Scale) -> Table {
     let mut table = Table::new(
         "A2 — search backend on lifted points (d=1 ⇒ 3 dims)",
-        &[
-            "points", "kd build", "kd/q", "rt build", "rt/q", "rt bytes", "brute/q",
-        ],
+        &["points", "kd build", "kd/q", "brute/q"],
     );
     let mut rng = StdRng::seed_from_u64(0xA2);
     let sweep = if scale.quick {
@@ -120,10 +119,8 @@ pub fn a2_backend(scale: Scale) -> Table {
             })
             .collect();
         let (kd, t_kd) = time(|| KdTree::build(3, pts.clone()));
-        let (rt, t_rt) = time(|| RangeTree::build(3, pts.clone()));
         let brute = BruteForce::build(3, pts.clone());
         let mut q_kd = Vec::new();
-        let mut q_rt = Vec::new();
         let mut q_b = Vec::new();
         for _ in 0..scale.queries() {
             let a = rng.gen_range(0.0..80.0);
@@ -135,9 +132,6 @@ pub fn a2_backend(scale: Scale) -> Table {
             let (_, d) = time(|| kd.report(&region, &mut out));
             q_kd.push(d);
             out.clear();
-            let (_, d) = time(|| rt.report(&region, &mut out));
-            q_rt.push(d);
-            out.clear();
             let (_, d) = time(|| brute.report(&region, &mut out));
             q_b.push(d);
         }
@@ -145,9 +139,6 @@ pub fn a2_backend(scale: Scale) -> Table {
             n.to_string(),
             fmt_duration(t_kd),
             fmt_duration(median_duration(q_kd)),
-            fmt_duration(t_rt),
-            fmt_duration(median_duration(q_rt)),
-            fmt_bytes(rt.memory_bytes()),
             fmt_duration(median_duration(q_b)),
         ]);
     }

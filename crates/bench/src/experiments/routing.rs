@@ -9,16 +9,17 @@
 //! interior rectangles asking `percentile_at_least` with a θ lower bound
 //! far above the build's sampling margin. Sweeps rectangle width
 //! (selectivity) × shard count, and for each row runs the same batch on
-//! three engines over identical shard layouts:
+//! two engines over identical shard layouts:
 //!
 //! * **unrouted** — `Routing::Off`, the correctness reference;
-//! * **box** — `Routing::BoxOnly`, the pre-synopsis engine;
 //! * **full** — box tier + synopsis mass bound (the default).
 //!
-//! Columns report the per-row (expression, shard) skip counts of each
-//! tier and the full engine's batch time. `=unrouted` asserts all three
-//! engines answered the entire batch **byte-identically** — the
-//! zero-false-negative claim at experiment scale. At the sharpest
+//! The full engine runs the box tier first and counts its skips apart
+//! from the synopsis tier's, so one engine yields both tiers' per-row
+//! (expression, shard) skip counts; the columns report them beside the
+//! full engine's batch time. `=unrouted` asserts both engines answered
+//! the entire batch **byte-identically** — the zero-false-negative claim
+//! at experiment scale. At the sharpest
 //! configuration (most shards, narrowest rectangles) the run additionally
 //! asserts the synopsis tier skipped at least 3× what the box tier did —
 //! the headline pruning win this layer exists for.
@@ -62,7 +63,7 @@ fn build_engine(spec: &RepoSpec, k: usize, n: usize, routing: Routing) -> Sharde
 /// byte-identity assertion against the unrouted engine on every row.
 pub fn e18_selective_routing(scale: Scale) -> Table {
     let mut table = Table::new(
-        "E18 — synopsis routing (selective streams; box-tier vs mass-bound skips; three-engine byte-identity)",
+        "E18 — synopsis routing (selective streams; box-tier vs mass-bound skips; full ≡ unrouted byte-identity)",
         &[
             "N",
             "shards",
@@ -99,7 +100,6 @@ pub fn e18_selective_routing(scale: Scale) -> Table {
     let shard_counts: &[usize] = &[2, 4, 8];
     for &k in shard_counts {
         let unrouted = build_engine(&spec, k, n, Routing::Off);
-        let box_only = build_engine(&spec, k, n, Routing::BoxOnly);
         let full = build_engine(&spec, k, n, Routing::Full);
         for &width in widths {
             let exprs: Vec<LogicalExpr> = RequestStreamSpec::selective(batch, 0xE18)
@@ -110,29 +110,15 @@ pub fn e18_selective_routing(scale: Scale) -> Table {
                 .exprs(&spec);
             let opts = BuildOptions::default();
             let expected = unrouted.try_query_batch_opts(&exprs, &opts);
-            let box_before = (
-                box_only.shards_routed_past(),
-                box_only.shards_routed_by_synopsis(),
-            );
-            let box_answers = box_only.try_query_batch_opts(&exprs, &opts);
-            assert_eq!(
-                box_only.shards_routed_by_synopsis(),
-                box_before.1,
-                "the box-only engine must never take a synopsis skip"
-            );
             let full_before = (full.shards_routed_past(), full.shards_routed_by_synopsis());
             let (answers, t) = time(|| full.try_query_batch_opts(&exprs, &opts));
             let box_skips = full.shards_routed_past() - full_before.0;
             let syn_skips = full.shards_routed_by_synopsis() - full_before.1;
-            // Zero false negatives, engine for engine, expression for
-            // expression: routing is pure pruning.
+            // Zero false negatives, expression for expression: routing
+            // is pure pruning.
             assert_eq!(
                 answers, expected,
                 "full routing diverged from unrouted (shards {k}, width {width})"
-            );
-            assert_eq!(
-                box_answers, expected,
-                "box-only routing diverged from unrouted (shards {k}, width {width})"
             );
             if k == *shard_counts.last().unwrap() && width == *widths.last().unwrap() {
                 assert!(

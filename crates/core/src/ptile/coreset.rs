@@ -59,8 +59,11 @@ pub(crate) fn max_coords_for_budget(budget: usize, dim: usize) -> usize {
 }
 
 /// Per-dimension quantile coordinates: `s` evenly spaced order statistics
-/// (always including min and max). Returns the selected coordinates and the
-/// maximum sample mass strictly between two adjacent selected coordinates.
+/// (always including the min, and the max when `s ≥ 2`). Returns the
+/// selected coordinates and the maximum sample mass a query boundary can
+/// miss: strictly between two adjacent selected coordinates, strictly below
+/// the first or strictly above the last (the tails are empty unless
+/// `s = 1`, which keeps only the min).
 fn quantile_coords(sorted: &[f64], s: usize) -> (Vec<f64>, f64) {
     let m = sorted.len();
     debug_assert!(m >= 1);
@@ -76,8 +79,10 @@ fn quantile_coords(sorted: &[f64], s: usize) -> (Vec<f64>, f64) {
     }
     coords.dedup();
     // Measured max gap: the largest count of sample values strictly between
-    // adjacent selected coordinates.
-    let mut max_gap = 0usize;
+    // adjacent selected coordinates, or strictly outside the extreme ones.
+    let below = sorted.partition_point(|x| *x < coords[0]);
+    let above = m - sorted.partition_point(|x| *x <= coords[coords.len() - 1]);
+    let mut max_gap = below.max(above);
     for w in coords.windows(2) {
         let lo = sorted.partition_point(|x| *x <= w[0]);
         let hi = sorted.partition_point(|x| *x < w[1]);
@@ -187,6 +192,19 @@ mod tests {
         let (coords, gap) = quantile_coords(&[1.0, 2.0, 3.0], 10);
         assert_eq!(coords, vec![1.0, 2.0, 3.0]);
         assert_eq!(gap, 0.0);
+    }
+
+    #[test]
+    fn one_coordinate_charges_the_mass_above_it() {
+        // s = 1 keeps only the min; the three values above it are a tail
+        // no grid rectangle can reach.
+        let (coords, gap) = quantile_coords(&[0.0, 1.0, 1.0, 2.0], 1);
+        assert_eq!(coords, vec![0.0]);
+        assert_eq!(gap, 0.75);
+        // At s = 2 the max is selected, so only the interior gap counts.
+        let (coords, gap) = quantile_coords(&[0.0, 1.0, 1.0, 2.0], 2);
+        assert_eq!(coords, vec![0.0, 2.0]);
+        assert_eq!(gap, 0.5);
     }
 
     #[test]

@@ -344,12 +344,8 @@ impl PtileMultiIndex {
 
     /// Answers an arbitrary logical expression over percentile predicates:
     /// DNF expansion, one conjunction query per clause, union of results
-    /// (cross-clause dedup through a packed bitset).
-    pub fn query_expr(&self, expr: &LogicalExpr) -> Result<Vec<usize>, MultiQueryError> {
-        self.query_expr_with(expr, &mut QueryScratch::new())
-    }
-
-    /// [`query_expr`](Self::query_expr) with caller-provided scratch.
+    /// (cross-clause dedup through a packed bitset). `scratch` carries the
+    /// transient buffers across calls.
     pub fn query_expr_with(
         &self,
         expr: &LogicalExpr,
@@ -530,7 +526,9 @@ mod tests {
             LogicalExpr::Pred(Predicate::percentile_at_least(region_a(), 0.9)),
             LogicalExpr::Pred(Predicate::percentile_at_least(region_b(), 0.7)),
         ]);
-        let mut hits = idx.query_expr(&expr).unwrap();
+        let mut hits = idx
+            .query_expr_with(&expr, &mut QueryScratch::new())
+            .unwrap();
         hits.sort_unstable();
         assert_eq!(hits, vec![1, 2]);
     }
@@ -545,7 +543,7 @@ mod tests {
             LogicalExpr::Pred(p),
         ]);
         assert_eq!(
-            idx.query_expr(&expr),
+            idx.query_expr_with(&expr, &mut QueryScratch::new()),
             Err(MultiQueryError::TooManyPredicates { got: 3, max: 2 })
         );
     }
@@ -554,6 +552,9 @@ mod tests {
     fn non_percentile_predicate_is_rejected() {
         let idx = index();
         let expr = LogicalExpr::Pred(Predicate::topk_at_least(vec![1.0], 1, 0.5));
-        assert_eq!(idx.query_expr(&expr), Err(MultiQueryError::NonPercentile));
+        assert_eq!(
+            idx.query_expr_with(&expr, &mut QueryScratch::new()),
+            Err(MultiQueryError::NonPercentile)
+        );
     }
 }

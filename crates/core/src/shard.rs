@@ -112,12 +112,13 @@
 //! be reported even if every shard is otherwise skippable). A `NaN`
 //! coordinate disables both summaries for its shard (scatter-everywhere,
 //! answers unaffected). [`with_routing`](ShardedEngine::with_routing)
-//! selects the tiers: [`Routing::Off`] disables routing entirely,
-//! [`Routing::BoxOnly`] keeps the box test but disables the mass bound
-//! (the A/B lever of the E18 experiment), [`Routing::Full`] (the default)
-//! runs both. The summaries thread through the whole lifecycle for
-//! free: add/rebuild/split/merge each rebuild the shard's engine, and
-//! the engine's Ptile build carries its synopsis with it.
+//! switches routing: [`Routing::Off`] disables it entirely (the
+//! correctness reference), [`Routing::Full`] (the default) runs both
+//! tiers, and the two skip counters split its skips between them (the
+//! box-vs-synopsis ratio the E18 experiment reports). The summaries
+//! thread through the whole lifecycle for free: add/rebuild/split/merge
+//! each rebuild the shard's engine, and the engine's Ptile build carries
+//! its synopsis with it.
 
 use crate::cache::MaskCache;
 use crate::engine::{expr_dim_mismatch, DnfPlan, EngineError, MixedQueryEngine};
@@ -324,17 +325,13 @@ struct Shard {
     queries: AtomicU64,
 }
 
-/// Which tiers of the routing fast path run (see the module docs).
-/// Routing never changes answers — the weaker settings exist for A/B
-/// measurement (E18) and as the reference paths of the
-/// full ≡ box-only ≡ unrouted equivalence tests.
+/// Whether the routing fast path runs (see the module docs). Routing
+/// never changes answers — `Off` exists as the reference path of the
+/// full ≡ unrouted equivalence tests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Routing {
     /// No routing: every expression scatters to every shard.
     Off,
-    /// The bounding-box tier only — the configuration the pre-synopsis
-    /// engine shipped.
-    BoxOnly,
     /// The box tier, then the synopsis mass bound.
     #[default]
     Full,
@@ -424,7 +421,7 @@ pub struct ShardedEngine {
     /// The SipHash keys of every shard's [`MaskCache`]: a query digests
     /// each predicate's cache key once, and every shard looks it up.
     hasher: RandomState,
-    /// Routing fast-path tiers (see the module docs); set by
+    /// Whether the routing fast path runs (see the module docs); set by
     /// [`with_routing`](Self::with_routing).
     routing: Routing,
     /// (expression, shard) scatter units skipped by the box tier. Data-
@@ -487,7 +484,7 @@ impl ShardedEngine {
         self
     }
 
-    /// Selects the routing fast-path tiers (builder-style; default
+    /// Switches the routing fast path (builder-style; default
     /// [`Routing::Full`]). Never changes answers.
     pub fn with_routing(mut self, routing: Routing) -> Self {
         self.routing = routing;
@@ -993,7 +990,7 @@ impl ShardedEngine {
         let skip: Vec<Skip> = self
             .shards
             .iter()
-            .map(|s| Self::shard_skip(&plan, s, self.routing == Routing::Full))
+            .map(|s| Self::shard_skip(&plan, s))
             .collect();
         skip.iter().any(|&v| v != Skip::No).then_some(skip)
     }
@@ -1038,7 +1035,7 @@ impl ShardedEngine {
     /// sees shards the box could not prove silent. Both require every
     /// clause to carry a skip-proving literal; see the module docs for the
     /// soundness argument.
-    fn shard_skip(plan: &[Vec<RoutingLit>], shard: &Shard, synopsis_route: bool) -> Skip {
+    fn shard_skip(plan: &[Vec<RoutingLit>], shard: &Shard) -> Skip {
         let Some(bounds) = &shard.bounds else {
             // A NaN coordinate was seen: containment reasoning is unsound
             // (and the engine carries no synopsis either).
@@ -1058,9 +1055,6 @@ impl ShardedEngine {
         });
         if box_skip {
             return Skip::Box;
-        }
-        if !synopsis_route {
-            return Skip::No;
         }
         let Some(syn) = shard.engine.routing_synopsis() else {
             return Skip::No;
@@ -1739,28 +1733,24 @@ mod tests {
         // so its bounding box [0, 100] overlaps an interior query the
         // shard can never answer — only the mass bound can prove it
         // silent. Shard 1 lives inside the query and answers it.
-        let build = || {
-            let mut svc = ShardedEngine::new(
-                &[1],
-                PtileBuildParams::exact_centralized(),
-                PrefBuildParams::exact_centralized(),
-            );
-            add(
-                &mut svc,
-                vec![
-                    dataset("lo", &[0.0, 1.0, 2.0, 3.0]),
-                    dataset("hi", &[97.0, 98.0, 99.0, 100.0]),
-                ],
-                &[1, 2],
-            );
-            add(&mut svc, vec![dataset("mid", &[49.0, 50.0, 51.0])], &[3]);
-            svc
-        };
+        let mut svc = ShardedEngine::new(
+            &[1],
+            PtileBuildParams::exact_centralized(),
+            PrefBuildParams::exact_centralized(),
+        );
+        add(
+            &mut svc,
+            vec![
+                dataset("lo", &[0.0, 1.0, 2.0, 3.0]),
+                dataset("hi", &[97.0, 98.0, 99.0, 100.0]),
+            ],
+            &[1, 2],
+        );
+        add(&mut svc, vec![dataset("mid", &[49.0, 50.0, 51.0])], &[3]);
         let interior = LogicalExpr::Pred(Predicate::percentile_at_least(
             Rect::interval(40.0, 60.0),
             0.6,
         ));
-        let svc = build();
         assert_eq!(query(&svc, &interior), Ok(vec![3]));
         assert_eq!(svc.shards_routed_past(), 0, "the box overlaps [40, 60]");
         assert_eq!(svc.shards_routed_by_synopsis(), 1);
@@ -1770,12 +1760,6 @@ mod tests {
         assert_eq!(svc.shards_routed_by_synopsis(), 2);
         let (_, m) = svc.cache_stats();
         assert_eq!(m, 1, "only shard 1 ever computed a mask");
-        // The box-only configuration still answers identically — the
-        // synopsis tier is pure pruning.
-        let box_only = build().with_routing(Routing::BoxOnly);
-        assert_eq!(query(&box_only, &interior), Ok(vec![3]));
-        assert_eq!(box_only.shards_routed_by_synopsis(), 0);
-        assert_eq!(box_only.shards_routed_past(), 0);
         assert_eq!(
             svc.stats_snapshot().shards_routed_by_synopsis,
             2,

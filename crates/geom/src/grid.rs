@@ -102,17 +102,6 @@ impl CoordGrid {
         &self.coords[h]
     }
 
-    /// Number of canonical rectangles `|R_i| = ∏_h m_h (m_h + 1) / 2`.
-    pub fn rect_count(&self) -> u128 {
-        self.coords
-            .iter()
-            .map(|c| {
-                let m = c.len() as u128;
-                m * (m + 1) / 2
-            })
-            .product()
-    }
-
     /// Smallest finite coordinate `≥ x` in dimension `h`, or `+∞`.
     #[inline]
     pub fn next_geq(&self, h: usize, x: f64) -> f64 {
@@ -163,7 +152,8 @@ impl CoordGrid {
 
     /// Enumerates all canonical (combinatorially different) rectangles.
     ///
-    /// The count is `rect_count()`; callers control it through the sample
+    /// The count is `|R_i| = ∏_h m_h (m_h + 1) / 2` over the `m_h`
+    /// coordinates of dimension `h`; callers control it through the sample
     /// size (`s = Θ(ε⁻² log(Nφ⁻¹))` per the paper, `O(s^{2d})` rectangles).
     pub fn enumerate_rects(&self) -> Vec<Rect> {
         let d = self.dim();
@@ -322,7 +312,6 @@ mod tests {
         let g = grid_1d(&[1.0, 7.0, 9.0]);
         let rects = g.enumerate_rects();
         assert_eq!(rects.len(), 6);
-        assert_eq!(g.rect_count(), 6);
         for (lo, hi) in [(1., 1.), (7., 7.), (9., 9.), (1., 7.), (1., 9.), (7., 9.)] {
             assert!(
                 rects.contains(&Rect::interval(lo, hi)),

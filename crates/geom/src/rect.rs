@@ -164,15 +164,6 @@ impl Rect {
         )
     }
 
-    /// Returns `self` grown by `margin` on every side.
-    pub fn padded(&self, margin: f64) -> Rect {
-        assert!(margin >= 0.0, "padding must be non-negative");
-        Rect {
-            lo: self.lo.iter().map(|x| x - margin).collect(),
-            hi: self.hi.iter().map(|x| x + margin).collect(),
-        }
-    }
-
     /// Intersection of two rectangles, or `None` if they are disjoint.
     pub fn intersection(&self, other: &Rect) -> Option<Rect> {
         if !self.intersects(other) {

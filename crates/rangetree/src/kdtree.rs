@@ -1,7 +1,7 @@
 //! Frozen, flat, tree-ordered bounding-box kd-tree.
 //!
-//! This is the default backend behind the paper's `DRangeTreeConstruct` /
-//! `Report` interface (Section 2), laid out for the one thing the served
+//! This is the backend behind the paper's construct-and-`Report` range-tree
+//! interface (Section 2), laid out for the one thing the served
 //! indexes do with it: `report_while` over a structure that never changes
 //! after the build (stopping it at the first hit is `ReportFirst`).
 //!

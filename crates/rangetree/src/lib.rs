@@ -4,29 +4,27 @@
 //! `Report(R, I)`, `ReportFirst(R, I)`, point insertion and deletion. The
 //! paper's index structures (crate `dds-core`) lift rectangles and weights
 //! into points of `R^{2d}`, `R^{4d}` or `R^{4md+m}` and only interact with
-//! the search structure through that interface, so the backend is pluggable:
+//! the search structure through that interface. The crate holds:
 //!
-//! * [`KdTree`] — a frozen bounding-box kd-tree laid out for reading: one
-//!   64-byte arena record per node (header plus the node box as `f32`,
-//!   rounded **outward** so pruning and whole-subtree acceptance stay sound
-//!   while exact `f64` point tests decide everything else — answers are
-//!   bit-identical to exact boxes, only pruning power is lost, and only on
-//!   coordinates needing more than 24 bits), the points row-major in tree
-//!   order, and a `u32` label per point that a hit reports (the input index
-//!   by default; [`KdTree::build_labeled`] stores the caller's). It supports
-//!   `report`, `count` and the single-pass `report_while` the query loops
-//!   of Algorithms 2 and 4 use. This is the default backend, substituting
-//!   for the literal multi-level dynamic range tree (`log^{4md} N`
-//!   associated-structure blowup is not laptop-viable in the lifted
-//!   dimensions; `experiments --a2` compares the backends).
-//! * [`RangeTree`] — a faithful static multi-level range tree (De Berg et
-//!   al., as cited by the paper) used for low-dimensional exact structures
-//!   and as an ablation backend.
+//! * [`KdTree`] — the one orthogonal search backend, a frozen bounding-box
+//!   kd-tree laid out for reading: one 64-byte arena record per node
+//!   (header plus the node box as `f32`, rounded **outward** so pruning and
+//!   whole-subtree acceptance stay sound while exact `f64` point tests
+//!   decide everything else — answers are bit-identical to exact boxes,
+//!   only pruning power is lost, and only on coordinates needing more than
+//!   24 bits), the points row-major in tree order, and a `u32` label per
+//!   point that a hit reports (the input index by default;
+//!   [`KdTree::build_labeled`] stores the caller's). It supports `report`,
+//!   `count` and the single-pass `report_while` the query loops of
+//!   Algorithms 2 and 4 use. It substitutes for the literal multi-level
+//!   range tree, whose `O(n log^{k−1} n)` space is not viable in the
+//!   `4d + 2` lifted dimensions (ablation A2 measured a static range tree
+//!   against it in 3-d; the README keeps the table).
 //! * [`SortedScores`] / [`DynScores`] — the 1-dimensional structures used by
 //!   the Pref index (Algorithms 5–6): threshold reporting over static or
 //!   dynamic score sets.
 //!
-//! The orthogonal backends ([`OrthoIndex`]) are frozen after their build.
+//! The orthogonal structures ([`OrthoIndex`]) are frozen after their build.
 //! A [`report_while`](OrthoIndex::report_while) whose callback returns
 //! `false` is `ReportFirst`. The paper deletes points only in the query loops of
 //! Algorithms 2 and 4 (delete a reported dataset's points, keep querying,
@@ -40,20 +38,18 @@
 //! strictness*, because the paper's orthants mix closed and open bounds
 //! (e.g. `R' = [R⁻,∞) × (−∞,R⁻) × (−∞,R⁺] × (R⁺,∞)` in Algorithm 4). A
 //! region stores each strict bound as the equivalent closed one (`x > v` as
-//! `x ≥ v.next_up()`), so every backend tests `lo ≤ x ≤ hi` alone.
+//! `x ≥ v.next_up()`), so every structure tests `lo ≤ x ≤ hi` alone.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod brute;
 mod kdtree;
-mod rangetree;
 mod region;
 mod scores;
 
 pub use brute::BruteForce;
 pub use kdtree::KdTree;
-pub use rangetree::RangeTree;
 pub use region::Region;
 pub use scores::{DynScores, SortedScores, TotalF64};
 

@@ -25,7 +25,7 @@
 /// for an unbounded query rectangle.
 ///
 /// A `NaN` coordinate satisfies no bound, as with the literal `>`/`≥`
-/// predicates; the trees refuse `NaN` at build, only
+/// predicates; the kd-tree refuses `NaN` at build, only
 /// [`BruteForce`](crate::BruteForce) can hold one.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Region {
@@ -73,18 +73,6 @@ impl Region {
     #[inline]
     pub fn dim(&self) -> usize {
         self.lo.len()
-    }
-
-    /// Closed lower bounds (see [the closed form](Region#closed-form)).
-    #[inline]
-    pub(crate) fn lo(&self) -> &[f64] {
-        &self.lo
-    }
-
-    /// Closed upper bounds (see [the closed form](Region#closed-form)).
-    #[inline]
-    pub(crate) fn hi(&self) -> &[f64] {
-        &self.hi
     }
 
     /// Restricts dimension `h` to the (closed or strict) lower bound `v`.
@@ -225,13 +213,13 @@ mod tests {
     #[test]
     fn strict_bounds_are_stored_closed() {
         let r = Region::all(2).with_lo(0, 1.0, true).with_hi(1, 1.0, true);
-        assert_eq!(r.lo(), [1.0f64.next_up(), f64::NEG_INFINITY]);
-        assert_eq!(r.hi(), [f64::INFINITY, 1.0f64.next_down()]);
+        assert_eq!(r.lo, [1.0f64.next_up(), f64::NEG_INFINITY]);
+        assert_eq!(r.hi, [f64::INFINITY, 1.0f64.next_down()]);
         // A strict bound at the far infinity admits nothing, ±∞ included.
         let r = Region::all(2)
             .with_lo(0, f64::INFINITY, true)
             .with_hi(1, f64::NEG_INFINITY, true);
-        assert!(r.lo()[0].is_nan() && r.hi()[1].is_nan());
+        assert!(r.lo[0].is_nan() && r.hi[1].is_nan());
         assert!(!r.contains(&[f64::INFINITY, 0.0]));
         assert!(!r.contains(&[0.0, f64::NEG_INFINITY]));
         // At the near infinity a strict bound excludes only that infinity.

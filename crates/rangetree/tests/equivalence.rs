@@ -1,9 +1,9 @@
-//! Randomized equivalence of all orthogonal-search backends against the
-//! brute-force reference, including strict bounds, `f32`-hostile
-//! coordinates and the early-stopping `report_while` that stands in for the
-//! paper's `ReportFirst`.
+//! Randomized equivalence of the kd-tree against the brute-force reference,
+//! including strict bounds, `f32`-hostile coordinates and the
+//! early-stopping `report_while` that stands in for the paper's
+//! `ReportFirst`.
 
-use dds_rangetree::{BruteForce, BuildableIndex, KdTree, OrthoIndex, RangeTree, Region};
+use dds_rangetree::{BruteForce, BuildableIndex, KdTree, OrthoIndex, Region};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -66,7 +66,7 @@ fn assert_matches_brute(kd: &KdTree, brute: &BruteForce, region: &Region) {
 }
 
 #[test]
-fn kdtree_and_rangetree_match_bruteforce() {
+fn kdtree_matches_bruteforce() {
     let mut rng = StdRng::seed_from_u64(42);
     for dim in [1usize, 2, 3, 4] {
         for trial in 0..8 {
@@ -77,7 +77,6 @@ fn kdtree_and_rangetree_match_bruteforce() {
             };
             let brute = BruteForce::build(dim, pts.clone());
             let kd = KdTree::build(dim, pts.clone());
-            let rt = RangeTree::build(dim, pts.clone());
             for _ in 0..25 {
                 let region = random_region(&mut rng, dim);
                 let mut want = vec![];
@@ -86,11 +85,7 @@ fn kdtree_and_rangetree_match_bruteforce() {
                 let mut got_kd = vec![];
                 kd.report(&region, &mut got_kd);
                 assert_eq!(sorted(got_kd), want, "kd report dim={dim}");
-                let mut got_rt = vec![];
-                rt.report(&region, &mut got_rt);
-                assert_eq!(sorted(got_rt), want, "rt report dim={dim}");
                 assert_eq!(kd.count(&region), want.len(), "kd count dim={dim}");
-                assert_eq!(rt.count(&region), want.len(), "rt count dim={dim}");
             }
         }
     }
@@ -102,28 +97,25 @@ fn report_while_visits_exactly_the_answer_set() {
     for dim in [1usize, 3] {
         let pts = gridded_points(&mut rng, 300, dim);
         let kd = KdTree::build(dim, pts.clone());
-        let rt = RangeTree::build(dim, pts.clone());
         for _ in 0..20 {
             let region = random_region(&mut rng, dim);
             let mut want = vec![];
             BruteForce::build(dim, pts.clone()).report(&region, &mut want);
             let want = sorted(want);
-            for index in [&kd as &dyn OrthoIndex, &rt as &dyn OrthoIndex] {
-                // Full traversal: the visited set equals the answer set.
-                let mut got = vec![];
-                index.report_while(&region, &mut |id| {
-                    got.push(id);
-                    true
-                });
-                assert_eq!(sorted(got), want);
-                // Early abort stops after exactly one callback.
-                let mut count = 0;
-                index.report_while(&region, &mut |_| {
-                    count += 1;
-                    false
-                });
-                assert_eq!(count, usize::from(!want.is_empty()));
-            }
+            // Full traversal: the visited set equals the answer set.
+            let mut got = vec![];
+            kd.report_while(&region, &mut |id| {
+                got.push(id);
+                true
+            });
+            assert_eq!(sorted(got), want);
+            // Early abort stops after exactly one callback.
+            let mut count = 0;
+            kd.report_while(&region, &mut |_| {
+                count += 1;
+                false
+            });
+            assert_eq!(count, usize::from(!want.is_empty()));
         }
     }
 }
@@ -299,15 +291,9 @@ impl Literal {
     }
 }
 
-/// `Region::contains` on every point, and report/count of the kd-tree and
-/// the range tree over the NaN-free points, against the literal predicate.
-fn assert_matches_literal(
-    literal: &Literal,
-    pts: &[Vec<f64>],
-    probes: &[Vec<f64>],
-    kd: &KdTree,
-    rt: &RangeTree,
-) {
+/// `Region::contains` on every point, and report/count of the kd-tree over
+/// the NaN-free points, against the literal predicate.
+fn assert_matches_literal(literal: &Literal, pts: &[Vec<f64>], probes: &[Vec<f64>], kd: &KdTree) {
     let region = literal.region();
     for p in probes.iter().chain(pts) {
         assert_eq!(
@@ -317,16 +303,10 @@ fn assert_matches_literal(
         );
     }
     let want = literal.answer(pts);
-    for (name, index) in [("kd", kd as &dyn OrthoIndex), ("rt", rt as &dyn OrthoIndex)] {
-        let mut got = vec![];
-        index.report(&region, &mut got);
-        assert_eq!(sorted(got), want, "{name} report under {literal:?}");
-        assert_eq!(
-            index.count(&region),
-            want.len(),
-            "{name} count under {literal:?}"
-        );
-    }
+    let mut got = vec![];
+    kd.report(&region, &mut got);
+    assert_eq!(sorted(got), want, "report under {literal:?}");
+    assert_eq!(kd.count(&region), want.len(), "count under {literal:?}");
 }
 
 /// The hostile values hold signed zeros, subnormals and ±∞, so the bounds
@@ -356,7 +336,6 @@ fn closed_form_matches_the_literal_strict_predicates() {
             p
         }));
         let kd = KdTree::build(dim, pts.clone());
-        let rt = RangeTree::build(dim, pts.clone());
         let probes: Vec<Vec<f64>> = probes
             .iter()
             .map(|p| {
@@ -370,10 +349,10 @@ fn closed_form_matches_the_literal_strict_predicates() {
             for strict in [false, true] {
                 let mut lower = Literal::all(dim);
                 lower.lo[0] = (b, strict);
-                assert_matches_literal(&lower, &pts, &probes, &kd, &rt);
+                assert_matches_literal(&lower, &pts, &probes, &kd);
                 let mut upper = Literal::all(dim);
                 upper.hi[0] = (b, strict);
-                assert_matches_literal(&upper, &pts, &probes, &kd, &rt);
+                assert_matches_literal(&upper, &pts, &probes, &kd);
             }
         }
         // Random boxes with faces drawn from the same bounds.
@@ -387,7 +366,7 @@ fn closed_form_matches_the_literal_strict_predicates() {
                     literal.hi[h] = (a.max(b), rng.gen_bool(0.5));
                 }
             }
-            assert_matches_literal(&literal, &pts, &probes, &kd, &rt);
+            assert_matches_literal(&literal, &pts, &probes, &kd);
         }
     }
 }

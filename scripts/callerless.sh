@@ -4,7 +4,8 @@
 #   scripts/callerless.sh
 #
 # Strips every inline test module (each file is cut at its first
-# `#[cfg(test)]`), skips `tests/` directories, and lists each `pub fn` of
+# `#[cfg(test)]`) and every comment line (`//`, `///`, `//!`: a name in a
+# doc comment is not a call), skips `tests/` directories, and lists each `pub fn` of
 # `crates/` and `src/` whose name appears in the remaining code of `crates/`,
 # `src/`, `examples/` and `benchmark/src/` only on its own definition line.
 # Names in KEEP below are known and kept. Exits 1 if any other name is
@@ -22,6 +23,13 @@ KEEP=(
     "with_seed: the one spelling of a seeded PtileBuildParams (tests/build_determinism.rs)"
     "with_shapes: the one spelling of a RequestStreamSpec's shape count (dds-server loopback tests)"
     "with_fault_per_mille: the one spelling of a FaultPlan's fault rate (dds-server fault tests)"
+    "seeded: the one spelling of a FaultPlan's seed (dds-server fault tests)"
+    "with_retry: the one spelling of DdsClient's retry policy (dds-server fault tests)"
+    "slack_for: the per-dataset band oracle of the Ptile indexes (tests/exhaustive_guarantees.rs)"
+    "query_expr_with: PtileMultiIndex's one spelling of a DNF query (tests/expressions_and_exact.rs)"
+    "read_frame: the blocking frame reader of the hostile-frame tests (dds-server protocol tests)"
+    "write_frame: the blocking frame writer of the hostile-frame tests (dds-server protocol tests)"
+    "render_text: the operator text of a MetricsReport that dds-server's loopback test pins"
 )
 
 root="$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)"
@@ -32,7 +40,7 @@ trap 'rm -rf "$out"' EXIT
 find crates src examples benchmark/src -name '*.rs' -not -path '*/tests/*' |
     while read -r f; do
         mkdir -p "$out/$(dirname "$f")"
-        sed '/^#\[cfg(test)\]/,$d' "$f" >"$out/$f"
+        sed -e '/^#\[cfg(test)\]/,$d' -e '/^\s*\/\//d' "$f" >"$out/$f"
     done
 
 kept() {

@@ -9,8 +9,8 @@
 //! See the individual crates for the full APIs:
 //!
 //! * [`geom`] — geometric substrate (rectangles, coordinate grids, ε-nets).
-//! * [`rangetree`] — orthogonal search structures (range trees, kd-trees,
-//!   dynamic wrappers).
+//! * [`rangetree`] — orthogonal search structures (a frozen kd-tree, sorted
+//!   score lists).
 //! * [`synopsis`] — dataset synopses (samples, histograms, mixtures) with
 //!   measured error.
 //! * [`workload`] — seeded data and query generators used by tests, examples

@@ -119,8 +119,14 @@ fn empty_clauses_are_benign_in_sequential_and_batch() {
     );
     let empty_and = LogicalExpr::And(vec![]);
     let empty_or = LogicalExpr::Or(vec![]);
-    assert_eq!(idx.query_expr(&empty_and), Ok(vec![]));
-    assert_eq!(idx.query_expr(&empty_or), Ok(vec![]));
+    assert_eq!(
+        idx.query_expr_with(&empty_and, &mut QueryScratch::new()),
+        Ok(vec![])
+    );
+    assert_eq!(
+        idx.query_expr_with(&empty_or, &mut QueryScratch::new()),
+        Ok(vec![])
+    );
     // The mixed engine agrees (it skips empty clauses the same way).
     let repo = Repository::new(vec![
         Dataset::from_rows("a", vec![vec![1.0], vec![7.0]]),

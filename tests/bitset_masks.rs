@@ -100,7 +100,7 @@ fn multi_index_clause_accumulator_at_word_boundaries() {
         // (mass 1 inside for 0..n-1, mass 0 allowed by the zero band).
         assert_eq!(hits, (1..n).collect::<Vec<_>>(), "n={n}");
 
-        // DNF union across the word boundary via query_expr's bitset: one
+        // DNF union across the word boundary via query_expr_with's bitset: one
         // clause per dataset in 56..n, so the set bits straddle words 0/1.
         let expr = LogicalExpr::Or(
             (56..n)
@@ -112,7 +112,9 @@ fn multi_index_clause_accumulator_at_word_boundaries() {
                 })
                 .collect(),
         );
-        let mut hits = idx.query_expr(&expr).unwrap();
+        let mut hits = idx
+            .query_expr_with(&expr, &mut QueryScratch::new())
+            .unwrap();
         hits.sort_unstable();
         assert_eq!(hits, (56..n).collect::<Vec<_>>(), "n={n}");
     }

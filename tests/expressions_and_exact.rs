@@ -8,6 +8,7 @@ use dds_core::framework::{ground_truth, Interval, LogicalExpr, Predicate, Reposi
 use dds_core::guarantee::check_ptile_conjunction;
 use dds_core::pool::BuildOptions;
 use dds_core::ptile::{ExactCPtile1D, PtileBuildParams, PtileMultiIndex};
+use dds_core::scratch::QueryScratch;
 use dds_geom::Rect;
 use dds_workload::queries;
 use rand::rngs::StdRng;
@@ -70,7 +71,9 @@ fn expression_queries_cover_ground_truth() {
                 LogicalExpr::Pred(Predicate::percentile(r1.clone(), Interval::new(0.0, 0.5))),
             ]),
         ]);
-        let hits = idx.query_expr(&expr).expect("percentile expression");
+        let hits = idx
+            .query_expr_with(&expr, &mut QueryScratch::new())
+            .expect("percentile expression");
         let truth = ground_truth(&repo, &expr);
         for i in truth {
             assert!(hits.contains(&i), "ground-truth index {i} missing");

@@ -95,8 +95,8 @@ proptest! {
                 multi_serial.query(&[(rect.clone(), theta)])
             );
             prop_assert_eq!(
-                multi.query_expr(&expr).unwrap(),
-                multi_serial.query_expr(&expr).unwrap()
+                multi.query_expr_with(&expr, &mut QueryScratch::new()).unwrap(),
+                multi_serial.query_expr_with(&expr, &mut QueryScratch::new()).unwrap()
             );
             prop_assert_eq!(multi.slack().to_bits(), multi_serial.slack().to_bits());
             prop_assert_eq!(multi.margin().to_bits(), multi_serial.margin().to_bits());

@@ -888,8 +888,9 @@ proptest! {
     /// Selective streams (narrow interior rectangles, θ lower bound well
     /// above any sampling margin) are the traffic the synopsis tier was
     /// built to prune — and the pruning must be invisible: full routing ≡
-    /// box-only ≡ unrouted, bit for bit, for exact **and** φ-anchored
-    /// sampled builds, shards {2, 3, 8} × threads {1, 4}.
+    /// unrouted, bit for bit, for exact **and** φ-anchored sampled builds,
+    /// shards {2, 3, 8} × threads {1, 4}. Full routing runs the box tier
+    /// first, so a wrong box skip breaks this equivalence too.
     #[test]
     fn selective_streams_prune_without_changing_answers(salt in 0u64..1000) {
         let n = 12usize;
@@ -902,35 +903,25 @@ proptest! {
         for (p, ptile) in params.iter().enumerate() {
             for k in [2usize, 3, 8] {
                 let full = sharded_from_spec(&spec, k, ptile, Routing::Full);
-                let box_only = sharded_from_spec(&spec, k, ptile, Routing::BoxOnly);
                 let unrouted = sharded_from_spec(&spec, k, ptile, Routing::Off);
                 let mut scratch = QueryScratch::new();
                 for (i, e) in exprs.iter().enumerate() {
                     let want = unrouted.try_query_with(e, &mut scratch);
                     prop_assert_eq!(
-                        full.try_query_with(e, &mut scratch), want.clone(),
+                        full.try_query_with(e, &mut scratch), want,
                         "full vs unrouted, params {}, shards {}, expr {}", p, k, i
-                    );
-                    prop_assert_eq!(
-                        box_only.try_query_with(e, &mut scratch), want,
-                        "box-only vs unrouted, params {}, shards {}, expr {}", p, k, i
                     );
                 }
                 for t in [1usize, 4] {
                     let opts = BuildOptions::with_threads(t);
                     let want = unrouted.try_query_batch_opts(&exprs, &opts);
                     prop_assert_eq!(
-                        full.try_query_batch_opts(&exprs, &opts), want.clone(),
+                        full.try_query_batch_opts(&exprs, &opts), want,
                         "full batch, params {}, shards {}, threads {}", p, k, t
-                    );
-                    prop_assert_eq!(
-                        box_only.try_query_batch_opts(&exprs, &opts), want,
-                        "box-only batch, params {}, shards {}, threads {}", p, k, t
                     );
                 }
                 prop_assert_eq!(unrouted.shards_routed_past(), 0);
                 prop_assert_eq!(unrouted.shards_routed_by_synopsis(), 0);
-                prop_assert_eq!(box_only.shards_routed_by_synopsis(), 0);
             }
         }
     }
