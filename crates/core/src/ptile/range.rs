@@ -328,12 +328,8 @@ impl PtileRangeIndex {
         out
     }
 
-    /// Callback variant of [`query`](Self::query) (delay instrumentation).
-    pub fn query_cb(&self, r: &Rect, theta: Interval, f: &mut dyn FnMut(usize)) {
-        self.query_cb_with(r, theta, &mut QueryScratch::new(), f)
-    }
-
-    /// [`query_cb`](Self::query_cb) with caller-provided scratch.
+    /// Callback variant of [`query_with`](Self::query_with): each
+    /// qualifying dataset is passed to `f` once, as it is found.
     pub fn query_cb_with(
         &self,
         r: &Rect,

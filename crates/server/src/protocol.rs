@@ -1,5 +1,13 @@
 //! Request/response payload codecs — the grammar of `PROTOCOL.md`.
 //!
+//! Each message has one encoder, `encode_to` (into a caller's, typically
+//! pooled, [`Writer`]; [`crate::wire::encode_frame_into`] frames it), and
+//! one decoder, `decode`. Each wire table is written once: the opcodes in
+//! [`opcode`], the stats counter order in `ServerStats::slots`, the
+//! error-kind tags and names in `ERROR_KINDS`; the unit tests check the
+//! opcodes, the retry classes and (in `tests/stats_contract.rs`) the
+//! counter order against `PROTOCOL.md` itself.
+//!
 //! Encoding is explicit per type (no serde, no derive): every enum gets a
 //! written-down discriminant, every float travels as its IEEE-754 bit
 //! pattern (so answers survive the wire *bit-identically*, `-0.0`
@@ -279,7 +287,24 @@ pub enum ServerErrorKind {
     Throttled,
 }
 
+/// Every [`ServerErrorKind`] with its display name, indexed by its wire
+/// tag (`PROTOCOL.md`'s `server_err`).
+const ERROR_KINDS: [(ServerErrorKind, &str); 6] = [
+    (ServerErrorKind::Protocol, "protocol"),
+    (ServerErrorKind::Ingest, "ingest"),
+    (ServerErrorKind::Unavailable, "unavailable"),
+    (ServerErrorKind::InvalidQuery, "invalid-query"),
+    (ServerErrorKind::Internal, "internal"),
+    (ServerErrorKind::Throttled, "throttled"),
+];
+
 impl ServerErrorKind {
+    /// This kind's wire tag: its index in [`ERROR_KINDS`].
+    fn tag(self) -> u8 {
+        let tag = ERROR_KINDS.iter().position(|&(k, _)| k == self);
+        tag.expect("every kind is listed") as u8
+    }
+
     /// Whether this kind means "the server refused to do the work right
     /// now, try again" (`Unavailable`, `Throttled`) rather than "this
     /// request can never succeed as sent" (everything else). Transient
@@ -295,14 +320,7 @@ impl ServerErrorKind {
 
 impl fmt::Display for ServerErrorKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ServerErrorKind::Protocol => write!(f, "protocol"),
-            ServerErrorKind::Ingest => write!(f, "ingest"),
-            ServerErrorKind::Unavailable => write!(f, "unavailable"),
-            ServerErrorKind::InvalidQuery => write!(f, "invalid-query"),
-            ServerErrorKind::Internal => write!(f, "internal"),
-            ServerErrorKind::Throttled => write!(f, "throttled"),
-        }
+        f.write_str(ERROR_KINDS[self.tag() as usize].1)
     }
 }
 
@@ -417,74 +435,41 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
-    fn fields(&self) -> [u64; 30] {
+    /// Every counter in wire order — the one place that order is written
+    /// (`PROTOCOL.md`'s `stats` list). New counters append; nothing moves.
+    fn slots(&mut self) -> [&mut u64; 30] {
         [
-            self.requests,
-            self.queries,
-            self.batch_queries,
-            self.batch_exprs,
-            self.admin_ops,
-            self.busy_rejections,
-            self.unavailable_rejections,
-            self.wire_errors,
-            self.jobs_admitted,
-            self.jobs_dequeued,
-            self.jobs_completed,
-            self.bytes_in,
-            self.bytes_out,
-            self.sessions_opened,
-            self.sessions_active,
-            self.cache_hits,
-            self.cache_misses,
-            self.index_queries,
-            self.shards_routed_past,
-            self.n_shards,
-            self.n_datasets,
-            self.executor_panics,
-            self.sessions_throttled,
-            self.buffers_reused,
-            self.shard_splits,
-            self.shard_merges,
-            self.sessions_reaped,
-            self.retries_attempted,
-            self.requests_deduped,
-            self.shards_routed_by_synopsis,
+            &mut self.requests,
+            &mut self.queries,
+            &mut self.batch_queries,
+            &mut self.batch_exprs,
+            &mut self.admin_ops,
+            &mut self.busy_rejections,
+            &mut self.unavailable_rejections,
+            &mut self.wire_errors,
+            &mut self.jobs_admitted,
+            &mut self.jobs_dequeued,
+            &mut self.jobs_completed,
+            &mut self.bytes_in,
+            &mut self.bytes_out,
+            &mut self.sessions_opened,
+            &mut self.sessions_active,
+            &mut self.cache_hits,
+            &mut self.cache_misses,
+            &mut self.index_queries,
+            &mut self.shards_routed_past,
+            &mut self.n_shards,
+            &mut self.n_datasets,
+            &mut self.executor_panics,
+            &mut self.sessions_throttled,
+            &mut self.buffers_reused,
+            &mut self.shard_splits,
+            &mut self.shard_merges,
+            &mut self.sessions_reaped,
+            &mut self.retries_attempted,
+            &mut self.requests_deduped,
+            &mut self.shards_routed_by_synopsis,
         ]
-    }
-
-    fn from_fields(f: &[u64]) -> Self {
-        ServerStats {
-            requests: f[0],
-            queries: f[1],
-            batch_queries: f[2],
-            batch_exprs: f[3],
-            admin_ops: f[4],
-            busy_rejections: f[5],
-            unavailable_rejections: f[6],
-            wire_errors: f[7],
-            jobs_admitted: f[8],
-            jobs_dequeued: f[9],
-            jobs_completed: f[10],
-            bytes_in: f[11],
-            bytes_out: f[12],
-            sessions_opened: f[13],
-            sessions_active: f[14],
-            cache_hits: f[15],
-            cache_misses: f[16],
-            index_queries: f[17],
-            shards_routed_past: f[18],
-            n_shards: f[19],
-            n_datasets: f[20],
-            executor_panics: f[21],
-            sessions_throttled: f[22],
-            buffers_reused: f[23],
-            shard_splits: f[24],
-            shard_merges: f[25],
-            sessions_reaped: f[26],
-            retries_attempted: f[27],
-            requests_deduped: f[28],
-            shards_routed_by_synopsis: f[29],
-        }
     }
 }
 
@@ -823,15 +808,28 @@ fn get_dataset(r: &mut Reader) -> Result<Dataset, WireError> {
     Ok(Dataset::from_rows(name, rows))
 }
 
+fn put_ids(w: &mut Writer, ids: &[GlobalId]) {
+    w.put_count(ids.len());
+    for &id in ids {
+        w.put_u64(id);
+    }
+}
+
+fn get_ids(r: &mut Reader) -> Result<Vec<GlobalId>, WireError> {
+    let n = r.count(8)?;
+    let mut ids = Vec::with_capacity(n);
+    for _ in 0..n {
+        ids.push(r.u64()?);
+    }
+    Ok(ids)
+}
+
 fn put_shard_data(w: &mut Writer, datasets: &[Dataset], global_ids: &[GlobalId]) {
     w.put_count(datasets.len());
     for ds in datasets {
         put_dataset(w, ds);
     }
-    w.put_count(global_ids.len());
-    for &id in global_ids {
-        w.put_u64(id);
-    }
+    put_ids(w, global_ids);
 }
 
 fn get_shard_data(r: &mut Reader) -> Result<(Vec<Dataset>, Vec<GlobalId>), WireError> {
@@ -851,12 +849,7 @@ fn get_shard_data(r: &mut Reader) -> Result<(Vec<Dataset>, Vec<GlobalId>), WireE
             context: "datasets in one shard must share the schema dimension",
         });
     }
-    let m = r.count(8)?;
-    let mut ids = Vec::with_capacity(m);
-    for _ in 0..m {
-        ids.push(r.u64()?);
-    }
-    Ok((datasets, ids))
+    Ok((datasets, get_ids(r)?))
 }
 
 // ---------------------------------------------------------------------------
@@ -895,10 +888,7 @@ fn put_engine_result(w: &mut Writer, res: &Result<Vec<GlobalId>, EngineError>) {
     match res {
         Ok(ids) => {
             w.put_u8(0x00);
-            w.put_count(ids.len());
-            for &id in ids {
-                w.put_u64(id);
-            }
+            put_ids(w, ids);
         }
         Err(e) => {
             w.put_u8(0x01);
@@ -909,14 +899,7 @@ fn put_engine_result(w: &mut Writer, res: &Result<Vec<GlobalId>, EngineError>) {
 
 fn get_engine_result(r: &mut Reader) -> Result<Result<Vec<GlobalId>, EngineError>, WireError> {
     match r.u8()? {
-        0x00 => {
-            let n = r.count(8)?;
-            let mut ids = Vec::with_capacity(n);
-            for _ in 0..n {
-                ids.push(r.u64()?);
-            }
-            Ok(Ok(ids))
-        }
+        0x00 => Ok(Ok(get_ids(r)?)),
         0x01 => Ok(Err(get_engine_error(r)?)),
         tag => Err(WireError::BadTag {
             context: "engine result",
@@ -1042,18 +1025,10 @@ fn get_metrics(r: &mut Reader) -> Result<MetricsReport, WireError> {
 // ---------------------------------------------------------------------------
 
 impl Request {
-    /// Encodes to `(opcode, payload)`.
-    pub fn encode(&self) -> (u8, Vec<u8>) {
-        let mut w = Writer::new();
-        let op = self.encode_to(&mut w);
-        (op, w.into_bytes())
-    }
-
     /// Encodes the payload into a caller-provided [`Writer`] (whose
     /// backing buffer is typically pooled — see
     /// [`Writer::from_vec`](crate::wire::Writer::from_vec)), returning
-    /// the opcode. The allocation-free twin of
-    /// [`encode`](Self::encode).
+    /// the opcode.
     pub fn encode_to(&self, w: &mut Writer) -> u8 {
         match self {
             Request::Query(expr) => {
@@ -1099,10 +1074,7 @@ impl Request {
             }
             Request::SplitShard { shard, move_ids } => {
                 w.put_u32(*shard);
-                w.put_count(move_ids.len());
-                for &id in move_ids {
-                    w.put_u64(id);
-                }
+                put_ids(w, move_ids);
                 opcode::SPLIT_SHARD
             }
             Request::MergeShards { a, b } => {
@@ -1154,15 +1126,11 @@ impl Request {
             opcode::SLEEP => Request::Sleep { ms: r.u32()? },
             opcode::SPLIT_SHARD => {
                 let shard = r.u32()?;
-                let n = r.count(8)?;
-                if n == 0 {
+                let move_ids = get_ids(&mut r)?;
+                if move_ids.is_empty() {
                     return Err(WireError::BadValue {
                         context: "a split must move at least one id",
                     });
-                }
-                let mut move_ids = Vec::with_capacity(n);
-                for _ in 0..n {
-                    move_ids.push(r.u64()?);
                 }
                 Request::SplitShard { shard, move_ids }
             }
@@ -1184,16 +1152,8 @@ impl Request {
 }
 
 impl Response {
-    /// Encodes to `(opcode, payload)`.
-    pub fn encode(&self) -> (u8, Vec<u8>) {
-        let mut w = Writer::new();
-        let op = self.encode_to(&mut w);
-        (op, w.into_bytes())
-    }
-
     /// Encodes the payload into a caller-provided [`Writer`], returning
-    /// the opcode — the allocation-free twin of [`encode`](Self::encode)
-    /// used by the session layer's pooled write buffers.
+    /// the opcode (the session layer passes its pooled write buffers).
     pub fn encode_to(&self, w: &mut Writer) -> u8 {
         match self {
             Response::Hits(res) => {
@@ -1213,10 +1173,11 @@ impl Response {
             }
             Response::Done => opcode::DONE,
             Response::Stats(stats) => {
-                let fields = stats.fields();
-                w.put_count(fields.len());
-                for x in fields {
-                    w.put_u64(x);
+                let mut stats = *stats;
+                let slots = stats.slots();
+                w.put_count(slots.len());
+                for x in slots {
+                    w.put_u64(*x);
                 }
                 opcode::STATS_REPLY
             }
@@ -1226,14 +1187,7 @@ impl Response {
             }
             Response::Busy => opcode::BUSY,
             Response::Error(e) => {
-                w.put_u8(match e.kind {
-                    ServerErrorKind::Protocol => 0x00,
-                    ServerErrorKind::Ingest => 0x01,
-                    ServerErrorKind::Unavailable => 0x02,
-                    ServerErrorKind::InvalidQuery => 0x03,
-                    ServerErrorKind::Internal => 0x04,
-                    ServerErrorKind::Throttled => 0x05,
-                });
+                w.put_u8(e.kind.tag());
                 w.put_str(&e.message);
                 opcode::ERROR
             }
@@ -1261,35 +1215,31 @@ impl Response {
             opcode::DONE => Response::Done,
             opcode::STATS_REPLY => {
                 let n = r.count(8)?;
-                let known = ServerStats::default().fields().len();
+                let mut stats = ServerStats::default();
+                let slots = stats.slots();
+                let known = slots.len();
                 if n < known {
                     return Err(WireError::BadValue {
                         context: "stats snapshot is missing fields",
                     });
                 }
-                let mut fields = Vec::with_capacity(n);
-                for _ in 0..n {
-                    fields.push(r.u64()?);
+                for slot in slots {
+                    *slot = r.u64()?;
                 }
-                Response::Stats(ServerStats::from_fields(&fields))
+                // Skip the fields a newer server appends.
+                for _ in known..n {
+                    r.u64()?;
+                }
+                Response::Stats(stats)
             }
             opcode::PONG => Response::Pong { token: r.u64()? },
             opcode::BUSY => Response::Busy,
             opcode::ERROR => {
-                let kind = match r.u8()? {
-                    0x00 => ServerErrorKind::Protocol,
-                    0x01 => ServerErrorKind::Ingest,
-                    0x02 => ServerErrorKind::Unavailable,
-                    0x03 => ServerErrorKind::InvalidQuery,
-                    0x04 => ServerErrorKind::Internal,
-                    0x05 => ServerErrorKind::Throttled,
-                    tag => {
-                        return Err(WireError::BadTag {
-                            context: "error kind",
-                            tag,
-                        })
-                    }
-                };
+                let tag = r.u8()?;
+                let (kind, _) = *ERROR_KINDS.get(tag as usize).ok_or(WireError::BadTag {
+                    context: "error kind",
+                    tag,
+                })?;
                 Response::Error(ServerError {
                     kind,
                     message: r.str_()?,
@@ -1311,6 +1261,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{HashMap, HashSet};
 
     fn expr() -> LogicalExpr {
         LogicalExpr::Or(vec![
@@ -1328,12 +1279,19 @@ mod tests {
         ])
     }
 
+    /// `(opcode, payload)` of one `encode_to` call.
+    fn encoded(encode_to: impl FnOnce(&mut Writer) -> u8) -> (u8, Vec<u8>) {
+        let mut w = Writer::new();
+        let op = encode_to(&mut w);
+        (op, w.into_bytes())
+    }
+
     /// Encode → decode → encode must be the identity on bytes (the codec
     /// is deterministic, so byte equality is structural equality).
     fn round_trip_request(req: &Request) {
-        let (op, bytes) = req.encode();
+        let (op, bytes) = encoded(|w| req.encode_to(w));
         let decoded = Request::decode(op, &bytes).expect("valid request decodes");
-        let (op2, bytes2) = decoded.encode();
+        let (op2, bytes2) = encoded(|w| decoded.encode_to(w));
         assert_eq!((op, bytes), (op2, bytes2));
     }
 
@@ -1452,10 +1410,10 @@ mod tests {
             }),
         ];
         for resp in responses {
-            let (op, bytes) = resp.encode();
+            let (op, bytes) = encoded(|w| resp.encode_to(w));
             let decoded = Response::decode(op, &bytes).expect("valid response decodes");
             assert_eq!(decoded, resp);
-            let (op2, bytes2) = decoded.encode();
+            let (op2, bytes2) = encoded(|w| decoded.encode_to(w));
             assert_eq!((op, bytes), (op2, bytes2));
         }
     }
@@ -1502,7 +1460,7 @@ mod tests {
             )),
         ]);
         let bomb = LogicalExpr::And(vec![or; 7]);
-        let (op, bytes) = Request::Query(bomb).encode();
+        let (op, bytes) = encoded(|w| Request::Query(bomb).encode_to(w));
         assert!(matches!(
             Request::decode(op, &bytes),
             Err(WireError::BadValue {
@@ -1553,7 +1511,7 @@ mod tests {
             wide_or,
             LogicalExpr::Or(vec![]),
         ]);
-        let (op, bytes) = Request::Query(bomb.clone()).encode();
+        let (op, bytes) = encoded(|w| Request::Query(bomb.clone()).encode_to(w));
         assert!(matches!(
             Request::decode(op, &bytes),
             Err(WireError::BadValue { .. })
@@ -1566,31 +1524,72 @@ mod tests {
         assert!(bomb.dnf_clause_bound() > MAX_DNF_CLAUSES);
     }
 
+    /// The cells of each body row of the first table after `heading` in
+    /// `PROTOCOL.md`, the document the codec is checked against.
+    fn protocol_md_rows(heading: &str) -> Vec<Vec<String>> {
+        const DOC: &str = include_str!("../PROTOCOL.md");
+        let at = DOC
+            .find(heading)
+            .unwrap_or_else(|| panic!("no {heading:?}"));
+        DOC[at..]
+            .lines()
+            .skip_while(|l| !l.starts_with('|'))
+            .take_while(|l| l.starts_with('|'))
+            .skip(2) // header and separator
+            .map(|l| {
+                l.trim_matches('|')
+                    .split('|')
+                    .map(|c| c.trim().into())
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The opcode of a table cell such as `` `0x0A` ``.
+    fn opcode_cell(cell: &str) -> u8 {
+        let hex = cell.trim_matches('`').trim_start_matches("0x");
+        u8::from_str_radix(hex, 16).unwrap_or_else(|_| panic!("bad opcode cell {cell:?}"))
+    }
+
     #[test]
     fn retry_safety_classification_matches_the_protocol_table() {
+        let names: HashMap<u8, String> = protocol_md_rows("### Requests")
+            .into_iter()
+            .map(|row| (opcode_cell(&row[0]), row[1].clone()))
+            .collect();
+        let classes: HashMap<String, RetrySafety> = protocol_md_rows("## Retry safety")
+            .into_iter()
+            .map(|row| {
+                let class = match row[1].trim_matches('*') {
+                    "safe" => RetrySafety::Safe,
+                    "safe iff deduped" => RetrySafety::SafeIfDeduped,
+                    "unsafe" => RetrySafety::Unsafe,
+                    other => panic!("unknown retry class {other:?}"),
+                };
+                (row[0].clone(), class)
+            })
+            .collect();
         let shard = (vec![Dataset::from_rows("d", vec![vec![1.0]])], vec![0u64]);
-        let cases: Vec<(Request, RetrySafety, Option<u64>)> = vec![
-            (Request::Query(expr()), RetrySafety::Safe, None),
-            (Request::QueryBatch(vec![expr()]), RetrySafety::Safe, None),
-            (Request::Stats, RetrySafety::Safe, None),
-            (Request::Metrics, RetrySafety::Safe, None),
-            (Request::Ping { token: 1 }, RetrySafety::Safe, None),
+        let cases: Vec<(Request, Option<u64>)> = vec![
+            (Request::Query(expr()), None),
+            (Request::QueryBatch(vec![expr()]), None),
+            (Request::Stats, None),
+            (Request::Metrics, None),
+            (Request::Ping { token: 1 }, None),
             (
                 Request::SplitShard {
                     shard: 0,
                     move_ids: vec![1],
                 },
-                RetrySafety::Safe,
                 None,
             ),
-            (Request::MergeShards { a: 0, b: 1 }, RetrySafety::Safe, None),
+            (Request::MergeShards { a: 0, b: 1 }, None),
             (
                 Request::AddShard {
                     request_id: 0,
                     datasets: shard.0.clone(),
                     global_ids: shard.1.clone(),
                 },
-                RetrySafety::SafeIfDeduped,
                 None,
             ),
             (
@@ -1599,7 +1598,6 @@ mod tests {
                     datasets: shard.0.clone(),
                     global_ids: shard.1.clone(),
                 },
-                RetrySafety::SafeIfDeduped,
                 Some(42),
             ),
             (
@@ -1609,21 +1607,60 @@ mod tests {
                     datasets: shard.0,
                     global_ids: shard.1,
                 },
-                RetrySafety::SafeIfDeduped,
                 Some(7),
             ),
-            (Request::Shutdown, RetrySafety::Unsafe, None),
-            (Request::Sleep { ms: 1 }, RetrySafety::Unsafe, None),
+            (Request::Shutdown, None),
+            (Request::Sleep { ms: 1 }, None),
         ];
-        for (req, safety, dedup) in cases {
-            assert_eq!(req.retry_safety(), safety, "{req:?}");
+        let mut covered = HashSet::new();
+        for (req, dedup) in cases {
+            let name = &names[&req.encode_to(&mut Writer::new())];
+            let safety = classes
+                .get(name)
+                .unwrap_or_else(|| panic!("{name} has no class"));
+            assert_eq!(req.retry_safety(), *safety, "{req:?}");
             assert_eq!(req.dedup_id(), dedup, "{req:?}");
+            covered.insert(name.clone());
+        }
+        // One case per listed op, and one class per op.
+        assert_eq!(covered, names.values().cloned().collect());
+        assert_eq!(covered, classes.keys().cloned().collect());
+    }
+
+    #[test]
+    fn decoders_accept_exactly_the_opcodes_protocol_md_lists() {
+        let listed = |heading| -> HashSet<u8> {
+            let rows = protocol_md_rows(heading);
+            rows.iter().map(|row| opcode_cell(&row[0])).collect()
+        };
+        let (requests, responses) = (listed("### Requests"), listed("### Responses"));
+        for op in 0..=u8::MAX {
+            let unknown = matches!(
+                Request::decode(op, &[]),
+                Err(WireError::BadTag {
+                    context: "request opcode",
+                    ..
+                })
+            );
+            assert_eq!(unknown, !requests.contains(&op), "request opcode {op:#04x}");
+            let unknown = matches!(
+                Response::decode(op, &[]),
+                Err(WireError::BadTag {
+                    context: "response opcode",
+                    ..
+                })
+            );
+            assert_eq!(
+                unknown,
+                !responses.contains(&op),
+                "response opcode {op:#04x}"
+            );
         }
     }
 
     #[test]
     fn trailing_bytes_and_bad_opcodes_are_rejected() {
-        let (op, mut bytes) = Request::Ping { token: 1 }.encode();
+        let (op, mut bytes) = encoded(|w| Request::Ping { token: 1 }.encode_to(w));
         bytes.push(0xFF);
         assert!(matches!(
             Request::decode(op, &bytes),

@@ -50,7 +50,7 @@ use crate::protocol::{
 };
 use crate::reactor::{Interest, Reactor, Ready, Waker};
 use crate::wire::{
-    encode_frame_into, WireError, DEFAULT_MAX_FRAME_LEN, FRAME_HEADER_LEN, PROTOCOL_VERSION,
+    check_frame_len, encode_frame_into, WireError, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 use dds_core::framework::Repository;
 use dds_core::pool::BuildOptions;
@@ -901,19 +901,11 @@ fn drive_session(shared: &Arc<Shared>, io: &Arc<IoShared>, s: &mut Session) -> D
                             continue;
                         }
                         let len = u32::from_le_bytes(s.prefix);
-                        if len < FRAME_HEADER_LEN {
+                        if let Err(e) = check_frame_len(len, shared.cfg.max_frame_len) {
                             // Header-level violation: the stream position
                             // cannot be trusted any more. Answer the
                             // typed error, then close.
                             shared.counters.wire_errors.fetch_add(1, Ordering::Relaxed);
-                            let e = WireError::FrameTooShort { len };
-                            respond_enqueue(shared, s, &protocol_error(&e), true);
-                        } else if len > shared.cfg.max_frame_len {
-                            shared.counters.wire_errors.fetch_add(1, Ordering::Relaxed);
-                            let e = WireError::FrameTooLarge {
-                                len,
-                                max: shared.cfg.max_frame_len,
-                            };
                             respond_enqueue(shared, s, &protocol_error(&e), true);
                         } else {
                             s.read_buf.clear();
@@ -1611,7 +1603,7 @@ mod tests {
     #[test]
     fn a_response_pending_at_shutdown_is_traced_once() {
         use crate::protocol::opcode;
-        use crate::wire::{read_frame, write_frame};
+        use crate::wire::read_frame_into;
         use dds_core::framework::{LogicalExpr, Predicate};
         use dds_core::pref::PrefBuildParams;
         use dds_core::ptile::PtileBuildParams;
@@ -1656,15 +1648,12 @@ mod tests {
             0.2,
         ));
         let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-        let (op, payload) = Request::QueryBatch(vec![wide; EXPRS]).encode();
-        write_frame(
-            &mut stream,
-            PROTOCOL_VERSION,
-            op,
-            &payload,
-            DEFAULT_MAX_FRAME_LEN,
-        )
-        .expect("send batch");
+        let mut frame = Vec::new();
+        encode_frame_into(&mut frame, PROTOCOL_VERSION, DEFAULT_MAX_FRAME_LEN, |w| {
+            Request::QueryBatch(vec![wide; EXPRS]).encode_to(w)
+        })
+        .expect("encode batch");
+        stream.write_all(&frame).expect("send batch");
         let deadline = Instant::now() + Duration::from_secs(30);
         while batch_traces() == 0 {
             assert!(Instant::now() < deadline, "the batch was never traced");
@@ -1679,8 +1668,10 @@ mod tests {
         // is what finishes the response.
         let reader = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(300));
-            let frame = read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN).expect("read reply");
-            Response::decode(frame.opcode, &frame.payload).expect("decode reply")
+            let mut body = Vec::new();
+            let (_, op) =
+                read_frame_into(&mut stream, DEFAULT_MAX_FRAME_LEN, &mut body).expect("read reply");
+            Response::decode(op, &body).expect("decode reply")
         });
         server.shutdown();
         match reader.join().expect("reader") {

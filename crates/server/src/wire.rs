@@ -3,14 +3,16 @@
 //! Everything on the wire is a *frame*: a little-endian `u32` length
 //! prefix followed by `version`, `opcode` and an opcode-specific payload
 //! (grammar in `PROTOCOL.md`). This module owns the length-prefix
-//! discipline — including the maximum-frame bound that keeps a hostile
-//! length prefix from allocating unbounded memory — and the primitive
-//! readers/writers the payload codecs in [`crate::protocol`] are built
-//! from. No serde: every byte is written and checked by hand, so a
+//! discipline — one frame writer, [`encode_frame_into`], one frame
+//! reader, [`read_frame_into`], and one length rule shared by that reader
+//! and the server's nonblocking one, whose maximum-frame bound keeps a
+//! hostile length prefix from allocating unbounded memory — and the
+//! primitive [`Writer`]/[`Reader`] the payload codecs in
+//! [`crate::protocol`] are built from. No serde: every byte is written and checked by hand, so a
 //! corrupt frame surfaces as a typed [`WireError`], never a panic.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// Protocol version carried in every frame.
 ///
@@ -163,64 +165,26 @@ impl std::error::Error for FrameReadError {
     }
 }
 
-/// One decoded frame: version byte, opcode byte, payload bytes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Frame {
-    /// The version byte as received (validated by the session layer so it
-    /// can answer a mismatch with a typed error).
-    pub version: u8,
-    /// Opcode selecting the payload grammar.
-    pub opcode: u8,
-    /// Opcode-specific payload.
-    pub payload: Vec<u8>,
+/// The length-prefix rule of every frame reader: the declared body must
+/// hold version + opcode and fit under `max_len`. A violation is a
+/// header-level [`FrameReadError::Wire`]: the stream position can no
+/// longer be trusted.
+pub(crate) fn check_frame_len(len: u32, max_len: u32) -> Result<(), WireError> {
+    if len < FRAME_HEADER_LEN {
+        Err(WireError::FrameTooShort { len })
+    } else if len > max_len {
+        Err(WireError::FrameTooLarge { len, max: max_len })
+    } else {
+        Ok(())
+    }
 }
 
-/// Writes one frame. `max_len` bounds the body exactly like the reader's
-/// bound, so an over-large *outgoing* frame fails fast locally instead of
-/// being rejected by the peer. Returns the bytes put on the wire.
-pub fn write_frame(
-    w: &mut impl Write,
-    version: u8,
-    opcode: u8,
-    payload: &[u8],
-    max_len: u32,
-) -> io::Result<u64> {
-    let body_len = payload
-        .len()
-        .checked_add(FRAME_HEADER_LEN as usize)
-        .filter(|&n| n <= max_len as usize)
-        .ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                WireError::FrameTooLarge {
-                    len: payload.len().min(u32::MAX as usize) as u32,
-                    max: max_len,
-                },
-            )
-        })?;
-    w.write_all(&(body_len as u32).to_le_bytes())?;
-    w.write_all(&[version, opcode])?;
-    w.write_all(payload)?;
-    w.flush()?;
-    Ok(4 + body_len as u64)
-}
-
-/// Reads one frame, allocating at most `max_len` bytes for the body.
-pub fn read_frame(r: &mut impl Read, max_len: u32) -> Result<Frame, FrameReadError> {
-    let mut body = Vec::new();
-    let (version, opcode) = read_frame_into(r, max_len, &mut body)?;
-    Ok(Frame {
-        version,
-        opcode,
-        payload: body,
-    })
-}
-
-/// [`read_frame`] into a caller-provided payload buffer (cleared, then
+/// Reads one frame into a caller-provided payload buffer (cleared, then
 /// filled with the payload — header bytes excluded), returning
-/// `(version, opcode)`. The buffer keeps its capacity across calls, so a
-/// read loop over same-sized frames stops allocating once warm — the
-/// transport half of the session layer's zero-allocation steady state.
+/// `(version, opcode)` and allocating at most `max_len` bytes for the
+/// body. The buffer keeps its capacity across calls, so a read loop over
+/// same-sized frames stops allocating once warm — the transport half of
+/// the session layer's zero-allocation steady state.
 pub fn read_frame_into(
     r: &mut impl Read,
     max_len: u32,
@@ -247,15 +211,7 @@ pub fn read_frame_into(
         }
     }
     let len = u32::from_le_bytes(prefix);
-    if len < FRAME_HEADER_LEN {
-        return Err(FrameReadError::Wire(WireError::FrameTooShort { len }));
-    }
-    if len > max_len {
-        return Err(FrameReadError::Wire(WireError::FrameTooLarge {
-            len,
-            max: max_len,
-        }));
-    }
+    check_frame_len(len, max_len).map_err(FrameReadError::Wire)?;
     let mut header = [0u8; FRAME_HEADER_LEN as usize];
     r.read_exact(&mut header).map_err(FrameReadError::Io)?;
     body.clear();
@@ -325,12 +281,13 @@ impl Writer {
 /// Encodes one complete frame — length prefix, version, opcode, payload
 /// — into `buf` (cleared first, capacity kept), where `encode` is an
 /// `encode_to`-style closure writing the payload and returning the
-/// opcode. The in-memory twin of [`write_frame`] used by the
-/// nonblocking session layer and the client's scratch buffers: encoding
-/// into a warm buffer allocates nothing, and the caller ships `buf`
-/// with plain writes whenever the socket is ready.
+/// opcode. The one frame writer, used by the nonblocking session layer
+/// and the client's scratch buffers: encoding into a warm buffer
+/// allocates nothing, and the caller ships `buf` with plain writes
+/// whenever the socket is ready.
 ///
-/// Like [`write_frame`], a body past `max_len` is refused — but only
+/// A body past `max_len` is refused, so an over-large *outgoing* frame
+/// fails locally instead of being rejected by the peer — but only
 /// *after* encoding (the length isn't known up front), so the caller
 /// still holds the grown buffer and can re-encode a small typed error
 /// into it.
@@ -495,25 +452,31 @@ mod tests {
         assert!(matches!(r.count(8), Err(WireError::Truncated { .. })));
     }
 
+    /// One frame through the library writer.
+    fn frame(op: u8, payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_frame_into(&mut buf, PROTOCOL_VERSION, 1024, |w| {
+            payload.iter().for_each(|&b| w.put_u8(b));
+            op
+        })
+        .unwrap();
+        buf
+    }
+
     #[test]
     fn frames_round_trip_and_enforce_bounds() {
-        let mut buf = Vec::new();
-        let n = write_frame(&mut buf, PROTOCOL_VERSION, 0x42, b"abc", 1024).unwrap();
-        assert_eq!(n, buf.len() as u64);
-        let frame = read_frame(&mut buf.as_slice(), 1024).unwrap();
+        let buf = frame(0x42, b"abc");
+        let mut body = Vec::new();
+        let header = read_frame_into(&mut buf.as_slice(), 1024, &mut body).unwrap();
         assert_eq!(
-            frame,
-            Frame {
-                version: PROTOCOL_VERSION,
-                opcode: 0x42,
-                payload: b"abc".to_vec()
-            }
+            (header, body.as_slice()),
+            ((PROTOCOL_VERSION, 0x42), b"abc".as_slice())
         );
         // Oversized declared length is rejected without allocating.
         let mut hostile = Vec::new();
         hostile.extend_from_slice(&u32::MAX.to_le_bytes());
         hostile.extend_from_slice(&[1, 2, 3]);
-        match read_frame(&mut hostile.as_slice(), 1024) {
+        match read_frame_into(&mut hostile.as_slice(), 1024, &mut body) {
             Err(FrameReadError::Wire(WireError::FrameTooLarge { .. })) => {}
             other => panic!("expected FrameTooLarge, got {other:?}"),
         }
@@ -521,37 +484,25 @@ mod tests {
         let mut short = Vec::new();
         short.extend_from_slice(&1u32.to_le_bytes());
         short.push(0);
-        match read_frame(&mut short.as_slice(), 1024) {
+        match read_frame_into(&mut short.as_slice(), 1024, &mut body) {
             Err(FrameReadError::Wire(WireError::FrameTooShort { len: 1 })) => {}
             other => panic!("expected FrameTooShort, got {other:?}"),
         }
         // Clean EOF before any byte vs a cut inside the prefix.
         assert!(matches!(
-            read_frame(&mut (&[] as &[u8]), 1024),
+            read_frame_into(&mut (&[] as &[u8]), 1024, &mut body),
             Err(FrameReadError::Eof)
         ));
         assert!(matches!(
-            read_frame(&mut (&[9u8, 0] as &[u8]), 1024),
+            read_frame_into(&mut (&[9u8, 0] as &[u8]), 1024, &mut body),
             Err(FrameReadError::Io(_))
         ));
-        // Writer-side bound.
-        let mut out = Vec::new();
-        assert!(write_frame(&mut out, PROTOCOL_VERSION, 0, &[0u8; 64], 16).is_err());
     }
 
     #[test]
-    fn encode_frame_into_matches_write_frame_bytes() {
-        let mut streamed = Vec::new();
-        write_frame(&mut streamed, PROTOCOL_VERSION, 0x42, b"abc", 1024).unwrap();
-        let mut buf = Vec::new();
-        encode_frame_into(&mut buf, PROTOCOL_VERSION, 1024, |w| {
-            w.put_u8(b'a');
-            w.put_u8(b'b');
-            w.put_u8(b'c');
-            0x42
-        })
-        .unwrap();
-        assert_eq!(buf, streamed);
+    fn encode_frame_into_writes_the_grammar_and_reuses_its_buffer() {
+        let mut buf = frame(0x42, b"abc");
+        assert_eq!(buf, [5, 0, 0, 0, PROTOCOL_VERSION, 0x42, b'a', b'b', b'c']);
         // Reuse: a second encode into the same buffer replaces, not
         // appends, and an oversized body is refused with the buffer still
         // usable.
@@ -570,9 +521,8 @@ mod tests {
 
     #[test]
     fn read_frame_into_reuses_the_buffer() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, PROTOCOL_VERSION, 0x07, b"hello", 1024).unwrap();
-        write_frame(&mut wire, PROTOCOL_VERSION, 0x08, b"x", 1024).unwrap();
+        let mut wire = frame(0x07, b"hello");
+        wire.extend(frame(0x08, b"x"));
         let mut body = Vec::new();
         let mut cursor = wire.as_slice();
         assert_eq!(

@@ -16,12 +16,15 @@ use dds_core::ptile::PtileBuildParams;
 use dds_core::scratch::QueryScratch;
 use dds_core::shard::{GlobalId, ShardedEngine};
 use dds_geom::Rect;
-use dds_server::wire::{read_frame, write_frame, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION};
+use dds_server::wire::{
+    encode_frame_into, read_frame_into, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,
+};
 use dds_server::{
     ChaosProxy, ClientConfig, ClientError, DdsClient, DdsServer, FaultPlan, Request, Response,
     RetryPolicy, ServerConfig,
 };
 use dds_workload::{RepoSpec, RequestStreamSpec};
+use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -232,17 +235,14 @@ fn retried_add_shard_with_same_request_id_cannot_double_ingest() {
     };
     let mut raw = TcpStream::connect(addr).expect("raw connect");
     let send = |stream: &mut TcpStream, req: &Request| {
-        let (op, payload) = req.encode();
-        write_frame(
-            stream,
-            PROTOCOL_VERSION,
-            op,
-            &payload,
-            DEFAULT_MAX_FRAME_LEN,
-        )
-        .expect("send");
-        let frame = read_frame(stream, DEFAULT_MAX_FRAME_LEN).expect("read");
-        Response::decode(frame.opcode, &frame.payload).expect("decode")
+        let mut buf = Vec::new();
+        encode_frame_into(&mut buf, PROTOCOL_VERSION, DEFAULT_MAX_FRAME_LEN, |w| {
+            req.encode_to(w)
+        })
+        .expect("encode");
+        stream.write_all(&buf).expect("send");
+        let (_, op) = read_frame_into(stream, DEFAULT_MAX_FRAME_LEN, &mut buf).expect("read");
+        Response::decode(op, &buf).expect("decode")
     };
     let first = send(&mut raw, &req);
     assert_eq!(first, Response::ShardAdded { shard: 0 });
@@ -346,7 +346,6 @@ fn sessions_stalled_mid_frame_are_reaped_but_idle_ones_are_not() {
     idle.ping().expect("idle ping");
     // …while a peer that sends half a length prefix and goes silent is
     // mid-frame: reaped once the deadline passes.
-    use std::io::Write as _;
     let mut stuck = TcpStream::connect(addr).expect("stuck connect");
     stuck.write_all(&[0x10, 0x00]).expect("half a prefix");
     let stats = await_stats(addr, |s| s.sessions_reaped == 1, "the stall reap");

@@ -14,9 +14,12 @@ use dds_core::scratch::QueryScratch;
 use dds_core::shard::ShardedEngine;
 use dds_geom::Rect;
 use dds_server::protocol::{Request, Response, ServerErrorKind};
-use dds_server::wire::{read_frame, write_frame, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION};
+use dds_server::wire::{
+    encode_frame_into, read_frame_into, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,
+};
 use dds_server::{ClientError, DdsClient, DdsServer, RateLimit, ServerConfig};
 use dds_workload::{RepoSpec, RequestStreamSpec};
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -49,21 +52,19 @@ fn engine_pair(spec: &RepoSpec, shards: usize) -> (ShardedEngine, ShardedEngine)
 
 /// Sends a request without waiting for the response (for queue-filling).
 fn send_raw(stream: &mut TcpStream, req: &Request) {
-    let (op, payload) = req.encode();
-    write_frame(
-        stream,
-        PROTOCOL_VERSION,
-        op,
-        &payload,
-        DEFAULT_MAX_FRAME_LEN,
-    )
-    .expect("raw send");
+    let mut frame = Vec::new();
+    encode_frame_into(&mut frame, PROTOCOL_VERSION, DEFAULT_MAX_FRAME_LEN, |w| {
+        req.encode_to(w)
+    })
+    .expect("raw encode");
+    stream.write_all(&frame).expect("raw send");
 }
 
 /// Reads one response frame.
 fn read_resp(stream: &mut TcpStream) -> Response {
-    let frame = read_frame(stream, DEFAULT_MAX_FRAME_LEN).expect("raw read");
-    Response::decode(frame.opcode, &frame.payload).expect("decode response")
+    let mut body = Vec::new();
+    let (_, op) = read_frame_into(stream, DEFAULT_MAX_FRAME_LEN, &mut body).expect("raw read");
+    Response::decode(op, &body).expect("decode response")
 }
 
 fn wide_query() -> LogicalExpr {

@@ -16,15 +16,38 @@ use dds_server::protocol::{
     opcode, MetricsReport, Request, Response, ServerErrorKind, ServerStats,
 };
 use dds_server::wire::{
-    read_frame, write_frame, FrameReadError, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,
+    read_frame_into, FrameReadError, Writer, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 use dds_server::{ClientConfig, ClientError, DdsClient, DdsServer, ServerConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
+
+/// `(opcode, payload)` of one `encode_to` call.
+fn encoded(encode_to: impl FnOnce(&mut Writer) -> u8) -> (u8, Vec<u8>) {
+    let mut w = Writer::new();
+    let op = encode_to(&mut w);
+    (op, w.into_bytes())
+}
+
+/// Writes one raw frame: any version, opcode and payload, and no bound
+/// check, so a drill can send what the library writer would refuse.
+fn write_raw(s: &mut impl Write, version: u8, op: u8, payload: &[u8]) {
+    s.write_all(&(payload.len() as u32 + 2).to_le_bytes())
+        .unwrap();
+    s.write_all(&[version, op]).unwrap();
+    s.write_all(payload).unwrap();
+}
+
+/// Reads one frame with the library reader: `(opcode, payload)`.
+fn read_raw(s: &mut impl Read) -> Result<(u8, Vec<u8>), FrameReadError> {
+    let mut payload = Vec::new();
+    let (_, op) = read_frame_into(s, DEFAULT_MAX_FRAME_LEN, &mut payload)?;
+    Ok((op, payload))
+}
 
 // ---------------------------------------------------------------------------
 // Round-trip properties
@@ -242,9 +265,9 @@ proptest! {
     fn requests_round_trip_bit_exactly(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
         let req = random_request(&mut rng);
-        let (op, bytes) = req.encode();
+        let (op, bytes) = encoded(|w| req.encode_to(w));
         let decoded = Request::decode(op, &bytes).expect("generated request decodes");
-        let (op2, bytes2) = decoded.encode();
+        let (op2, bytes2) = encoded(|w| decoded.encode_to(w));
         prop_assert_eq!((op, bytes), (op2, bytes2));
     }
 
@@ -253,10 +276,10 @@ proptest! {
     fn responses_round_trip_bit_exactly(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
         let resp = random_response(&mut rng);
-        let (op, bytes) = resp.encode();
+        let (op, bytes) = encoded(|w| resp.encode_to(w));
         let decoded = Response::decode(op, &bytes).expect("generated response decodes");
         prop_assert_eq!(&decoded, &resp);
-        let (op2, bytes2) = decoded.encode();
+        let (op2, bytes2) = encoded(|w| decoded.encode_to(w));
         prop_assert_eq!((op, bytes), (op2, bytes2));
     }
 
@@ -277,7 +300,7 @@ proptest! {
     #[test]
     fn truncated_payloads_are_typed(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBEEF);
-        let (op, bytes) = random_request(&mut rng).encode();
+        let (op, bytes) = encoded(|w| random_request(&mut rng).encode_to(w));
         prop_assume!(!bytes.is_empty());
         let cut = rng.gen_range(0..bytes.len());
         let _ = Request::decode(op, &bytes[..cut]);
@@ -384,9 +407,9 @@ fn hostile_frames_get_typed_errors_and_never_kill_the_server() {
     //    allocation of the declared size.
     let mut s = TcpStream::connect(addr).unwrap();
     s.write_all(&u32::MAX.to_le_bytes()).unwrap();
-    match read_frame(&mut s, DEFAULT_MAX_FRAME_LEN) {
-        Ok(frame) => {
-            let resp = Response::decode(frame.opcode, &frame.payload).unwrap();
+    match read_raw(&mut s) {
+        Ok((op, payload)) => {
+            let resp = Response::decode(op, &payload).unwrap();
             match resp {
                 Response::Error(e) => {
                     assert_eq!(e.kind, ServerErrorKind::Protocol);
@@ -403,56 +426,39 @@ fn hostile_frames_get_typed_errors_and_never_kill_the_server() {
     let mut s = TcpStream::connect(addr).unwrap();
     s.write_all(&1u32.to_le_bytes()).unwrap();
     s.write_all(&[0]).unwrap();
-    let frame = read_frame(&mut s, DEFAULT_MAX_FRAME_LEN).expect("error frame");
+    let (op, payload) = read_raw(&mut s).expect("error frame");
     assert!(matches!(
-        Response::decode(frame.opcode, &frame.payload).unwrap(),
+        Response::decode(op, &payload).unwrap(),
         Response::Error(e) if e.kind == ServerErrorKind::Protocol
     ));
     assert_alive(addr);
 
     // 3. Unknown protocol version: typed error, then close.
     let mut s = TcpStream::connect(addr).unwrap();
-    write_frame(&mut s, 0x7F, opcode::PING, &[0u8; 8], DEFAULT_MAX_FRAME_LEN).unwrap();
-    let frame = read_frame(&mut s, DEFAULT_MAX_FRAME_LEN).expect("error frame");
-    match Response::decode(frame.opcode, &frame.payload).unwrap() {
+    write_raw(&mut s, 0x7F, opcode::PING, &[0u8; 8]);
+    let (op, payload) = read_raw(&mut s).expect("error frame");
+    match Response::decode(op, &payload).unwrap() {
         Response::Error(e) => assert!(e.message.contains("version"), "{}", e.message),
         other => panic!("expected version error, got {other:?}"),
     }
-    assert!(matches!(
-        read_frame(&mut s, DEFAULT_MAX_FRAME_LEN),
-        Err(FrameReadError::Eof)
-    ));
+    assert!(matches!(read_raw(&mut s), Err(FrameReadError::Eof)));
     assert_alive(addr);
 
     // 4. Unknown opcode: typed error, session KEEPS SERVING (the frame
     //    boundary was intact).
     let mut s = TcpStream::connect(addr).unwrap();
-    write_frame(
-        &mut s,
-        PROTOCOL_VERSION,
-        0x5F,
-        b"junk",
-        DEFAULT_MAX_FRAME_LEN,
-    )
-    .unwrap();
-    let frame = read_frame(&mut s, DEFAULT_MAX_FRAME_LEN).expect("error frame");
+    write_raw(&mut s, PROTOCOL_VERSION, 0x5F, b"junk");
+    let (op, payload) = read_raw(&mut s).expect("error frame");
     assert!(matches!(
-        Response::decode(frame.opcode, &frame.payload).unwrap(),
+        Response::decode(op, &payload).unwrap(),
         Response::Error(e) if e.kind == ServerErrorKind::Protocol
     ));
     // Same connection, valid request: still answered.
-    let (op, payload) = Request::Ping { token: 5 }.encode();
-    write_frame(
-        &mut s,
-        PROTOCOL_VERSION,
-        op,
-        &payload,
-        DEFAULT_MAX_FRAME_LEN,
-    )
-    .unwrap();
-    let frame = read_frame(&mut s, DEFAULT_MAX_FRAME_LEN).expect("pong");
+    let (op, payload) = encoded(|w| Request::Ping { token: 5 }.encode_to(w));
+    write_raw(&mut s, PROTOCOL_VERSION, op, &payload);
+    let (op, payload) = read_raw(&mut s).expect("pong");
     assert_eq!(
-        Response::decode(frame.opcode, &frame.payload).unwrap(),
+        Response::decode(op, &payload).unwrap(),
         Response::Pong { token: 5 }
     );
 
@@ -465,34 +471,20 @@ fn hostile_frames_get_typed_errors_and_never_kill_the_server() {
     w.put_f64(1.0);
     w.put_f64(f64::NAN);
     w.put_f64(1.0);
-    write_frame(
-        &mut s,
-        PROTOCOL_VERSION,
-        opcode::QUERY,
-        &w.into_bytes(),
-        DEFAULT_MAX_FRAME_LEN,
-    )
-    .unwrap();
-    let frame = read_frame(&mut s, DEFAULT_MAX_FRAME_LEN).expect("error frame");
+    write_raw(&mut s, PROTOCOL_VERSION, opcode::QUERY, &w.into_bytes());
+    let (op, payload) = read_raw(&mut s).expect("error frame");
     assert!(matches!(
-        Response::decode(frame.opcode, &frame.payload).unwrap(),
+        Response::decode(op, &payload).unwrap(),
         Response::Error(e) if e.kind == ServerErrorKind::Protocol
     ));
 
     // 6. Trailing bytes after a valid payload.
-    let (op, mut payload) = Request::Ping { token: 1 }.encode();
+    let (op, mut payload) = encoded(|w| Request::Ping { token: 1 }.encode_to(w));
     payload.push(0xAB);
-    write_frame(
-        &mut s,
-        PROTOCOL_VERSION,
-        op,
-        &payload,
-        DEFAULT_MAX_FRAME_LEN,
-    )
-    .unwrap();
-    let frame = read_frame(&mut s, DEFAULT_MAX_FRAME_LEN).expect("error frame");
+    write_raw(&mut s, PROTOCOL_VERSION, op, &payload);
+    let (op, payload) = read_raw(&mut s).expect("error frame");
     assert!(matches!(
-        Response::decode(frame.opcode, &frame.payload).unwrap(),
+        Response::decode(op, &payload).unwrap(),
         Response::Error(e) if e.kind == ServerErrorKind::Protocol
     ));
     assert_alive(addr);
@@ -638,22 +630,15 @@ fn mid_request_disconnects_never_wedge_the_server() {
     // (the executor's answer goes nowhere — correctly dropped).
     {
         let mut s = TcpStream::connect(addr).unwrap();
-        let (op, payload) = Request::Query(ok_query()).encode();
-        write_frame(
-            &mut s,
-            PROTOCOL_VERSION,
-            op,
-            &payload,
-            DEFAULT_MAX_FRAME_LEN,
-        )
-        .unwrap();
+        let (op, payload) = encoded(|w| Request::Query(ok_query()).encode_to(w));
+        write_raw(&mut s, PROTOCOL_VERSION, op, &payload);
     }
     // An HTTP client knocking on the wrong port: its request line reads
     // as an absurd length prefix — typed error or close, never a panic.
     {
         let mut s = TcpStream::connect(addr).unwrap();
         s.write_all(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-        let _ = read_frame(&mut s, DEFAULT_MAX_FRAME_LEN);
+        let _ = read_raw(&mut s);
     }
     assert_alive(addr);
     let stats = server.shutdown();
@@ -686,16 +671,9 @@ fn hostile_expressions_are_rejected_typed() {
     }
     w.put_u8(0x00);
     let mut s = TcpStream::connect(addr).unwrap();
-    write_frame(
-        &mut s,
-        PROTOCOL_VERSION,
-        opcode::QUERY,
-        &w.into_bytes(),
-        DEFAULT_MAX_FRAME_LEN,
-    )
-    .unwrap();
-    let frame = read_frame(&mut s, DEFAULT_MAX_FRAME_LEN).expect("error frame");
-    match Response::decode(frame.opcode, &frame.payload).unwrap() {
+    write_raw(&mut s, PROTOCOL_VERSION, opcode::QUERY, &w.into_bytes());
+    let (op, payload) = read_raw(&mut s).expect("error frame");
+    match Response::decode(op, &payload).unwrap() {
         Response::Error(e) => assert!(e.message.contains("deep"), "{}", e.message),
         other => panic!("expected nesting rejection, got {other:?}"),
     }
@@ -723,17 +701,10 @@ fn hostile_expressions_are_rejected_typed() {
     let mut w = dds_server::wire::Writer::new();
     w.put_u32(1 << 30);
     let mut s = TcpStream::connect(addr).unwrap();
-    write_frame(
-        &mut s,
-        PROTOCOL_VERSION,
-        opcode::ADD_SHARD,
-        &w.into_bytes(),
-        DEFAULT_MAX_FRAME_LEN,
-    )
-    .unwrap();
-    let frame = read_frame(&mut s, DEFAULT_MAX_FRAME_LEN).expect("error frame");
+    write_raw(&mut s, PROTOCOL_VERSION, opcode::ADD_SHARD, &w.into_bytes());
+    let (op, payload) = read_raw(&mut s).expect("error frame");
     assert!(matches!(
-        Response::decode(frame.opcode, &frame.payload).unwrap(),
+        Response::decode(op, &payload).unwrap(),
         Response::Error(e) if e.kind == ServerErrorKind::Protocol
     ));
 
@@ -749,48 +720,27 @@ fn hostile_metrics_frames_are_typed_and_leave_the_server_standing() {
     // A Metrics request carries no payload; trailing bytes are a framing
     // violation and must be rejected typed on the live session.
     let mut s = TcpStream::connect(addr).unwrap();
-    write_frame(
-        &mut s,
-        PROTOCOL_VERSION,
-        opcode::METRICS,
-        b"junk",
-        DEFAULT_MAX_FRAME_LEN,
-    )
-    .unwrap();
-    let frame = read_frame(&mut s, DEFAULT_MAX_FRAME_LEN).expect("error frame");
+    write_raw(&mut s, PROTOCOL_VERSION, opcode::METRICS, b"junk");
+    let (op, payload) = read_raw(&mut s).expect("error frame");
     assert!(matches!(
-        Response::decode(frame.opcode, &frame.payload).unwrap(),
+        Response::decode(op, &payload).unwrap(),
         Response::Error(e) if e.kind == ServerErrorKind::Protocol
     ));
     // The same session keeps serving: a well-formed Metrics request is
     // answered with a decodable report.
-    write_frame(
-        &mut s,
-        PROTOCOL_VERSION,
-        opcode::METRICS,
-        &[],
-        DEFAULT_MAX_FRAME_LEN,
-    )
-    .unwrap();
-    let frame = read_frame(&mut s, DEFAULT_MAX_FRAME_LEN).expect("metrics frame");
+    write_raw(&mut s, PROTOCOL_VERSION, opcode::METRICS, &[]);
+    let (op, payload) = read_raw(&mut s).expect("metrics frame");
     assert!(matches!(
-        Response::decode(frame.opcode, &frame.payload).unwrap(),
+        Response::decode(op, &payload).unwrap(),
         Response::Metrics(_)
     ));
 
     // The *reply* opcode arriving as a request is an unknown opcode:
     // typed error, session intact.
-    write_frame(
-        &mut s,
-        PROTOCOL_VERSION,
-        opcode::METRICS_REPLY,
-        &[],
-        DEFAULT_MAX_FRAME_LEN,
-    )
-    .unwrap();
-    let frame = read_frame(&mut s, DEFAULT_MAX_FRAME_LEN).expect("error frame");
+    write_raw(&mut s, PROTOCOL_VERSION, opcode::METRICS_REPLY, &[]);
+    let (op, payload) = read_raw(&mut s).expect("error frame");
     assert!(matches!(
-        Response::decode(frame.opcode, &frame.payload).unwrap(),
+        Response::decode(op, &payload).unwrap(),
         Response::Error(e) if e.kind == ServerErrorKind::Protocol
     ));
     assert_alive(addr);
@@ -824,7 +774,7 @@ fn hostile_metrics_frames_are_typed_and_leave_the_server_standing() {
     w.put_u32(1 << 30);
     assert!(Response::decode(opcode::METRICS_REPLY, &w.into_bytes()).is_err());
     // Truncation mid-histogram.
-    let (op, bytes) = Response::Metrics(MetricsReport::default()).encode();
+    let (op, bytes) = encoded(|w| Response::Metrics(MetricsReport::default()).encode_to(w));
     assert!(Response::decode(op, &bytes[..bytes.len() / 2]).is_err());
 }
 
@@ -881,15 +831,8 @@ fn a_slow_client_cannot_stall_other_sessions() {
     let addr = server.local_addr();
 
     let mut frame = Vec::new();
-    let (op, payload) = Request::Ping { token: 9 }.encode();
-    write_frame(
-        &mut frame,
-        PROTOCOL_VERSION,
-        op,
-        &payload,
-        DEFAULT_MAX_FRAME_LEN,
-    )
-    .unwrap();
+    let (op, payload) = encoded(|w| Request::Ping { token: 9 }.encode_to(w));
+    write_raw(&mut frame, PROTOCOL_VERSION, op, &payload);
 
     let mut slow = TcpStream::connect(addr).unwrap();
     slow.set_nodelay(true).unwrap();
@@ -901,9 +844,9 @@ fn a_slow_client_cannot_stall_other_sessions() {
         assert_eq!(fast.query(&ok_query()).expect("fast query"), Ok(vec![0]));
     }
     // The trickled frame completes and is answered normally.
-    let resp = read_frame(&mut slow, DEFAULT_MAX_FRAME_LEN).expect("slow pong");
+    let (op, payload) = read_raw(&mut slow).expect("slow pong");
     assert_eq!(
-        Response::decode(resp.opcode, &resp.payload).unwrap(),
+        Response::decode(op, &payload).unwrap(),
         Response::Pong { token: 9 }
     );
     server.shutdown();

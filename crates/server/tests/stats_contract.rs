@@ -9,43 +9,38 @@ use dds_core::pool::BuildOptions;
 use dds_core::pref::PrefBuildParams;
 use dds_core::ptile::PtileBuildParams;
 use dds_core::shard::ShardedEngine;
+use dds_server::wire::Writer;
 use dds_server::{DdsClient, DdsServer, Response, ServerConfig, ServerStats};
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-/// The canonical order, copied from PROTOCOL.md's stats table. New
-/// counters append; nothing moves.
-const FIELD_ORDER: &[&str] = &[
-    "requests",
-    "queries",
-    "batch_queries",
-    "batch_exprs",
-    "admin_ops",
-    "busy_rejections",
-    "unavailable_rejections",
-    "wire_errors",
-    "jobs_admitted",
-    "jobs_dequeued",
-    "jobs_completed",
-    "bytes_in",
-    "bytes_out",
-    "sessions_opened",
-    "sessions_active",
-    "cache_hits",
-    "cache_misses",
-    "index_queries",
-    "shards_routed_past",
-    "n_shards",
-    "n_datasets",
-    "executor_panics",
-    "sessions_throttled",
-    "buffers_reused",
-    "shard_splits",
-    "shard_merges",
-    "sessions_reaped",
-    "retries_attempted",
-    "requests_deduped",
-    "shards_routed_by_synopsis",
-];
+/// The canonical order, read from PROTOCOL.md's stats list (the code
+/// span after "Current order:"). New counters append; nothing moves.
+fn field_order() -> Vec<&'static str> {
+    const DOC: &str = include_str!("../PROTOCOL.md");
+    let after = DOC
+        .split("Current order:")
+        .nth(1)
+        .expect("PROTOCOL.md lists the order");
+    let list = after.split('`').nth(1).expect("the order is one code span");
+    list.split(',').map(str::trim).collect()
+}
+
+/// Each counter of `stats` by field name, read off its `Debug` output so
+/// that no name here is typed by hand.
+fn by_name(stats: &ServerStats) -> HashMap<String, u64> {
+    let debug = format!("{stats:?}");
+    let fields = debug
+        .trim_start_matches("ServerStats {")
+        .trim_end_matches('}');
+    fields
+        .split(',')
+        .map(|kv| {
+            let (k, v) = kv.split_once(':').expect("name: value");
+            (k.trim().to_string(), v.trim().parse().expect("a u64"))
+        })
+        .collect()
+}
 
 /// A stats value whose every counter holds its own 1-based position in
 /// the canonical order — so the raw payload reveals exactly which field
@@ -87,16 +82,20 @@ fn position_stamped() -> ServerStats {
 
 #[test]
 fn stats_frame_serializes_every_counter_in_protocol_md_order() {
-    let (_, payload) = Response::Stats(position_stamped()).encode();
+    let field_order = field_order();
+    let stamped = by_name(&position_stamped());
+    let mut w = Writer::new();
+    Response::Stats(position_stamped()).encode_to(&mut w);
+    let payload = w.into_bytes();
     // Payload grammar: count:u32, then count × u64, all little-endian.
     let count = u32::from_le_bytes(payload[0..4].try_into().unwrap()) as usize;
     assert_eq!(
         count,
-        FIELD_ORDER.len(),
+        field_order.len(),
         "counter count drifted from PROTOCOL.md's table"
     );
     assert_eq!(payload.len(), 4 + 8 * count, "payload is exactly the list");
-    for (i, name) in FIELD_ORDER.iter().enumerate() {
+    for (i, name) in field_order.iter().enumerate() {
         let off = 4 + 8 * i;
         let got = u64::from_le_bytes(payload[off..off + 8].try_into().unwrap());
         assert_eq!(
@@ -104,6 +103,11 @@ fn stats_frame_serializes_every_counter_in_protocol_md_order() {
             (i + 1) as u64,
             "slot {i} of the stats frame must hold `{name}` — a counter \
              was inserted or reordered instead of appended"
+        );
+        assert_eq!(
+            stamped.get(*name),
+            Some(&got),
+            "PROTOCOL.md names `{name}` at slot {i}, but the frame holds another counter there"
         );
     }
 }
@@ -113,7 +117,8 @@ fn newest_counters_sit_at_the_end_of_the_frame() {
     // The append-only rule in action: the newest counter is the LAST
     // slot, so a pre-existing client decoding only the prefix it knows
     // still reads every older counter correctly.
-    let tail = &FIELD_ORDER[FIELD_ORDER.len() - 4..];
+    let field_order = field_order();
+    let tail = &field_order[field_order.len() - 4..];
     assert_eq!(
         tail,
         &[
@@ -128,8 +133,9 @@ fn newest_counters_sit_at_the_end_of_the_frame() {
 #[test]
 fn stats_round_trip_is_lossless_at_the_current_width() {
     let stamped = position_stamped();
-    let (op, payload) = Response::Stats(stamped).encode();
-    match Response::decode(op, &payload).expect("decode") {
+    let mut w = Writer::new();
+    let op = Response::Stats(stamped).encode_to(&mut w);
+    match Response::decode(op, &w.into_bytes()).expect("decode") {
         Response::Stats(got) => assert_eq!(got, position_stamped()),
         other => panic!("expected stats, got {other:?}"),
     }

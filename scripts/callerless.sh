@@ -9,7 +9,8 @@
 # `crates/` and `src/` whose name appears in the remaining code of `crates/`,
 # `src/`, `examples/` and `benchmark/src/` only on its own definition line.
 # Names in KEEP below are known and kept. Exits 1 if any other name is
-# listed, 0 otherwise.
+# listed, or if a KEEP name is stale (no longer a `pub fn`, or now called
+# outside tests), so the list only shrinks as code goes; 0 otherwise.
 #
 # It matches by name, so a common name (`new`, `len`, `seed`) hides behind an
 # unrelated use: a clean run is not proof that nothing is caller-less.
@@ -27,8 +28,6 @@ KEEP=(
     "with_retry: the one spelling of DdsClient's retry policy (dds-server fault tests)"
     "slack_for: the per-dataset band oracle of the Ptile indexes (tests/exhaustive_guarantees.rs)"
     "query_expr_with: PtileMultiIndex's one spelling of a DNF query (tests/expressions_and_exact.rs)"
-    "read_frame: the blocking frame reader of the hostile-frame tests (dds-server protocol tests)"
-    "write_frame: the blocking frame writer of the hostile-frame tests (dds-server protocol tests)"
     "render_text: the operator text of a MetricsReport that dds-server's loopback test pins"
 )
 
@@ -52,11 +51,13 @@ kept() {
 }
 
 status=0
+listed=" "
 while read -r name; do
     hits=$(grep -rwoh "$name" "$out" | wc -l)
     defs=$(grep -rhP "^\s*pub fn $name\b" "$out" | wc -l)
     if [ "$hits" -le "$defs" ]; then
         where=$(grep -rlP "^\s*pub fn $name\b" crates src --include=*.rs | tr '\n' ' ')
+        listed+="$name "
         if kept "$name"; then
             echo "kept      $name  $where"
         else
@@ -66,7 +67,16 @@ while read -r name; do
     fi
 done < <(grep -rhoP '^\s*pub fn \K\w+' crates src --include=*.rs | sort -u)
 
+for entry in "${KEEP[@]}"; do
+    name="${entry%%:*}"
+    if [[ "$listed" != *" $name "* ]]; then
+        echo "STALE KEEP $name  (no longer a pub fn, or now called outside tests)"
+        status=1
+    fi
+done
+
 if [ "$status" -ne 0 ]; then
-    echo "callerless.sh: delete each CALLERLESS function, or add it to KEEP with its reason" >&2
+    echo "callerless.sh: delete each CALLERLESS function, or add it to KEEP with its reason;" \
+        "drop each STALE KEEP entry" >&2
 fi
 exit "$status"

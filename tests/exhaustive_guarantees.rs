@@ -3,9 +3,10 @@
 //! The guarantee suites draw random rectangles over continuous data, so
 //! ties, query bounds that sit exactly on data values and degenerate grids
 //! are seldom drawn. Here every dataset is a small multiset over a small
-//! value grid, and every query is enumerated: each interval or rectangle
-//! with endpoints on and between the grid values, each θ on a rational
-//! grid, each direction of a fixed set. The Ptile indexes run at rectangle
+//! value set (one of them holds −0.0, 0.0 and a subnormal), and every
+//! query is enumerated: each interval or rectangle with endpoints on and
+//! between the values, each θ on a rational grid, each direction of a
+//! fixed set. The Ptile indexes run at rectangle
 //! budgets {1, 2, 3, 8}, which reach the degenerate one-coordinate grid
 //! (`s = 1`) at d = 1 and d = 2.
 //!
@@ -60,12 +61,15 @@ fn endpoints(values: &[f64]) -> Vec<f64> {
     out
 }
 
-/// Every interval `[lo, hi]` with `lo ≤ hi` drawn from `ends`.
+/// Every interval `[lo, hi]` with `lo ≤ hi` drawn from `ends` (both
+/// `[-0.0, 0.0]` and `[0.0, -0.0]` when `ends` holds both zeros).
 fn intervals(ends: &[f64]) -> Vec<(f64, f64)> {
     let mut out = vec![];
-    for (i, &lo) in ends.iter().enumerate() {
-        for &hi in &ends[i..] {
-            out.push((lo, hi));
+    for &lo in ends {
+        for &hi in ends {
+            if lo <= hi {
+                out.push((lo, hi));
+            }
         }
     }
     out
@@ -139,13 +143,30 @@ fn check_ptile_world(name: &str, sets: &[Vec<Point>], rects: &[Rect]) {
     }
 }
 
-/// 1-d worlds as `(values, min, max)`: every multiset of `min..=max` points
-/// on `values`. Every multiset of ≤ 3 points on {0, 1, 2, 3} (34 datasets),
-/// and a tie-heavy world of every multiset of 4–6 points on {0, …, 4} (406).
-const WORLDS_1D: [(&[f64], usize, usize); 2] = [
-    (&[0.0, 1.0, 2.0, 3.0], 1, 3),
-    (&[0.0, 1.0, 2.0, 3.0, 4.0], 4, 6),
-];
+/// A subnormal: half the smallest normal `f64`.
+const SUBNORMAL: f64 = f64::MIN_POSITIVE / 2.0;
+
+/// 1-d worlds as `(values, min, max, query endpoints)`: every multiset of
+/// `min..=max` points on `values`, queried with every interval over the
+/// endpoints. Every multiset of ≤ 3 points on {0, 1, 2, 3} (34 datasets);
+/// a tie-heavy world of every multiset of 4–6 points on {0, …, 4} (406);
+/// and every multiset of ≤ 3 points on {−0.0, 0.0, a subnormal, 1.0}
+/// (34), whose uneven values get their own endpoints: on each value,
+/// between neighbours (nothing lies between the two zeros) and beyond
+/// either end.
+fn worlds_1d() -> Vec<(&'static [f64], usize, usize, Vec<f64>)> {
+    let even: [(&'static [f64], usize, usize); 2] = [
+        (&[0.0, 1.0, 2.0, 3.0], 1, 3),
+        (&[0.0, 1.0, 2.0, 3.0, 4.0], 4, 6),
+    ];
+    let mut worlds: Vec<_> = even
+        .into_iter()
+        .map(|(values, min, max)| (values, min, max, endpoints(values)))
+        .collect();
+    let signed_zeros = [-1.0, -0.0, 0.0, SUBNORMAL / 2.0, SUBNORMAL, 0.5, 1.0, 2.0];
+    worlds.push((&[-0.0, 0.0, SUBNORMAL, 1.0], 1, 3, signed_zeros.to_vec()));
+    worlds
+}
 
 fn points_1d(values: &[f64], min: usize, max: usize) -> Vec<Vec<Point>> {
     multisets(values, min, max)
@@ -156,8 +177,8 @@ fn points_1d(values: &[f64], min: usize, max: usize) -> Vec<Vec<Point>> {
 
 #[test]
 fn ptile_indexes_hold_on_every_1d_query() {
-    for (values, min, max) in WORLDS_1D {
-        let rects: Vec<Rect> = intervals(&endpoints(values))
+    for (values, min, max, ends) in worlds_1d() {
+        let rects: Vec<Rect> = intervals(&ends)
             .into_iter()
             .map(|(lo, hi)| Rect::interval(lo, hi))
             .collect();
@@ -168,10 +189,10 @@ fn ptile_indexes_hold_on_every_1d_query() {
 
 #[test]
 fn exact_cptile_equals_the_truth_on_every_1d_query() {
-    for (values, min, max) in WORLDS_1D {
+    for (values, min, max, ends) in worlds_1d() {
         let sets = points_1d(values, min, max);
         let repo = Repository::from_point_sets(sets.clone());
-        let rects = intervals(&endpoints(values));
+        let rects = intervals(&ends);
         for theta in thetas() {
             let idx = ExactCPtile1D::build(&repo, theta);
             for &(lo, hi) in &rects {
@@ -232,7 +253,8 @@ fn pref_index_has_recall_one_on_every_direction() {
         })
         .collect();
     let synopses: Vec<ExactSynopsis> = sets.iter().map(|s| ExactSynopsis::new(s.clone())).collect();
-    // 16 directions between the axes, then the four axes.
+    // 16 directions between the axes, then the four axes, each also with
+    // its zero component negated.
     let mut dirs: Vec<[f64; 2]> = (0..16)
         .map(|i| {
             let t = (2 * i + 1) as f64 * std::f64::consts::PI / 16.0;
@@ -240,6 +262,7 @@ fn pref_index_has_recall_one_on_every_direction() {
         })
         .collect();
     dirs.extend([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]);
+    dirs.extend([[1.0, -0.0], [-0.0, 1.0], [-1.0, -0.0], [-0.0, -1.0]]);
     // Thresholds on and between every score an axis can give.
     let thresholds: Vec<f64> = (-4..=4).map(|i| f64::from(i) / 4.0).collect();
     for k in [1usize, 2] {
