@@ -1,10 +1,10 @@
 //! E18 — synopsis routing: how much more does the mass bound prune than
-//! the bounding box, and at what (zero) cost to answers?
+//! box disjointness alone, and at what (zero) cost to answers?
 //!
 //! The setup mirrors production traffic where routing matters: a catalog
 //! partitioned **round-robin** over shards (each shard sees the full
-//! flavour mix, so every shard's per-attribute bounding box spans
-//! essentially the whole value range — the box tier is blind), queried by
+//! flavour mix, so every shard's per-attribute sample box spans
+//! essentially the whole value range — box skips are rare), queried by
 //! a *selective* stream ([`RequestStreamSpec::selective`]): narrow
 //! interior rectangles asking `percentile_at_least` with a θ lower bound
 //! far above the build's sampling margin. Sweeps rectangle width
@@ -12,16 +12,20 @@
 //! two engines over identical shard layouts:
 //!
 //! * **unrouted** — `Routing::Off`, the correctness reference;
-//! * **full** — box tier + synopsis mass bound (the default).
+//! * **full** — the synopsis mass bound (the default).
 //!
-//! The full engine runs the box tier first and counts its skips apart
-//! from the synopsis tier's, so one engine yields both tiers' per-row
-//! (expression, shard) skip counts; the columns report them beside the
+//! The full engine decides every skip from each shard's routing synopsis
+//! and counts two disjoint kinds: *box skips* (`shards_routed_past`:
+//! every clause's rectangle misses the synopsis's sample box on some
+//! axis, which on these exact builds is the raw-point box) and *synopsis
+//! skips* (`shards_routed_by_synopsis`: the rest, proven by interior
+//! mass). So one engine yields both per-row (expression, shard) skip
+//! counts; the columns report them beside the
 //! full engine's batch time. `=unrouted` asserts both engines answered
 //! the entire batch **byte-identically** — the zero-false-negative claim
 //! at experiment scale. At the sharpest
 //! configuration (most shards, narrowest rectangles) the run additionally
-//! asserts the synopsis tier skipped at least 3× what the box tier did —
+//! asserts the synopsis skips are at least 3× the box skips —
 //! the headline pruning win this layer exists for.
 
 use super::Scale;
@@ -59,11 +63,11 @@ fn build_engine(spec: &RepoSpec, k: usize, n: usize, routing: Routing) -> Sharde
     svc
 }
 
-/// E18 — selectivity × shard-count sweep of the two routing tiers, with a
+/// E18 — selectivity × shard-count sweep of the two skip counts, with a
 /// byte-identity assertion against the unrouted engine on every row.
 pub fn e18_selective_routing(scale: Scale) -> Table {
     let mut table = Table::new(
-        "E18 — synopsis routing (selective streams; box-tier vs mass-bound skips; full ≡ unrouted byte-identity)",
+        "E18 — synopsis routing (selective streams; box vs interior-mass skips; full ≡ unrouted byte-identity)",
         &[
             "N",
             "shards",

@@ -6,5 +6,5 @@
 mod pref_scan;
 mod ptile_scan;
 
-pub use pref_scan::{LinearScanPref, SynopsisScanPref};
+pub use pref_scan::LinearScanPref;
 pub use ptile_scan::{LinearScanPtile, SynopsisScanPtile};

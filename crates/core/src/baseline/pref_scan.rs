@@ -2,7 +2,6 @@
 
 use crate::framework::Repository;
 use dds_geom::Point;
-use dds_synopsis::PrefSynopsis;
 
 /// Centralized exact baseline: per query, compute `ω_k(P_i, v)` for every
 /// dataset by selection over all inner products. Query time Ω(𝒩).
@@ -38,33 +37,6 @@ impl LinearScanPref {
     }
 }
 
-/// Federated scan baseline: evaluate `Score(v, k)` on every synopsis per
-/// query, keep scores `≥ a − δ` (recall-preserving). Ω(N · Λ_S) per query.
-#[derive(Clone, Debug)]
-pub struct SynopsisScanPref<S> {
-    synopses: Vec<S>,
-    delta: f64,
-}
-
-impl<S: PrefSynopsis> SynopsisScanPref<S> {
-    /// Wraps a repository of synopses with score error bound `delta`.
-    pub fn new(synopses: Vec<S>, delta: f64) -> Self {
-        assert!(!synopses.is_empty());
-        assert!((0.0..1.0).contains(&delta));
-        SynopsisScanPref { synopses, delta }
-    }
-
-    /// Recall-preserving federated answer.
-    pub fn query(&self, v: &[f64], k: usize, a: f64) -> Vec<usize> {
-        self.synopses
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.score(v, k) >= a - self.delta)
-            .map(|(i, _)| i)
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,12 +56,5 @@ mod tests {
         assert_eq!(scan.query(&[1.0, 0.0], 1, 0.6), vec![0]);
         assert_eq!(scan.query(&[1.0, 0.0], 1, 0.4), vec![0, 1]);
         assert!(scan.query(&[1.0, 0.0], 3, -10.0).is_empty());
-    }
-
-    #[test]
-    fn synopsis_scan_with_exact_synopses() {
-        let syns = repo().exact_synopses();
-        let scan = SynopsisScanPref::new(syns, 0.0);
-        assert_eq!(scan.query(&[1.0, 0.0], 1, 0.6), vec![0]);
     }
 }

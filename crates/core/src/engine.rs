@@ -12,7 +12,7 @@
 
 use crate::bitset::BitSet;
 use crate::cache::{CacheKey, DigestMap, MaskCache};
-use crate::framework::{Interval, LogicalExpr, MeasureFunction, Predicate, Repository};
+use crate::framework::{LogicalExpr, MeasureFunction, Predicate, Repository};
 use crate::pool::{par_map_with, BuildOptions};
 use crate::pref::{PrefBuildParams, PrefIndex};
 use crate::ptile::{PtileBuildParams, PtileRangeIndex};
@@ -517,10 +517,7 @@ impl MixedQueryEngine {
         let mut mask = BitSet::new(self.n_datasets);
         match &pred.measure {
             MeasureFunction::Percentile(r) => {
-                let theta = Interval::new(
-                    pred.theta.lo.max(0.0),
-                    pred.theta.hi.min(1.0).max(pred.theta.lo.max(0.0)),
-                );
+                let theta = pred.theta.clamp_to_unit();
                 self.ptile.query_cb_with(r, theta, scratch, &mut |j| {
                     mask.insert(j);
                 });
@@ -530,7 +527,7 @@ impl MixedQueryEngine {
                 let snap = planned
                     .snap
                     .expect("top-k directions are snapped when planned");
-                idx.query_snapped_cb(snap, pred.theta.lo, &mut |j| {
+                idx.query_snapped_cb(snap, pred.theta, &mut |j| {
                     mask.insert(j);
                 });
             }

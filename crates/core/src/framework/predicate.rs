@@ -35,6 +35,14 @@ impl Interval {
         self.lo <= x && x <= self.hi
     }
 
+    /// θ as a percentile predicate is answered: clamped into `[0, 1]`, the
+    /// lower end first, the upper end never below it. Every Ptile query
+    /// path and the shard routing plan read θ through this one clamp.
+    pub(crate) fn clamp_to_unit(&self) -> Interval {
+        let lo = self.lo.max(0.0);
+        Interval::new(lo, self.hi.min(1.0).max(lo))
+    }
+
     /// The interval widened by `slack` on both sides (the ε + 2δ bands of
     /// the approximation guarantees).
     pub fn widened(&self, slack: f64) -> Interval {

@@ -8,8 +8,11 @@
 //! `v` and report every dataset with `γ_v^{(i)} ≥ a_θ − ε − δ`. By Lemma
 //! 5.1 the snap costs at most ε in score (points in the unit ball), so the
 //! answer contains every qualifying dataset and every reported dataset
-//! scores at least `a_θ − 2ε − 2δ` (Lemma 5.2).
+//! scores at least `a_θ − 2ε − 2δ` (Lemma 5.2). A bounded `θ = [a_θ, b_θ]`
+//! also caps the reported scores at `b_θ + ε + δ`, the same slice's other
+//! end, so a reported dataset scores at most `b_θ + 2ε + 2δ`.
 
+use crate::framework::Interval;
 use crate::pool::{par_map, BuildOptions};
 use dds_geom::EpsNet;
 use dds_rangetree::SortedScores;
@@ -195,15 +198,14 @@ impl PrefIndex {
     /// indexes, every qualifying dataset included, reported ones within the
     /// [`slack`](Self::slack) band.
     pub fn query(&self, u: &[f64], a_theta: f64) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.query_cb(u, a_theta, &mut |j| out.push(j));
-        out
-    }
-
-    /// Callback variant of [`query`](Self::query).
-    pub fn query_cb(&self, u: &[f64], a_theta: f64, f: &mut dyn FnMut(usize)) {
         assert_eq!(u.len(), self.net.dim(), "query vector dimension mismatch");
-        self.query_snapped_cb(self.net.nearest(u).0, a_theta, f);
+        let theta = Interval {
+            lo: a_theta,
+            hi: f64::INFINITY,
+        };
+        let mut out = Vec::new();
+        self.query_snapped_cb(self.net.nearest(u).0, theta, &mut |j| out.push(j));
+        out
     }
 
     /// The ε-net the query vectors snap to (Algorithm 6, line 1). Every
@@ -213,11 +215,15 @@ impl PrefIndex {
         &self.net
     }
 
-    /// [`query_cb`](Self::query_cb) after the snap: reports every dataset
-    /// whose score along net vector `vi` (an index into [`net`](Self::net))
-    /// clears `a_θ − ε − δ`.
-    pub(crate) fn query_snapped_cb(&self, vi: usize, a_theta: f64, f: &mut dyn FnMut(usize)) {
-        for &j in self.trees[vi].ids_at_least(a_theta - self.margin()) {
+    /// [`query`](Self::query) for `θ = [a_θ, b_θ]` after the snap: reports
+    /// every dataset whose score along net vector `vi` (an index into
+    /// [`net`](Self::net)) lies in `[a_θ − ε − δ, b_θ + ε + δ]`, one slice
+    /// of the direction's sorted scores. The snap moves a score by at most
+    /// `ε + δ` either way, so both ends keep recall 1 and the band of
+    /// Lemma 5.2.
+    pub(crate) fn query_snapped_cb(&self, vi: usize, theta: Interval, f: &mut dyn FnMut(usize)) {
+        let m = self.margin();
+        for &j in self.trees[vi].ids_in(theta.lo - m, theta.hi + m) {
             f(j as usize);
         }
     }

@@ -374,14 +374,7 @@ impl PtileMultiIndex {
             let preds: Result<Vec<(Rect, Interval)>, MultiQueryError> = clause
                 .iter()
                 .map(|p: &Predicate| match &p.measure {
-                    MeasureFunction::Percentile(r) => {
-                        // Clamp percentile thresholds into [0, 1].
-                        let theta = Interval::new(
-                            p.theta.lo.max(0.0),
-                            p.theta.hi.min(1.0).max(p.theta.lo.max(0.0)),
-                        );
-                        Ok((r.clone(), theta))
-                    }
+                    MeasureFunction::Percentile(r) => Ok((r.clone(), p.theta.clamp_to_unit())),
                     MeasureFunction::TopK { .. } => Err(MultiQueryError::NonPercentile),
                 })
                 .collect();

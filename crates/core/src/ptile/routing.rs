@@ -34,11 +34,16 @@
 //! the reporting rule actually tests. Exact builds take the support as
 //! their sample, so the two notions coincide there.
 //!
+//! The first and last bin edges of each axis are the pooled minimum and
+//! maximum of every dataset's sample, so the synopsis also holds the
+//! shard's sample bounding box: [`RoutingSynopsis::mass_bound`] is exactly
+//! `0` for a rectangle that misses it on some axis, which is the box skip
+//! the shard router counts apart (on an exact build, the raw-point box).
+//!
 //! A `NaN` sample coordinate makes interval reasoning unsound, so the
-//! builder returns `None` and routing falls back to scatter-everywhere,
-//! exactly like the raw-point bounding box.
+//! builder returns `None` and routing falls back to scatter-everywhere.
 
-use dds_geom::Point;
+use dds_geom::{Point, Rect};
 
 /// Bin budget per axis. 48 bins keep the synopsis a few hundred bytes per
 /// axis while resolving selective interior predicates well below typical
@@ -148,42 +153,38 @@ impl RoutingSynopsis {
     }
 
     /// An upper bound on `max_j |R ∩ S_j| / |S_j|` for the axis-aligned
-    /// rectangle `R` given as per-axis closed intervals: per axis the
-    /// envelope sums over every touched bin (partial bins counted fully),
-    /// the rectangle takes the `min` over axes, and the result is nudged
-    /// up a hair for float safety before clamping to 1. An interval
-    /// disjoint from an axis's sample range yields exactly `0.0`.
+    /// rectangle `R`: per axis the envelope sums over every touched bin
+    /// (partial bins counted fully), the rectangle takes the `min` over
+    /// axes, and the result is nudged up a hair for float safety before
+    /// clamping to 1. The bound is exactly `0.0` when, and only when, `R`
+    /// misses the sample box `[edges[h][0], edges[h].last()]` on some axis
+    /// `h` (every bin holds a sample value, so a touched bin adds mass).
     ///
     /// # Panics
-    /// Panics (in debug builds) if `rect.len() != self.dim()`.
-    pub fn mass_bound(&self, rect: &[(f64, f64)]) -> f64 {
-        debug_assert_eq!(rect.len(), self.dim());
+    /// Panics (in debug builds) if `rect.dim() != self.dim()`.
+    pub fn mass_bound(&self, rect: &Rect) -> f64 {
+        debug_assert_eq!(rect.dim(), self.dim());
         let mut best = 1.0f64;
-        for (h, &(a, b)) in rect.iter().enumerate() {
-            let e = &self.edges[h];
-            let degenerate = e.len() == 1;
-            if b < e[0] || a > *e.last().unwrap() || a > b {
+        for (h, (e, env)) in self.edges.iter().zip(&self.env).enumerate() {
+            let (a, b) = (rect.lo_at(h), rect.hi_at(h));
+            if b < e[0] || a > e[e.len() - 1] {
                 return 0.0;
             }
-            let mut sum = 0.0f64;
-            if degenerate {
-                sum = self.env[h][0];
+            let sum: f64 = if e.len() == 1 {
+                env[0]
             } else {
-                for (k, env) in self.env[h].iter().enumerate() {
-                    // Bin k spans [e[k], e[k+1]]; it is touched when the
-                    // closed intervals intersect.
-                    if e[k + 1] >= a && e[k] <= b {
-                        sum += env;
-                    }
-                }
-            }
+                // Bin k spans [e[k], e[k+1]]; it is touched when the
+                // closed intervals intersect.
+                e.windows(2)
+                    .zip(env)
+                    .filter(|(w, _)| w[1] >= a && w[0] <= b)
+                    .map(|(_, m)| m)
+                    .sum()
+            };
             // All-positive summation keeps the relative error tiny; the
             // nudge makes the bound safe against it. Clamping to 1 stays
             // sound because a sample fraction never exceeds 1.
-            let bound = (sum * (1.0 + 1e-12)).min(1.0);
-            if bound < best {
-                best = bound;
-            }
+            best = best.min((sum * (1.0 + 1e-12)).min(1.0));
         }
         best
     }
@@ -212,7 +213,6 @@ pub(crate) fn sorted_sample_axes(dim: usize, sample: &[Point]) -> Option<Vec<Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dds_geom::Point;
 
     fn axes_of(xs: &[f64]) -> Option<Vec<Vec<f64>>> {
         sorted_sample_axes(1, &xs.iter().map(|&x| Point::one(x)).collect::<Vec<_>>())
@@ -230,7 +230,7 @@ mod tests {
                 xs.iter().filter(|&&x| x >= lo && x <= hi).count() as f64 / xs.len() as f64
             };
             let worst = truth(&a).max(truth(&b));
-            let bound = syn.mass_bound(&[(lo, hi)]);
+            let bound = syn.mass_bound(&Rect::interval(lo, hi));
             assert!(
                 bound >= worst,
                 "bound {bound} must dominate true worst mass {worst} on [{lo}, {hi}]"
@@ -242,10 +242,10 @@ mod tests {
     fn disjoint_interval_bounds_zero() {
         let a: Vec<f64> = (0..20).map(|i| i as f64).collect();
         let syn = RoutingSynopsis::from_sorted_samples(1, &[axes_of(&a)]).unwrap();
-        assert_eq!(syn.mass_bound(&[(50.0, 60.0)]), 0.0);
-        assert_eq!(syn.mass_bound(&[(-10.0, -1.0)]), 0.0);
+        assert_eq!(syn.mass_bound(&Rect::interval(50.0, 60.0)), 0.0);
+        assert_eq!(syn.mass_bound(&Rect::interval(-10.0, -1.0)), 0.0);
         // Touching the range endpoint is not disjoint.
-        assert!(syn.mass_bound(&[(19.0, 60.0)]) > 0.0);
+        assert!(syn.mass_bound(&Rect::interval(19.0, 60.0)) > 0.0);
     }
 
     #[test]
@@ -256,7 +256,7 @@ mod tests {
         let samples = vec![sorted_sample_axes(2, &pts)];
         let syn = RoutingSynopsis::from_sorted_samples(2, &samples).unwrap();
         // True mass of [0, 4.5]² is 0.5 (points 0..=4).
-        let bound = syn.mass_bound(&[(0.0, 4.5), (0.0, 4.5)]);
+        let bound = syn.mass_bound(&Rect::from_bounds(&[0.0, 0.0], &[4.5, 4.5]));
         assert!(bound >= 0.5, "min-over-axes bound {bound} must cover 0.5");
     }
 
@@ -271,14 +271,14 @@ mod tests {
     fn all_equal_values_make_a_degenerate_bin() {
         let syn = RoutingSynopsis::from_sorted_samples(1, &[axes_of(&[5.0, 5.0, 5.0])]).unwrap();
         assert_eq!(syn.bins(0), 1);
-        assert_eq!(syn.mass_bound(&[(4.0, 6.0)]), 1.0);
-        assert_eq!(syn.mass_bound(&[(6.0, 7.0)]), 0.0);
+        assert_eq!(syn.mass_bound(&Rect::interval(4.0, 6.0)), 1.0);
+        assert_eq!(syn.mass_bound(&Rect::interval(6.0, 7.0)), 0.0);
     }
 
     #[test]
     fn empty_samples_contribute_zero_mass() {
         let samples = vec![axes_of(&[1.0, 2.0, 3.0]), Some(vec![Vec::new()])];
         let syn = RoutingSynopsis::from_sorted_samples(1, &samples).unwrap();
-        assert!(syn.mass_bound(&[(1.0, 3.0)]) >= 1.0 - 1e-9);
+        assert!(syn.mass_bound(&Rect::interval(1.0, 3.0)) >= 1.0 - 1e-9);
     }
 }

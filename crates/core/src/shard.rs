@@ -66,12 +66,15 @@
 //!
 //! # Shard routing
 //!
-//! Every shard records two ingest-time summaries: the **per-attribute
-//! value bounding box** of its raw points, and a **routing synopsis** —
-//! per attribute, equi-depth histogram bins over the build's per-dataset
-//! weight samples with a per-bin *max-mass envelope* (the largest
-//! fraction of any one member dataset's sample inside the bin; built by
-//! the shard's Ptile index, [`RoutingSynopsis`](crate::ptile::RoutingSynopsis)).
+//! Every shard's engine carries one ingest-time summary, its **routing
+//! synopsis** — per attribute, equi-depth histogram bins over the build's
+//! per-dataset weight samples with a per-bin *max-mass envelope* (the
+//! largest fraction of any one member dataset's sample inside the bin;
+//! built by the shard's Ptile index,
+//! [`RoutingSynopsis`](crate::ptile::RoutingSynopsis)). Its first and last
+//! bin edges per axis are the shard's sample bounding box; on an exact
+//! build (every dataset's support is its sample) that is the bounding box
+//! of the shard's raw points.
 //!
 //! **The mass-bound contract.** The range index reports dataset `j` for a
 //! percentile predicate `(R, θ)` through its main structure only when
@@ -93,32 +96,30 @@
 //! and the envelope is computed over the same weight samples the lifted
 //! weights are measured against.
 //!
-//! Box disjointness is the degenerate zero-mass case: a query rectangle
-//! disjoint from the raw-point box in some attribute is disjoint from
-//! every sample range (samples are raw points), so `U = 0` and the rule
-//! reduces to `a_θ > margin` — exactly the historical box test, which
-//! the implementation still evaluates first.
-//! [`shards_routed_past`](ShardedEngine::shards_routed_past) keeps its
-//! historical meaning (units the box alone skips);
-//! [`shards_routed_by_synopsis`](ShardedEngine::shards_routed_by_synopsis)
-//! counts the *additional* units only the mass bound skips.
-//!
 //! An expression's scatter onto a shard is skipped only when **every**
-//! DNF clause contains a skip-proving percentile literal; the per-clause
-//! interval clamps are computed **once per query** and reused across
-//! shards. Routing is answer-preserving bit for bit — pinned routed ≡
-//! unrouted by `tests/shard_equivalence.rs` — and never engages for
-//! expressions that would error (an unindexed preference rank must still
-//! be reported even if every shard is otherwise skippable). A `NaN`
-//! coordinate disables both summaries for its shard (scatter-everywhere,
-//! answers unaffected). [`with_routing`](ShardedEngine::with_routing)
-//! switches routing: [`Routing::Off`] disables it entirely (the
-//! correctness reference), [`Routing::Full`] (the default) runs both
-//! tiers, and the two skip counters split its skips between them (the
-//! box-vs-synopsis ratio the E18 experiment reports). The summaries
-//! thread through the whole lifecycle for free: add/rebuild/split/merge
-//! each rebuild the shard's engine, and the engine's Ptile build carries
-//! its synopsis with it.
+//! DNF clause contains a skip-proving percentile literal; each literal's
+//! bound is computed once per shard, and the per-clause θ clamps once per
+//! query. The skips are counted in two disjoint kinds.
+//! [`shards_routed_past`](ShardedEngine::shards_routed_past) counts *box
+//! skips*: every clause has a literal whose rectangle misses the sample
+//! box on some axis (`U = 0`, so the rule reduces to `a_θ > margin`).
+//! [`shards_routed_by_synopsis`](ShardedEngine::shards_routed_by_synopsis)
+//! counts the other skips, which need the envelope's interior mass. On an
+//! exact build the sample box is the raw-point box; on a sampled build it
+//! can be smaller, so more of the same skips count as box skips.
+//!
+//! Routing is answer-preserving bit for bit — pinned routed ≡ unrouted by
+//! `tests/shard_equivalence.rs` — and never engages for expressions that
+//! would error (an unindexed preference rank must still be reported even
+//! if every shard is otherwise skippable). A `NaN` sample coordinate
+//! leaves its shard without a synopsis (scatter-everywhere, answers
+//! unaffected). [`with_routing`](ShardedEngine::with_routing) switches
+//! routing: [`Routing::Off`] disables it entirely (the correctness
+//! reference), [`Routing::Full`] (the default) routes by the synopsis and
+//! splits its skips between the two counters (the box-vs-synopsis ratio
+//! the E18 experiment reports). The synopsis threads through the whole
+//! lifecycle for free: add/rebuild/split/merge each rebuild the shard's
+//! engine, and the engine's Ptile build carries its synopsis with it.
 
 use crate::cache::MaskCache;
 use crate::engine::{expr_dim_mismatch, DnfPlan, EngineError, MixedQueryEngine};
@@ -128,6 +129,7 @@ use crate::pref::PrefBuildParams;
 use crate::ptile::PtileBuildParams;
 use crate::scratch::QueryScratch;
 use crate::telemetry::EngineTelemetry;
+use dds_geom::Rect;
 use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
 use std::fmt;
@@ -272,11 +274,11 @@ pub struct ShardedStats {
     pub cache_hits: u64,
     /// Mask-cache misses summed across shards.
     pub cache_misses: u64,
-    /// (expression, shard) scatter units skipped by the bounding-box
-    /// routing tier alone.
+    /// (expression, shard) scatter units routed past as box skips: every
+    /// clause's rectangle misses the shard's sample box on some axis.
     pub shards_routed_past: u64,
-    /// Scatter units additionally skipped by the synopsis mass bound
-    /// (units the box tier could not prove silent).
+    /// The other routed scatter units, which only the synopsis's interior
+    /// mass bound proves silent (disjoint from `shards_routed_past`).
     pub shards_routed_by_synopsis: u64,
     /// Lifecycle splits committed over the service lifetime.
     pub splits: u64,
@@ -306,13 +308,6 @@ struct Shard {
     /// `global_ids[local]` is the stable id of the shard's `local`-th
     /// dataset — the gather-side translation table.
     global_ids: Vec<GlobalId>,
-    /// Schema dimension of the shard's data.
-    dim: usize,
-    /// Per-attribute `(min, max)` over every raw point in the shard —
-    /// the routing fast path's pruning box. `None` disables routing for
-    /// this shard (a NaN coordinate was seen, so containment reasoning is
-    /// unsound).
-    bounds: Option<Vec<(f64, f64)>>,
     /// The ingested datasets (`datasets[local]` carries id
     /// `global_ids[local]`), retained so lifecycle transitions
     /// (split/merge) can rebuild replacement engines without the caller
@@ -332,7 +327,7 @@ struct Shard {
 pub enum Routing {
     /// No routing: every expression scatters to every shard.
     Off,
-    /// The box tier, then the synopsis mass bound.
+    /// Route by the synopsis mass bound, counting box skips apart.
     #[default]
     Full,
 }
@@ -342,22 +337,19 @@ pub enum Routing {
 enum Skip {
     /// Not provably silent — evaluate the shard.
     No,
-    /// Skipped by the bounding-box tier (counted by
-    /// [`ShardedEngine::shards_routed_past`], preserving its historical
-    /// meaning).
+    /// A box skip: every clause has a literal whose rectangle misses the
+    /// synopsis's sample box (counted by
+    /// [`ShardedEngine::shards_routed_past`]).
     Box,
-    /// Skipped only by the synopsis mass bound (counted by
+    /// Any other skip, proven by the interior mass bound (counted by
     /// [`ShardedEngine::shards_routed_by_synopsis`]).
     Synopsis,
 }
 
-/// One routable percentile literal, pre-clamped for the per-shard loop:
-/// the clamped threshold lower bound and the query rectangle as per-axis
-/// intervals.
-struct RoutingLit {
-    lo: f64,
-    rect: Vec<(f64, f64)>,
-}
+/// One expression's routable percentile literals, per DNF clause, for the
+/// per-shard loop: each literal's clamped threshold lower bound `a_θ` and
+/// its query rectangle, borrowed from the DNF plan.
+type RoutingPlan<'a> = Vec<Vec<(f64, &'a Rect)>>;
 
 /// One expression ready to scatter: its DNF plan (expanded, keyed and
 /// snapped once, shared by the routing check and every shard's
@@ -424,12 +416,12 @@ pub struct ShardedEngine {
     /// Whether the routing fast path runs (see the module docs); set by
     /// [`with_routing`](Self::with_routing).
     routing: Routing,
-    /// (expression, shard) scatter units skipped by the box tier. Data-
+    /// (expression, shard) scatter units routed past as box skips. Data-
     /// dependent, not timing-dependent, so the count is deterministic for
     /// a given workload.
     routed_past: AtomicU64,
-    /// Scatter units skipped by the synopsis tier only (disjoint from
-    /// `routed_past`; total skipped is the sum).
+    /// The other routed scatter units (disjoint from `routed_past`; total
+    /// skipped is the sum).
     routed_by_synopsis: AtomicU64,
     /// Lifecycle splits committed (`&mut self` ops, so a plain counter).
     splits: u64,
@@ -692,7 +684,7 @@ impl ShardedEngine {
 
     /// The schema dimension served, or `None` while no shard is loaded.
     pub fn dim(&self) -> Option<usize> {
-        self.shards.first().map(|s| s.dim)
+        self.shards.first().map(|s| s.engine.dim())
     }
 
     /// Checks every expression's predicate dimensionalities against the
@@ -751,14 +743,17 @@ impl ShardedEngine {
         })
     }
 
-    /// (expression, shard) scatter units the bounding-box routing tier
-    /// skipped over the service lifetime.
+    /// (expression, shard) scatter units routed past as box skips over the
+    /// service lifetime: every DNF clause has a percentile literal whose
+    /// rectangle misses the shard's sample box on some axis while `a_θ`
+    /// exceeds the shard's [`ptile_margin`](MixedQueryEngine::ptile_margin)
+    /// (see the module docs).
     pub fn shards_routed_past(&self) -> u64 {
         self.routed_past.load(Ordering::Relaxed)
     }
 
-    /// Scatter units the synopsis mass bound skipped that the box tier
-    /// could not (disjoint from
+    /// Scatter units routed past that are not box skips: the synopsis's
+    /// interior mass bound proved them silent (disjoint from
     /// [`shards_routed_past`](Self::shards_routed_past); total skipped is
     /// the sum).
     pub fn shards_routed_by_synopsis(&self) -> u64 {
@@ -902,8 +897,8 @@ impl ShardedEngine {
 
     /// The per-expression front half of both query paths: the schema
     /// verdict (taken before DNF expansion or routing — a mismatched
-    /// expression must neither expand nor touch shard bounding boxes built
-    /// for a different dimension), one DNF plan — cache keys digested under
+    /// expression must neither expand nor touch shard synopses built for a
+    /// different dimension), one DNF plan — cache keys digested under
     /// the shards' shared hasher, top-k directions snapped on the shards'
     /// shared ε-net — and the routing verdicts under the routing timer.
     fn plan(&self, expr: &LogicalExpr) -> Result<QueryPlan, EngineError> {
@@ -996,28 +991,22 @@ impl ShardedEngine {
     }
 
     /// Pre-clamps one expression's DNF into per-clause routable literals,
-    /// hoisting the θ clamp and the per-axis query intervals out of the
-    /// per-shard loop. `None` means some clause has no routable percentile
-    /// literal of the served dimension — that clause can never be proven
-    /// silent, so no shard is skippable and the per-shard work would be
-    /// wasted. (The plan holds no empty clause: one contributes nothing by
+    /// hoisting the θ clamp out of the per-shard loop. `None` means some
+    /// clause has no routable percentile literal of the served dimension —
+    /// that clause can never be proven silent, so no shard is skippable
+    /// and the per-shard work would be wasted. (The plan holds no empty clause: one contributes nothing by
     /// the DNF evaluation contract, so it never blocks a skip.)
-    fn routing_plan(&self, dnf: &DnfPlan) -> Option<Vec<Vec<RoutingLit>>> {
+    fn routing_plan<'a>(&self, dnf: &'a DnfPlan) -> Option<RoutingPlan<'a>> {
         let dim = self.dim()?;
         let mut clauses = Vec::new();
         for clause in dnf.clauses() {
-            let mut lits: Vec<RoutingLit> = Vec::new();
+            let mut lits = Vec::new();
             for p in clause {
                 if let MeasureFunction::Percentile(r) = &p.measure {
                     // A dimension mismatch panics in the engine; never
                     // route it away.
                     if r.dim() == dim {
-                        lits.push(RoutingLit {
-                            // Mirrors the θ clamp of the engine's mask
-                            // computation exactly.
-                            lo: p.theta.lo.max(0.0),
-                            rect: (0..dim).map(|h| (r.lo_at(h), r.hi_at(h))).collect(),
-                        });
+                        lits.push((p.theta.clamp_to_unit().lo, r));
                     }
                 }
             }
@@ -1029,49 +1018,41 @@ impl ShardedEngine {
         Some(clauses)
     }
 
-    /// The verdict for one shard against a pre-clamped plan. The box tier
-    /// runs first and reproduces the historical rule exactly (so
-    /// `shards_routed_past` keeps its meaning); the synopsis tier only
-    /// sees shards the box could not prove silent. Both require every
-    /// clause to carry a skip-proving literal; see the module docs for the
-    /// soundness argument.
-    fn shard_skip(plan: &[Vec<RoutingLit>], shard: &Shard) -> Skip {
-        let Some(bounds) = &shard.bounds else {
-            // A NaN coordinate was seen: containment reasoning is unsound
-            // (and the engine carries no synopsis either).
+    /// The verdict for one shard against a pre-clamped plan, read from the
+    /// shard's routing synopsis alone: each literal's mass bound `U` is
+    /// computed once. A clause is *silent* when some literal has
+    /// `U + margin < a_θ`, and *box-silent* when some literal has `U = 0`
+    /// (its rectangle misses the synopsis's sample box on some axis) and
+    /// `a_θ > margin`; box-silent implies silent. The shard is a
+    /// [`Skip::Box`] when every clause is box-silent, a
+    /// [`Skip::Synopsis`] when every clause is silent but some clause is
+    /// not box-silent. See the module docs for the soundness argument.
+    fn shard_skip(plan: &RoutingPlan<'_>, shard: &Shard) -> Skip {
+        let Some(syn) = shard.engine.routing_synopsis() else {
+            // A NaN sample coordinate: interval reasoning is unsound.
             return Skip::No;
         };
         let margin = shard.engine.ptile_margin();
-        let box_skip = plan.iter().all(|lits| {
-            lits.iter().any(|l| {
-                // Disjoint from the raw-point box in some attribute, and
-                // the clamped lower bound clears the zero-mass path.
-                l.lo > margin
-                    && l.rect
-                        .iter()
-                        .zip(bounds)
-                        .any(|(q, b)| q.1 < b.0 || q.0 > b.1)
-            })
-        });
-        if box_skip {
-            return Skip::Box;
+        let mut every_box = true;
+        for lits in plan {
+            let (mut silent, mut box_silent) = (false, false);
+            for &(lo, rect) in lits {
+                let u = syn.mass_bound(rect);
+                silent |= u + margin < lo;
+                if u == 0.0 && lo > margin {
+                    box_silent = true;
+                    break;
+                }
+            }
+            if !silent {
+                return Skip::No;
+            }
+            every_box &= box_silent;
         }
-        let Some(syn) = shard.engine.routing_synopsis() else {
-            return Skip::No;
-        };
-        let syn_skip = plan.iter().all(|lits| {
-            lits.iter().any(|l| {
-                // U + margin < a_θ: neither the main reporting path nor
-                // the zero-mass empty-slab path can fire for any member
-                // dataset (at U = 0 this is exactly the box tier's
-                // `margin < lo` precondition).
-                syn.mass_bound(&l.rect) + margin < l.lo
-            })
-        });
-        if syn_skip {
-            Skip::Synopsis
+        if every_box {
+            Skip::Box
         } else {
-            Skip::No
+            Skip::Synopsis
         }
     }
 
@@ -1112,7 +1093,7 @@ impl ShardedEngine {
             .iter()
             .enumerate()
             .find(|(s, _)| Some(*s) != exempt)
-            .map(|(_, s)| s.dim)
+            .map(|(_, s)| s.engine.dim())
         {
             if repo.dim() != expected {
                 return Err(IngestError::SchemaMismatch {
@@ -1190,7 +1171,7 @@ impl ShardedEngine {
         .with_mask_cache(cache);
         // A query snaps its top-k directions once, on shard 0's ε-net, for
         // every shard: all shards of one schema must build the same net.
-        if let Some(first) = self.shards.first().filter(|s| s.dim == repo.dim()) {
+        if let Some(first) = self.shards.first().filter(|s| s.engine.dim() == repo.dim()) {
             let (net, theirs) = (engine.pref_net(), first.engine.pref_net());
             assert!(
                 (theirs.dim(), theirs.eps(), theirs.len()) == (net.dim(), net.eps(), net.len()),
@@ -1200,33 +1181,10 @@ impl ShardedEngine {
         Shard {
             engine,
             global_ids,
-            dim: repo.dim(),
-            bounds: shard_bounds(&repo),
             datasets: repo.into_datasets(),
             queries: AtomicU64::new(queries),
         }
     }
-}
-
-/// Per-attribute `(min, max)` over every raw point in the shard, or `None`
-/// when a NaN coordinate makes containment reasoning unsound (routing is
-/// then disabled for the shard; answers are unaffected).
-fn shard_bounds(repo: &Repository) -> Option<Vec<(f64, f64)>> {
-    let d = repo.dim();
-    let mut bounds = vec![(f64::INFINITY, f64::NEG_INFINITY); d];
-    for points in repo.point_sets() {
-        for p in points {
-            for (h, b) in bounds.iter_mut().enumerate() {
-                let x = p[h];
-                if x.is_nan() {
-                    return None;
-                }
-                b.0 = b.0.min(x);
-                b.1 = b.1.max(x);
-            }
-        }
-    }
-    Some(bounds)
 }
 
 #[cfg(test)]
@@ -1708,23 +1666,6 @@ mod tests {
         ));
         assert_eq!(query(&svc, &above), Ok(vec![]));
         assert_eq!(svc.shards_routed_past(), 2);
-    }
-
-    #[test]
-    fn nan_points_disable_routing_bounds() {
-        // NaN data cannot currently be *built* (the coordinate grids
-        // reject it), so the scatter-everywhere guard is pinned at the
-        // summary level: a NaN anywhere in the shard yields no bounding
-        // box, and `shard_skip` returns `Skip::No` for a boundless shard
-        // before consulting margins or synopses. The synopsis side of the
-        // same guard is pinned in `ptile::routing`.
-        let nan_repo = Repository::new(vec![Dataset::from_rows(
-            "nan",
-            vec![vec![0.0], vec![f64::NAN], vec![2.0]],
-        )]);
-        assert!(shard_bounds(&nan_repo).is_none());
-        let clean = Repository::new(vec![dataset("clean", &[1.0, 2.0])]);
-        assert_eq!(shard_bounds(&clean), Some(vec![(1.0, 2.0)]));
     }
 
     #[test]

@@ -256,9 +256,11 @@ pub struct QueryTrace {
     pub total_ns: u64,
     /// Scatter units the engine actually evaluated for this request.
     pub shards_scattered: u32,
-    /// Scatter units skipped by the bounding-box routing tier.
+    /// Scatter units routed past as box skips (each clause's rectangle
+    /// misses the shard synopsis's sample box on some axis).
     pub shards_skipped_box: u32,
-    /// Scatter units skipped by the synopsis mass-bound routing tier.
+    /// The other routed scatter units, proven silent by the synopsis's
+    /// interior mass bound.
     pub shards_skipped_synopsis: u32,
     /// Request frame payload bytes read.
     pub bytes_in: u64,

@@ -51,7 +51,7 @@ mod scores;
 pub use brute::BruteForce;
 pub use kdtree::KdTree;
 pub use region::Region;
-pub use scores::{DynScores, SortedScores, TotalF64};
+pub use scores::{DynScores, SortedScores};
 
 /// Read-only orthogonal search over a fixed point set. Item identifiers are
 /// the indexes of the points in the build input (`0..n`), unless the

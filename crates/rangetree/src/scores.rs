@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 /// ordered-collection key. NaN sorts above +∞ and is rejected at the API
 /// boundary of the structures below.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TotalF64(pub f64);
+struct TotalF64(f64);
 
 impl Eq for TotalF64 {}
 
@@ -65,13 +65,21 @@ impl SortedScores {
     /// Appends every dataset index with score `≥ t` — the `T_v.Report(I')`
     /// call of Algorithm 6. Output-sensitive: `O(log N + OUT)`.
     pub fn report_at_least(&self, t: f64, out: &mut Vec<usize>) {
-        out.extend(self.ids_at_least(t).iter().map(|&i| i as usize));
+        out.extend(self.ids_in(t, f64::INFINITY).iter().map(|&i| i as usize));
     }
 
-    /// The dataset indexes with score `≥ t`, in ascending score order — the
-    /// allocation-free form of [`report_at_least`](Self::report_at_least).
-    pub fn ids_at_least(&self, t: f64) -> &[u32] {
-        &self.ids[self.keys.partition_point(|k| *k < t)..]
+    /// The dataset indexes with score in `[lo, hi]`, in ascending score
+    /// order — one contiguous slice, so the allocation-free form of
+    /// [`report_at_least`](Self::report_at_least). An upper end of +∞ costs
+    /// no second search; one below `lo` yields nothing.
+    pub fn ids_in(&self, lo: f64, hi: f64) -> &[u32] {
+        let start = self.keys.partition_point(|k| *k < lo);
+        let end = if hi == f64::INFINITY {
+            self.keys.len()
+        } else {
+            self.keys.partition_point(|k| *k <= hi)
+        };
+        &self.ids[start..end.max(start)]
     }
 
     /// The scores in ascending order.
@@ -149,6 +157,10 @@ mod tests {
         let mut none = vec![];
         s.report_at_least(2.0, &mut none);
         assert!(none.is_empty());
+        // A closed two-sided band is one slice; an inverted one is empty.
+        assert_eq!(s.ids_in(0.5, 0.7), &[0, 3]);
+        assert_eq!(s.ids_in(0.6, f64::INFINITY), &[3, 1]);
+        assert!(s.ids_in(0.7, 0.6).is_empty());
     }
 
     #[test]

@@ -394,7 +394,9 @@ pub struct ServerStats {
     pub cache_misses: u64,
     /// Underlying index queries across shards.
     pub index_queries: u64,
-    /// (expression, shard) scatter units skipped by shard routing.
+    /// (expression, shard) scatter units routed past as box skips: each
+    /// clause's rectangle misses the shard synopsis's sample box on some
+    /// axis.
     pub shards_routed_past: u64,
     /// Shards currently served.
     pub n_shards: u64,
@@ -427,10 +429,10 @@ pub struct ServerStats {
     /// list extends by appending, so older clients keep decoding the
     /// prefix they know.
     pub requests_deduped: u64,
-    /// (expression, shard) scatter units skipped by the synopsis
-    /// mass-bound routing tier — pruning the bounding-box tier
-    /// (`shards_routed_past`) could not prove. Appended after
-    /// `requests_deduped` per the newest-last rule.
+    /// The other routed (expression, shard) scatter units: those only the
+    /// synopsis's interior mass bound proves silent (disjoint from
+    /// `shards_routed_past`). Appended after `requests_deduped` per the
+    /// newest-last rule.
     pub shards_routed_by_synopsis: u64,
 }
 

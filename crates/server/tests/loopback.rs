@@ -6,13 +6,13 @@
 //! admission), never as unbounded buffering.
 
 use dds_core::engine::EngineError;
-use dds_core::framework::{LogicalExpr, Predicate, Repository};
+use dds_core::framework::{Interval, LogicalExpr, MeasureFunction, Predicate, Repository};
 use dds_core::pool::BuildOptions;
 use dds_core::pref::PrefBuildParams;
 use dds_core::ptile::PtileBuildParams;
 use dds_core::scratch::QueryScratch;
 use dds_core::shard::ShardedEngine;
-use dds_geom::Rect;
+use dds_geom::{Point, Rect};
 use dds_server::protocol::{Request, Response, ServerErrorKind};
 use dds_server::wire::{
     encode_frame_into, read_frame_into, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,
@@ -335,6 +335,29 @@ fn schema_mismatch_queries_get_typed_errors_not_panics() {
         0.2,
     ));
     assert!(client.query(&ok).expect("transport").is_ok());
+    server.shutdown();
+}
+
+#[test]
+fn bounded_topk_theta_is_answered_over_the_wire() {
+    // θ's upper end travels on the wire and bounds a top-k answer: {0.05}
+    // qualifies for θ = [0, 0.2] along +1, while {0.9} is far outside the
+    // ε band (0.1) above it.
+    let (ptile, pref) = params();
+    let mut svc = ShardedEngine::new(&[1], ptile, pref);
+    svc.try_add_shard_opts(
+        &Repository::from_point_sets(vec![vec![Point::one(0.05)], vec![Point::one(0.9)]]),
+        &[0, 1],
+        &BuildOptions::serial(),
+    )
+    .expect("valid ingest");
+    let server = DdsServer::serve(svc, "127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let mut client = DdsClient::connect(server.local_addr()).expect("connect");
+    let expr = LogicalExpr::Pred(Predicate {
+        measure: MeasureFunction::TopK { v: vec![1.0], k: 1 },
+        theta: Interval::new(0.0, 0.2),
+    });
+    assert_eq!(client.query(&expr).expect("transport"), Ok(vec![0]));
     server.shutdown();
 }
 

@@ -24,8 +24,10 @@
 //! | [`NetCachePref`] | — | ✓ (direction cache, the "kernel" of [5, 37, 55]) | no |
 //!
 //! The error δ of a synopsis is a *measured* quantity here: [`error`]
-//! estimates `Err_{S_P}(F_□^d)` and `Err_{S_P}(F_k^d)` empirically against
-//! the raw data, which is what experiment E11 sweeps.
+//! estimates the percentile error `Err_{S_P}(F_□^d)` empirically against
+//! the raw data, which is what experiment E11 sweeps. No estimator of the
+//! preference error `Err_{S_P}(F_k^d)` exists; a Pref build takes δ as a
+//! parameter.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -65,9 +65,9 @@
 //! `PtileBuildParams::with_phi_datasets` — see `dds_core::shard`). Each
 //! shard keeps a bounded, generation-tagged cross-call predicate-mask
 //! cache ([`prelude::MaskCache`]); rebuilding a shard invalidates only its
-//! own cache entries. Per-shard value bounding boxes and mass-bound
-//! synopses let queries route past shards that provably cannot match —
-//! answer-invisible, on by default ([`prelude::Routing`]). Each engine
+//! own cache entries. A per-shard mass-bound synopsis lets queries route
+//! past shards that provably cannot match — answer-invisible, on by
+//! default ([`prelude::Routing`]). Each engine
 //! operation has one spelling: ingest and lifecycle calls are
 //! `try_*_opts` (typed [`prelude::IngestError`], explicit pool), queries
 //! are `try_query_with` (caller scratch) and `try_query_batch_opts`.
